@@ -7,11 +7,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"fpgaflow/internal/arch"
 	"fpgaflow/internal/core"
 	"fpgaflow/internal/fault"
+	"fpgaflow/internal/netlist"
 	"fpgaflow/internal/obs"
 )
 
@@ -86,7 +86,7 @@ func main() {
 		opts.Retry.MaxAttempts = *retries
 	}
 	var res *core.Result
-	if looksLikeBLIF(src) {
+	if netlist.IsBLIF(src) {
 		res, err = core.RunBLIF(src, opts)
 	} else {
 		res, err = core.RunVHDL(src, opts)
@@ -107,20 +107,6 @@ func main() {
 		}
 		fmt.Printf("wrote %s (%d bytes)\n", *out, len(res.Encoded))
 	}
-}
-
-// looksLikeBLIF reports whether the input is a BLIF netlist: the first
-// non-blank, non-comment line is a BLIF directive. (A prefix test on the
-// raw text misclassifies BLIF files that open with '#' comments.)
-func looksLikeBLIF(src string) bool {
-	for _, line := range strings.Split(src, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		return strings.HasPrefix(line, ".model") || strings.HasPrefix(line, ".inputs")
-	}
-	return false
 }
 
 func fatal(err error) {

@@ -23,10 +23,9 @@
 package fpgaflow
 
 import (
-	"strings"
-
 	"fpgaflow/internal/arch"
 	"fpgaflow/internal/core"
+	"fpgaflow/internal/netlist"
 )
 
 // Options re-exports the flow options.
@@ -64,22 +63,8 @@ func PaperArch() *arch.Arch { return arch.Paper() }
 // (auto-detected) and returns the per-stage results, metrics, and the
 // configuration bitstream.
 func Run(source string, opts Options) (*Result, error) {
-	if looksLikeBLIF(source) {
+	if netlist.IsBLIF(source) {
 		return core.RunBLIF(source, opts)
 	}
 	return core.RunVHDL(source, opts)
-}
-
-// looksLikeBLIF reports whether the input is a BLIF netlist: the first
-// non-blank, non-comment line is a BLIF directive. (A prefix test on the
-// raw text misclassifies BLIF files that open with '#' comments.)
-func looksLikeBLIF(src string) bool {
-	for _, line := range strings.Split(src, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		return strings.HasPrefix(line, ".model") || strings.HasPrefix(line, ".inputs")
-	}
-	return false
 }

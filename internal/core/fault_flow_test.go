@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -274,13 +275,13 @@ func TestFlowCancelledContextFailsFast(t *testing.T) {
 // TestStageTimeoutCooperative: a stage that honors its context is cut off
 // at the configured deadline and reports context.DeadlineExceeded.
 func TestStageTimeoutCooperative(t *testing.T) {
-	res := &Result{tr: obs.New("timeout")}
-	opts := &Options{StageTimeout: 20 * time.Millisecond}
+	f := &flow{Result: &Result{tr: obs.New("timeout")}, opts: Options{StageTimeout: 20 * time.Millisecond}}
 	start := time.Now()
-	err := res.stage(context.Background(), opts, "VPR place", func(sctx context.Context) error {
-		<-sctx.Done()
-		return sctx.Err()
-	})
+	err := f.stage(context.Background(), step{name: "VPR place", seeded: true,
+		run: func(_ *flow, sctx context.Context) (string, error) {
+			<-sctx.Done()
+			return "", sctx.Err()
+		}})
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("stage timeout did not bound the stage")
 	}
@@ -297,14 +298,13 @@ func TestStageTimeoutCooperative(t *testing.T) {
 // entirely is abandoned after the grace period — the flow still returns.
 func TestStageTimeoutAbandonsStuckStage(t *testing.T) {
 	tr := obs.New("stuck")
-	res := &Result{tr: tr}
-	opts := &Options{StageTimeout: 10 * time.Millisecond}
+	f := &flow{Result: &Result{tr: tr}, opts: Options{StageTimeout: 10 * time.Millisecond}}
 	release := make(chan struct{})
 	defer close(release)
-	err := res.stage(context.Background(), opts, "SIS", func(context.Context) error {
+	err := f.stage(context.Background(), step{name: "SIS", run: func(*flow, context.Context) (string, error) {
 		<-release // simulates a wedged, non-cooperative stage
-		return nil
-	})
+		return "", nil
+	}})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("stuck stage returned %v, want DeadlineExceeded", err)
 	}
@@ -317,10 +317,11 @@ func TestStageTimeoutAbandonsStuckStage(t *testing.T) {
 // the process nor loses the panic — it comes back as a *PanicError with a
 // stack, wrapped in the stage's *StageError, and is never retried.
 func TestStagePanicBecomesStructuredError(t *testing.T) {
-	res := &Result{tr: obs.New("panic")}
-	err := res.stage(context.Background(), &Options{}, "DAGGER", func(context.Context) error {
-		panic("bitstream generator bug")
-	})
+	f := &flow{Result: &Result{tr: obs.New("panic")}}
+	err := f.stage(context.Background(), step{name: "DAGGER", seeded: true,
+		run: func(*flow, context.Context) (string, error) {
+			panic("bitstream generator bug")
+		}})
 	var se *StageError
 	if !errors.As(err, &se) {
 		t.Fatalf("panic produced untyped error: %v", err)
@@ -338,11 +339,13 @@ func TestStagePanicBecomesStructuredError(t *testing.T) {
 }
 
 // TestRunRetryReseedsAndStops exercises the retry loop in isolation:
-// retryable failures are re-attempted with a shifted seed up to the
-// bound, then the last typed error is returned.
+// retryable failures are re-attempted with a shifted seed, resuming at the
+// first seeded stage, up to the bound, then the last typed error is
+// returned.
 func TestRunRetryReseedsAndStops(t *testing.T) {
 	tr := obs.New("retry")
 	var seeds []int64
+	var froms []string
 	_, err := runRetry(context.Background(), Options{
 		Seed: 100,
 		Obs:  tr,
@@ -351,8 +354,9 @@ func TestRunRetryReseedsAndStops(t *testing.T) {
 			ReseedPlacement: true,
 			Backoff:         time.Microsecond,
 		},
-	}, func(_ context.Context, o Options) (*Result, error) {
+	}, func(_ context.Context, o Options, from string) (*Result, error) {
 		seeds = append(seeds, o.Seed)
+		froms = append(froms, from)
 		return &Result{}, &StageError{Stage: "VPR route", Err: errors.New("transient"), retryable: true}
 	})
 	if err == nil {
@@ -377,6 +381,14 @@ func TestRunRetryReseedsAndStops(t *testing.T) {
 	if c := tr.Counters(); c["flow.attempts"] != 3 || c["flow.retries"] != 2 {
 		t.Errorf("attempts=%d retries=%d, want 3/2", c["flow.attempts"], c["flow.retries"])
 	}
+	// Re-seeding resumes at the first seeded stage of the table.
+	first := 0
+	for !stages[first].seeded {
+		first++
+	}
+	if wantFrom := []string{"", stages[first].name, stages[first].name}; strings.Join(froms, ",") != strings.Join(wantFrom, ",") {
+		t.Errorf("resume points %q, want %q", froms, wantFrom)
+	}
 }
 
 // TestRunRetryDoesNotRetryDeterministicFailures: capacity errors and
@@ -392,9 +404,9 @@ func TestRunRetryDoesNotRetryDeterministicFailures(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			calls := 0
 			_, err := runRetry(context.Background(), Options{Retry: DefaultRetryPolicy()},
-				func(context.Context, Options) (*Result, error) {
+				func(context.Context, Options, string) (*Result, error) {
 					calls++
-					tc.err.retryable = retryableCause(tc.err.Stage, tc.err.Err)
+					tc.err.retryable = retryableCause(stages[stageIndex(tc.err.Stage)].seeded, tc.err.Err)
 					return nil, tc.err
 				})
 			if err == nil || calls != 1 {
@@ -405,24 +417,29 @@ func TestRunRetryDoesNotRetryDeterministicFailures(t *testing.T) {
 }
 
 // TestRunRetryEscalatesOnce: an unroutable failure flips the options to
-// the min-channel-width search exactly once; a second unroutable result
-// (now inherent to the design) ends the run.
+// the min-channel-width search exactly once, resuming at VPR route; a
+// second unroutable result (now inherent to the design) ends the run.
 func TestRunRetryEscalatesOnce(t *testing.T) {
 	tr := obs.New("escalate")
 	var minW []bool
+	var froms []string
 	_, err := runRetry(context.Background(), Options{
 		Obs:   tr,
 		Retry: RetryPolicy{MaxAttempts: 5, EscalateChannelWidth: true},
-	}, func(_ context.Context, o Options) (*Result, error) {
+	}, func(_ context.Context, o Options, from string) (*Result, error) {
 		minW = append(minW, o.MinChannelWidth)
+		froms = append(froms, from)
 		return nil, &StageError{Stage: "VPR route",
-			Err: route.ErrUnroutable, retryable: retryableCause("VPR route", route.ErrUnroutable)}
+			Err: route.ErrUnroutable, retryable: retryableCause(true, route.ErrUnroutable)}
 	})
 	if err == nil {
 		t.Fatal("still-unroutable run reported success")
 	}
 	if len(minW) != 2 || minW[0] || !minW[1] {
 		t.Errorf("attempt MinChannelWidth sequence %v, want [false true]", minW)
+	}
+	if len(froms) != 2 || froms[0] != "" || froms[1] != "VPR route" {
+		t.Errorf("resume points %q, want [\"\" \"VPR route\"]", froms)
 	}
 	if c := tr.Counters(); c["flow.degraded"] != 1 {
 		t.Errorf("flow.degraded = %d, want 1", c["flow.degraded"])

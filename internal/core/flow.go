@@ -215,6 +215,8 @@ type Stage struct {
 
 // Result is the complete output of a flow run.
 type Result struct {
+	// Stages records each stage the run entered, once and in flow order: a
+	// retry's re-run stages replace the earlier attempt's records.
 	Stages []Stage
 
 	// tr is the observability trace for this run (possibly nil).
@@ -282,9 +284,8 @@ func RunVHDL(src string, opts Options) (*Result, error) {
 // back as structured *StageError values, and the options' RetryPolicy
 // governs re-seeded attempts and graceful degradation.
 func RunVHDLContext(ctx context.Context, src string, opts Options) (*Result, error) {
-	return runRetry(ctx, opts, func(ctx context.Context, o Options) (*Result, error) {
-		return runVHDLOnce(ctx, src, o)
-	})
+	f := &flow{src: src}
+	return runRetry(ctx, opts, f.attempt)
 }
 
 // RunBLIF enters the flow at the SIS stage with a BLIF netlist.
@@ -295,435 +296,453 @@ func RunBLIF(blifText string, opts Options) (*Result, error) {
 // RunBLIFContext is RunBLIF under a context and the hardened runner (see
 // RunVHDLContext).
 func RunBLIFContext(ctx context.Context, blifText string, opts Options) (*Result, error) {
-	return runRetry(ctx, opts, func(ctx context.Context, o Options) (*Result, error) {
-		return runBLIFOnce(ctx, blifText, o)
-	})
+	f := &flow{blif: blifText, entry: stageIndex("SIS")}
+	return runRetry(ctx, opts, f.attempt)
 }
 
-// runVHDLOnce is a single flow attempt from VHDL source.
-func runVHDLOnce(ctx context.Context, src string, opts Options) (*Result, error) {
-	opts.fill()
-	res := &Result{tr: opts.trace()}
-	var design *vhdl.Design
-
-	// Stage 1: VHDL Parser.
-	err := res.stage(ctx, &opts, "VHDL Parser", func(context.Context) error {
-		var err error
-		design, err = vhdl.Parse(src)
-		if err != nil {
-			return err
-		}
-		res.Stages[len(res.Stages)-1].Detail = fmt.Sprintf("%d entities", len(design.Entities))
-		return nil
-	})
-	if err != nil {
-		return res, err
-	}
-
-	// Stage 2: DIVINER synthesis.
-	err = res.stage(ctx, &opts, "DIVINER", func(context.Context) error {
-		nl, err := vhdl.Elaborate(design, opts.Top)
-		if err != nil {
-			return err
-		}
-		res.Source = nl
-		st := nl.Stats()
-		res.tr.Add("synth.gates", int64(st.Logic))
-		res.tr.Add("synth.ffs", int64(st.Latches))
-		res.Stages[len(res.Stages)-1].Detail = fmt.Sprintf("%d gates, %d FFs", st.Logic, st.Latches)
-		return nil
-	})
-	if err != nil {
-		return res, err
-	}
-
-	// Stage 3+4: EDIF out, DRUID, E2FMT back to BLIF.
-	var blif string
-	err = res.stage(ctx, &opts, "DRUID", func(context.Context) error {
-		text, err := edif.Write(res.Source)
-		if err != nil {
-			return err
-		}
-		res.EDIF, err = edif.Druid(text)
-		return err
-	})
-	if err != nil {
-		return res, err
-	}
-	err = res.stage(ctx, &opts, "E2FMT", func(context.Context) error {
-		var err error
-		blif, err = edif.E2FMT(res.EDIF)
-		if err != nil {
-			return err
-		}
-		// Lint the produced BLIF at the stage boundary: a multi-driven net
-		// here is an E2FMT bug, not a SIS one.
-		return res.runChecks(&opts, check.StageNetlist, &check.Artifacts{BLIF: blif})
-	})
-	if err != nil {
-		return res, err
-	}
-	return res.continueFromBLIF(ctx, blif, opts)
+// step is one tool of the flow. run does the tool's work on the flow state
+// and returns the one-line report recorded as the stage's Detail.
+type step struct {
+	name string
+	// seeded marks the stages whose outcome depends on the placement seed;
+	// failures there are worth retrying re-seeded. Everything upstream
+	// (parsing, synthesis, mapping, packing) is deterministic in the input
+	// alone.
+	seeded bool
+	run    func(*flow, context.Context) (string, error)
 }
 
-// runBLIFOnce is a single flow attempt from a BLIF netlist.
-func runBLIFOnce(ctx context.Context, blifText string, opts Options) (*Result, error) {
-	opts.fill()
-	res := &Result{tr: opts.trace()}
+// stages is the flow of Fig. 11 in execution order, closed by timing
+// analysis (which feeds the power model's default clock) and the
+// bitstream-extraction verification.
+var stages = []step{
+	{name: "VHDL Parser", run: (*flow).parseVHDL},
+	{name: "DIVINER", run: (*flow).diviner},
+	{name: "DRUID", run: (*flow).druid},
+	{name: "E2FMT", run: (*flow).e2fmt},
+	{name: "SIS", run: (*flow).sis},
+	{name: "LUT map", run: (*flow).lutMap},
+	{name: "T-VPack", run: (*flow).tvpack},
+	{name: "DUTYS", run: (*flow).dutys},
+	{name: "VPR place", seeded: true, run: (*flow).vprPlace},
+	{name: "VPR route", seeded: true, run: (*flow).vprRoute},
+	{name: "Timing", seeded: true, run: (*flow).staticTiming},
+	{name: "PowerModel", seeded: true, run: (*flow).powerModel},
+	{name: "DAGGER", seeded: true, run: (*flow).dagger},
+	{name: "Verify", seeded: true, run: (*flow).verify},
+}
+
+// stageIndex returns the table position of the named stage (-1 if none).
+func stageIndex(name string) int {
+	for i, s := range stages {
+		if s.name == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// flow is one run through the stage table: the result being built, the
+// current attempt's options and the state handed from stage to stage.
+type flow struct {
+	*Result
+	opts  Options
+	entry int // first stage: VHDL Parser, or SIS on the BLIF entry
+
+	src     string           // VHDL source
+	design  *vhdl.Design     // VHDL Parser output
+	blif    string           // E2FMT output, or the BLIF entry's input
+	working *netlist.Netlist // SIS output, the LUT mapper's input
+	width   int              // Arch's channel width before any route stage widened it
+
+	// saved[i] is the result as stage i last found it on entry; a retry
+	// resuming at stage i restores it, so re-run stages replace their
+	// records and artifacts instead of appending to them.
+	saved []Result
+}
+
+// attempt runs the flow under o: from the entry stage on the first attempt
+// (from == ""), otherwise resuming at stage from with the result and
+// architecture restored to exactly what a fresh attempt would hand that
+// stage. The runner only resumes at or before the stage that failed:
+// escalation follows an unroutable VPR route, re-seeding a seeded stage.
+func (f *flow) attempt(ctx context.Context, o Options, from string) (*Result, error) {
+	f.opts = o
+	if from == "" {
+		if err := f.start(); err != nil {
+			return f.Result, err
+		}
+		return f.Result, f.run(ctx, f.entry)
+	}
+	i := stageIndex(from)
+	*f.Result = f.saved[i]
+	f.Arch.Routing.ChannelWidth = f.width
+	return f.Result, f.run(ctx, i)
+}
+
+// start sets up the run's result, architecture and defect counters (once
+// per run, however many attempts follow) and, on the BLIF entry, lints and
+// parses the input.
+func (f *flow) start() error {
+	f.Result, f.saved = &Result{tr: f.opts.trace()}, make([]Result, len(stages))
+	a := f.opts.Arch
+	if a == nil {
+		a = arch.Paper()
+	}
+	f.Arch = a.Clone()
+	f.width = f.Arch.Routing.ChannelWidth
+	f.tr.Counter("fault.injected")
+	if dm := f.opts.Defects; dm != nil {
+		f.tr.Add("fault.injected", int64(dm.Count()))
+		f.tr.Add("fault.dead_wires", int64(len(dm.DeadWires)))
+		f.tr.Add("fault.dead_switches", int64(len(dm.DeadSwitches)))
+		f.tr.Add("fault.bad_sites", int64(len(dm.BadCLBs)+len(dm.BadIOs)))
+		f.tr.Add("fault.stuck_bits", int64(len(dm.StuckBits)))
+	}
+	if f.entry == 0 {
+		return nil
+	}
 	// Text-level lint runs before the parser so a multi-driven net surfaces
 	// as a named rule violation, not a parse error. Failures here are typed
 	// StageErrors like every other flow failure (corrupted input must fail
 	// fast, not crash or propagate shapeless).
-	if err := res.runChecks(&opts, check.StageNetlist, &check.Artifacts{BLIF: blifText}); err != nil {
-		return res, &StageError{Stage: "BLIF", Err: err}
+	if err := f.runChecks(check.StageNetlist, &check.Artifacts{BLIF: f.blif}); err != nil {
+		return &StageError{Stage: "BLIF", Err: err}
 	}
-	nl, err := netlist.ParseBLIF(blifText)
+	nl, err := netlist.ParseBLIF(f.blif)
 	if err != nil {
-		return res, &StageError{Stage: "BLIF", Err: err}
+		return &StageError{Stage: "BLIF", Err: err}
 	}
-	res.Source = nl
-	return res.continueFromBLIF(ctx, blifText, opts)
+	f.Source = nl
+	return nil
 }
 
-func (res *Result) continueFromBLIF(ctx context.Context, blifText string, opts Options) (*Result, error) {
-	a := opts.Arch
-	if a == nil {
-		a = arch.Paper()
+// run drives the stage table from stage i to the end.
+func (f *flow) run(ctx context.Context, i int) error {
+	for ; i < len(stages); i++ {
+		if stages[i].name == "Verify" && f.opts.SkipVerify {
+			break
+		}
+		f.saved[i] = *f.Result
+		if err := f.stage(ctx, stages[i]); err != nil {
+			return err
+		}
 	}
-	a = a.Clone()
-	res.Arch = a
-	res.Metrics.Name = res.Source.Name
-	res.Metrics.SourceGates = res.Source.Stats().Logic
-	res.tr.Counter("fault.injected")
-	if dm := opts.Defects; dm != nil {
-		res.tr.Add("fault.injected", int64(dm.Count()))
-		res.tr.Add("fault.dead_wires", int64(len(dm.DeadWires)))
-		res.tr.Add("fault.dead_switches", int64(len(dm.DeadSwitches)))
-		res.tr.Add("fault.bad_sites", int64(len(dm.BadCLBs)+len(dm.BadIOs)))
-		res.tr.Add("fault.stuck_bits", int64(len(dm.StuckBits)))
-	}
+	return nil
+}
 
-	// Stage 5: SIS (technology-independent optimization + decomposition +
-	// LUT mapping).
-	var working *netlist.Netlist
-	err := res.stage(ctx, &opts, "SIS", func(context.Context) error {
-		nl, err := netlist.ParseBLIF(blifText)
-		if err != nil {
-			return err
-		}
-		if err := logic.Optimize(nl, opts.OptimizeOptions); err != nil {
-			return err
-		}
-		if err := logic.Decompose(nl); err != nil {
-			return err
-		}
-		working = nl
-		res.OptimizedBLIF = netlist.FormatBLIF(nl)
-		res.Stages[len(res.Stages)-1].Detail = fmt.Sprintf("%d gates after optimization", nl.Stats().Logic)
-		return res.runChecks(&opts, check.StageNetlist, &check.Artifacts{Netlist: nl})
-	})
+func (f *flow) parseVHDL(context.Context) (string, error) {
+	var err error
+	f.design, err = vhdl.Parse(f.src)
 	if err != nil {
-		return res, err
+		return "", err
 	}
-	err = res.stage(ctx, &opts, "LUT map", func(context.Context) error {
-		var mapped *techmap.Result
-		var err error
-		if opts.Mapper == MapGreedy {
-			mapped, err = techmap.MapGreedy(working, a.CLB.K)
-		} else {
-			mapped, err = techmap.FlowMap(working, a.CLB.K)
-		}
-		if err != nil {
-			return err
-		}
-		res.Mapped = mapped
-		res.Metrics.LUTs = mapped.LUTs
-		res.Metrics.Depth = mapped.Depth
-		res.tr.Add("flow.luts", int64(mapped.LUTs))
-		res.tr.SetGauge("lutmap.depth", float64(mapped.Depth))
-		res.Stages[len(res.Stages)-1].Detail = fmt.Sprintf("%d LUTs, depth %d", mapped.LUTs, mapped.Depth)
-		return res.runChecks(&opts, check.StageNetlist, &check.Artifacts{Netlist: mapped.Netlist, K: a.CLB.K})
-	})
-	if err != nil {
-		return res, err
-	}
+	return fmt.Sprintf("%d entities", len(f.design.Entities)), nil
+}
 
-	// Stage 6: T-VPack.
-	err = res.stage(ctx, &opts, "T-VPack", func(context.Context) error {
-		pk, err := pack.Pack(res.Mapped.Netlist, pack.Params{
-			N: a.CLB.N, K: a.CLB.K, I: a.CLB.I, GroupGated: opts.PowerAwarePack})
-		if err != nil {
-			return err
-		}
-		res.Packing = pk
-		pk.Record(res.tr)
-		res.Metrics.CLBs = len(pk.Clusters)
-		res.Metrics.Utilization = pk.Utilization()
-		res.tr.Add("flow.clbs", int64(len(pk.Clusters)))
-		detail := fmt.Sprintf("%d CLBs, %.0f%% BLE utilization", len(pk.Clusters), 100*pk.Utilization())
-		if opts.PowerAwarePack {
-			detail += fmt.Sprintf(", %d clocked", pk.ClockedClusters())
-		}
-		res.Stages[len(res.Stages)-1].Detail = detail
-		return res.runChecks(&opts, check.StagePack, &check.Artifacts{Packing: pk})
-	})
+func (f *flow) diviner(context.Context) (string, error) {
+	nl, err := vhdl.Elaborate(f.design, f.opts.Top)
 	if err != nil {
-		return res, err
+		return "", err
 	}
+	f.Source = nl
+	st := nl.Stats()
+	f.tr.Add("synth.gates", int64(st.Logic))
+	f.tr.Add("synth.ffs", int64(st.Latches))
+	return fmt.Sprintf("%d gates, %d FFs", st.Logic, st.Latches), nil
+}
 
-	// Stage 7: DUTYS architecture file.
-	autoSize := opts.Arch == nil || opts.AutoSizeGrid
-	err = res.stage(ctx, &opts, "DUTYS", func(context.Context) error {
-		p, err := place.NewProblem(a, res.Packing)
-		if err != nil {
-			return err
-		}
-		if autoSize {
-			p.AutoSize()
-		} else {
-			clbs, pads := p.CountKinds()
-			if clbs > a.LogicCapacity() || pads > a.IOCapacity() {
-				return fmt.Errorf("core: design needs %d CLBs / %d pads; fixed %dx%d grid offers %d / %d",
-					clbs, pads, a.Cols, a.Rows, a.LogicCapacity(), a.IOCapacity())
+// druid writes the elaborated netlist as EDIF and normalizes it.
+func (f *flow) druid(context.Context) (string, error) {
+	text, err := edif.Write(f.Source)
+	if err != nil {
+		return "", err
+	}
+	f.EDIF, err = edif.Druid(text)
+	return "", err
+}
+
+func (f *flow) e2fmt(context.Context) (string, error) {
+	var err error
+	f.blif, err = edif.E2FMT(f.EDIF)
+	if err != nil {
+		return "", err
+	}
+	// Lint the produced BLIF at the stage boundary: a multi-driven net
+	// here is an E2FMT bug, not a SIS one.
+	return "", f.runChecks(check.StageNetlist, &check.Artifacts{BLIF: f.blif})
+}
+
+// sis is technology-independent optimization plus decomposition; the LUT
+// mapping half of SIS is the next stage.
+func (f *flow) sis(context.Context) (string, error) {
+	f.Metrics.Name, f.Metrics.SourceGates = f.Source.Name, f.Source.Stats().Logic
+	nl, err := netlist.ParseBLIF(f.blif)
+	if err != nil {
+		return "", err
+	}
+	if err := logic.Optimize(nl, f.opts.OptimizeOptions); err != nil {
+		return "", err
+	}
+	if err := logic.Decompose(nl); err != nil {
+		return "", err
+	}
+	f.working = nl
+	f.OptimizedBLIF = netlist.FormatBLIF(nl)
+	return fmt.Sprintf("%d gates after optimization", nl.Stats().Logic),
+		f.runChecks(check.StageNetlist, &check.Artifacts{Netlist: nl})
+}
+
+func (f *flow) lutMap(context.Context) (string, error) {
+	k := f.Arch.CLB.K
+	var mapped *techmap.Result
+	var err error
+	if f.opts.Mapper == MapGreedy {
+		mapped, err = techmap.MapGreedy(f.working, k)
+	} else {
+		mapped, err = techmap.FlowMap(f.working, k)
+	}
+	if err != nil {
+		return "", err
+	}
+	f.Mapped = mapped
+	f.Metrics.LUTs, f.Metrics.Depth = mapped.LUTs, mapped.Depth
+	f.tr.Add("flow.luts", int64(mapped.LUTs))
+	f.tr.SetGauge("lutmap.depth", float64(mapped.Depth))
+	return fmt.Sprintf("%d LUTs, depth %d", mapped.LUTs, mapped.Depth),
+		f.runChecks(check.StageNetlist, &check.Artifacts{Netlist: mapped.Netlist, K: k})
+}
+
+func (f *flow) tvpack(context.Context) (string, error) {
+	c := f.Arch.CLB
+	pk, err := pack.Pack(f.Mapped.Netlist, pack.Params{
+		N: c.N, K: c.K, I: c.I, GroupGated: f.opts.PowerAwarePack})
+	if err != nil {
+		return "", err
+	}
+	f.Packing = pk
+	pk.Record(f.tr)
+	f.Metrics.CLBs, f.Metrics.Utilization = len(pk.Clusters), pk.Utilization()
+	f.tr.Add("flow.clbs", int64(len(pk.Clusters)))
+	detail := fmt.Sprintf("%d CLBs, %.0f%% BLE utilization", len(pk.Clusters), 100*pk.Utilization())
+	if f.opts.PowerAwarePack {
+		detail += fmt.Sprintf(", %d clocked", pk.ClockedClusters())
+	}
+	return detail, f.runChecks(check.StagePack, &check.Artifacts{Packing: pk})
+}
+
+// dutys sizes the grid and writes the architecture file.
+func (f *flow) dutys(context.Context) (string, error) {
+	a := f.Arch
+	p, err := place.NewProblem(a, f.Packing)
+	if err != nil {
+		return "", err
+	}
+	if f.opts.Arch == nil || f.opts.AutoSizeGrid {
+		p.AutoSize()
+	} else if clbs, pads := p.CountKinds(); clbs > a.LogicCapacity() || pads > a.IOCapacity() {
+		return "", fmt.Errorf("core: design needs %d CLBs / %d pads; fixed %dx%d grid offers %d / %d",
+			clbs, pads, a.Cols, a.Rows, a.LogicCapacity(), a.IOCapacity())
+	}
+	f.Problem = p
+	f.ArchFile = arch.Format(a)
+	f.Metrics.GridW, f.Metrics.GridH = a.Cols, a.Rows
+	return fmt.Sprintf("%dx%d grid", a.Cols, a.Rows), nil
+}
+
+func (f *flow) vprPlace(sctx context.Context) (string, error) {
+	opts := &f.opts
+	popts := place.Options{Seed: opts.Seed, InnerNum: opts.PlaceEffort, Fixed: opts.FixedPads, Obs: f.tr,
+		Ctx: sctx, Bad: opts.Defects.BadSiteSet(), Events: opts.Events, Workers: opts.PlaceWorkers}
+	mode := "wirelength-driven"
+	if opts.TimingDrivenPlace {
+		popts.Weights = place.CriticalityWeights(f.Packing, f.Problem, opts.PlaceCritAlpha)
+		mode = "timing-driven"
+	}
+	var pl *place.Placement
+	var err error
+	if opts.PlaceSeeds > 1 {
+		pl, err = place.PlaceBest(f.Problem, popts, opts.PlaceSeeds)
+		mode = fmt.Sprintf("%s, best of %d seeds", mode, opts.PlaceSeeds)
+	} else {
+		pl, err = place.Place(f.Problem, popts)
+	}
+	if err != nil {
+		return "", err
+	}
+	f.Placed = pl
+	return fmt.Sprintf("cost %.1f (%s)", pl.Cost, mode),
+		f.runChecks(check.StagePlace, &check.Artifacts{Problem: f.Problem, Placement: pl})
+}
+
+func (f *flow) vprRoute(sctx context.Context) (string, error) {
+	opts, a := &f.opts, f.Arch
+	ropts := route.Options{MaxIters: opts.RouteMaxIters, DelayDriven: opts.TimingDrivenRoute,
+		EnergyDriven: opts.EnergyDrivenRoute, Obs: f.tr, Ctx: sctx,
+		Workers: opts.RouteWorkers, Cache: opts.RRCache, Events: opts.Events}
+	if opts.CriticalityDrivenRoute {
+		pk, p, pl := f.Packing, f.Problem, f.Placed
+		ropts.Criticality = func(g *rrgraph.Graph, routes []*route.NetRoute) []float64 {
+			if routes == nil {
+				// First iteration: no routed delays yet; seed with the
+				// combinational-depth estimate.
+				return timing.StaticNetCriticalities(pk, p)
 			}
-		}
-		res.Problem = p
-		res.ArchFile = arch.Format(a)
-		res.Metrics.GridW, res.Metrics.GridH = a.Cols, a.Rows
-		res.Stages[len(res.Stages)-1].Detail = fmt.Sprintf("%dx%d grid", a.Cols, a.Rows)
-		return nil
-	})
-	if err != nil {
-		return res, err
-	}
-
-	// Stage 8: VPR placement.
-	err = res.stage(ctx, &opts, "VPR place", func(sctx context.Context) error {
-		popts := place.Options{Seed: opts.Seed, InnerNum: opts.PlaceEffort, Fixed: opts.FixedPads, Obs: res.tr,
-			Ctx: sctx, Bad: opts.Defects.BadSiteSet(), Events: opts.Events, Workers: opts.PlaceWorkers}
-		mode := "wirelength-driven"
-		if opts.TimingDrivenPlace {
-			// Recomputed here (inside the stage closure) so every hardened-
-			// runner attempt weights against the attempt's own packing.
-			popts.Weights = place.CriticalityWeights(res.Packing, res.Problem, opts.PlaceCritAlpha)
-			mode = "timing-driven"
-		}
-		var pl *place.Placement
-		var err error
-		if opts.PlaceSeeds > 1 {
-			pl, err = place.PlaceBest(res.Problem, popts, opts.PlaceSeeds)
-			mode = fmt.Sprintf("%s, best of %d seeds", mode, opts.PlaceSeeds)
-		} else {
-			pl, err = place.Place(res.Problem, popts)
-		}
-		if err != nil {
-			return err
-		}
-		res.Placed = pl
-		res.Stages[len(res.Stages)-1].Detail = fmt.Sprintf("cost %.1f (%s)", pl.Cost, mode)
-		return res.runChecks(&opts, check.StagePlace, &check.Artifacts{Problem: res.Problem, Placement: pl})
-	})
-	if err != nil {
-		return res, err
-	}
-
-	// Stage 9: VPR routing.
-	err = res.stage(ctx, &opts, "VPR route", func(sctx context.Context) error {
-		ropts := route.Options{MaxIters: opts.RouteMaxIters, DelayDriven: opts.TimingDrivenRoute,
-			EnergyDriven: opts.EnergyDrivenRoute, Obs: res.tr, Ctx: sctx,
-			Workers: opts.RouteWorkers, Cache: opts.RRCache, Events: opts.Events}
-		if opts.CriticalityDrivenRoute {
-			pk, p, pl := res.Packing, res.Problem, res.Placed
-			ropts.Criticality = func(g *rrgraph.Graph, routes []*route.NetRoute) []float64 {
-				if routes == nil {
-					// First iteration: no routed delays yet; seed with the
-					// combinational-depth estimate.
-					return timing.StaticNetCriticalities(pk, p)
-				}
-				nc, err := timing.AnalyzeNetCriticalities(pk, p, pl, &route.Result{Routes: routes, Graph: g})
-				if err != nil {
-					return nil // keep last criticalities on a mid-route analysis failure
-				}
-				return nc
-			}
-		}
-		if opts.Defects != nil {
-			// Re-applied at every channel-width trial: defects are keyed by
-			// structural coordinates, so they survive RR-graph rebuilds and
-			// any tracks added by escalation are defect-free.
-			ropts.Mask = func(g *rrgraph.Graph) {
-				st := opts.Defects.Apply(g)
-				res.tr.Add("fault.rr_dead_nodes", int64(st.DeadWires))
-				res.tr.Add("fault.rr_edges_removed", int64(st.EdgesRemoved))
-			}
-		}
-		if opts.MinChannelWidth {
-			w, r, err := route.MinChannelWidth(res.Problem, res.Placed, 1, a.Routing.ChannelWidth, ropts)
+			nc, err := timing.AnalyzeNetCriticalities(pk, p, pl, &route.Result{Routes: routes, Graph: g})
 			if err != nil {
-				return err
+				return nil // keep last criticalities on a mid-route analysis failure
 			}
-			a.Routing.ChannelWidth = w
-			res.Routed = r
-		} else {
-			g, err := opts.RRCache.Get(a, res.tr)
-			if err != nil {
-				return err
-			}
-			if ropts.Mask != nil {
-				ropts.Mask(g)
-			}
-			r, err := route.Route(res.Problem, res.Placed, g, ropts)
-			if err != nil {
-				return err
-			}
-			if !r.Success {
-				return fmt.Errorf("core: %w at W=%d (%d overused)", route.ErrUnroutable, a.Routing.ChannelWidth, r.Overused)
-			}
-			res.Routed = r
+			return nc
 		}
-		if err := res.Routed.Validate(res.Problem, res.Placed); err != nil {
-			return err
+	}
+	if opts.Defects != nil {
+		// Re-applied at every channel-width trial: defects are keyed by
+		// structural coordinates, so they survive RR-graph rebuilds and
+		// any tracks added by escalation are defect-free.
+		ropts.Mask = func(g *rrgraph.Graph) {
+			st := opts.Defects.Apply(g)
+			f.tr.Add("fault.rr_dead_nodes", int64(st.DeadWires))
+			f.tr.Add("fault.rr_edges_removed", int64(st.EdgesRemoved))
 		}
-		res.Metrics.ChannelWidth = res.Routed.Graph.W
-		res.Metrics.WirelengthUsed = res.Routed.WirelengthUsed()
-		res.tr.Add("flow.channel_width", int64(res.Routed.Graph.W))
-		res.tr.Add("route.wirelength", int64(res.Metrics.WirelengthUsed))
-		res.tr.Add("flow.nets", int64(len(res.Routed.Routes)))
-		res.Stages[len(res.Stages)-1].Detail = fmt.Sprintf("W=%d, %d wire segments",
-			res.Routed.Graph.W, res.Routed.WirelengthUsed())
-		return res.runChecks(&opts, check.StageRoute, &check.Artifacts{
-			Graph: res.Routed.Graph, Routing: res.Routed,
-			Problem: res.Problem, Placement: res.Placed,
+	}
+	if opts.MinChannelWidth {
+		w, r, err := route.MinChannelWidth(f.Problem, f.Placed, 1, a.Routing.ChannelWidth, ropts)
+		if err != nil {
+			return "", err
+		}
+		a.Routing.ChannelWidth = w
+		f.Routed = r
+	} else {
+		g, err := opts.RRCache.Get(a, f.tr)
+		if err != nil {
+			return "", err
+		}
+		if ropts.Mask != nil {
+			ropts.Mask(g)
+		}
+		r, err := route.Route(f.Problem, f.Placed, g, ropts)
+		if err != nil {
+			return "", err
+		}
+		if !r.Success {
+			return "", fmt.Errorf("core: %w at W=%d (%d overused)", route.ErrUnroutable, a.Routing.ChannelWidth, r.Overused)
+		}
+		f.Routed = r
+	}
+	if err := f.Routed.Validate(f.Problem, f.Placed); err != nil {
+		return "", err
+	}
+	f.Metrics.ChannelWidth, f.Metrics.WirelengthUsed = f.Routed.Graph.W, f.Routed.WirelengthUsed()
+	f.tr.Add("flow.channel_width", int64(f.Routed.Graph.W))
+	f.tr.Add("route.wirelength", int64(f.Metrics.WirelengthUsed))
+	f.tr.Add("flow.nets", int64(len(f.Routed.Routes)))
+	return fmt.Sprintf("W=%d, %d wire segments", f.Routed.Graph.W, f.Metrics.WirelengthUsed),
+		f.runChecks(check.StageRoute, &check.Artifacts{
+			Graph: f.Routed.Graph, Routing: f.Routed,
+			Problem: f.Problem, Placement: f.Placed,
 		})
-	})
-	if err != nil {
-		return res, err
-	}
+}
 
-	// Timing analysis (feeds the power model's default clock).
-	err = res.stage(ctx, &opts, "Timing", func(context.Context) error {
-		an, err := timing.Analyze(res.Packing, res.Problem, res.Placed, res.Routed)
-		if err != nil {
-			return err
-		}
-		res.Timing = an
-		res.Metrics.CriticalPath = an.CriticalPath
-		res.Metrics.MaxClockMHz = an.MaxClockHz / 1e6
-		res.Metrics.DataRateMbps = an.MaxDataRateHz / 1e6
-		res.tr.SetGauge("timing.critical_path_ns", an.CriticalPath*1e9)
-		res.tr.SetGauge("timing.fmax_mhz", an.MaxClockHz/1e6)
-		res.Stages[len(res.Stages)-1].Detail = fmt.Sprintf("%.2f ns critical path", an.CriticalPath*1e9)
-		return nil
-	})
+func (f *flow) staticTiming(context.Context) (string, error) {
+	an, err := timing.Analyze(f.Packing, f.Problem, f.Placed, f.Routed)
 	if err != nil {
-		return res, err
+		return "", err
 	}
+	f.Timing = an
+	f.Metrics.CriticalPath = an.CriticalPath
+	f.Metrics.MaxClockMHz, f.Metrics.DataRateMbps = an.MaxClockHz/1e6, an.MaxDataRateHz/1e6
+	f.tr.SetGauge("timing.critical_path_ns", an.CriticalPath*1e9)
+	f.tr.SetGauge("timing.fmax_mhz", an.MaxClockHz/1e6)
+	return fmt.Sprintf("%.2f ns critical path", an.CriticalPath*1e9), nil
+}
 
-	// Stage 10: PowerModel.
-	err = res.stage(ctx, &opts, "PowerModel", func(context.Context) error {
-		clock := opts.ClockHz
-		if clock == 0 {
-			clock = res.Timing.MaxClockHz
-		}
-		act, err := sim.EstimateActivityObs(res.Mapped.Netlist, opts.ActivityCycles, 0.5, opts.Seed, res.tr)
-		if err != nil {
-			return err
-		}
-		rep, err := power.Estimate(res.Packing, res.Problem, res.Placed, res.Routed, act, clock)
-		if err != nil {
-			return err
-		}
-		res.Power = rep
-		res.Metrics.PowerTotalMW = rep.Total * 1e3
-		res.Metrics.EnergyPJ = rep.Total / clock * 1e12
-		res.tr.SetGauge("power.total_mw", rep.Total*1e3)
-		res.tr.SetGauge("power.energy_pj", res.Metrics.EnergyPJ)
-		res.Metrics.AreaUnits = power.FabricAreaMinWidthUnits(a)
-		res.Stages[len(res.Stages)-1].Detail = fmt.Sprintf("%.3f mW at %.0f MHz", rep.Total*1e3, clock/1e6)
-		return nil
-	})
+func (f *flow) powerModel(context.Context) (string, error) {
+	opts := &f.opts
+	clock := opts.ClockHz
+	if clock == 0 {
+		clock = f.Timing.MaxClockHz
+	}
+	act, err := sim.EstimateActivityObs(f.Mapped.Netlist, opts.ActivityCycles, 0.5, opts.Seed, f.tr)
 	if err != nil {
-		return res, err
+		return "", err
 	}
-
+	rep, err := power.Estimate(f.Packing, f.Problem, f.Placed, f.Routed, act, clock)
+	if err != nil {
+		return "", err
+	}
+	f.Power = rep
+	f.Metrics.PowerTotalMW, f.Metrics.EnergyPJ = rep.Total*1e3, rep.Total/clock*1e12
+	f.tr.SetGauge("power.total_mw", rep.Total*1e3)
+	f.tr.SetGauge("power.energy_pj", f.Metrics.EnergyPJ)
+	f.Metrics.AreaUnits = power.FabricAreaMinWidthUnits(f.Arch)
 	// Publish the per-design QoR record: the delay/energy numbers the
 	// golden suite and benchgate gate on, tagged with the profile that
 	// produced them.
 	if opts.Events.Enabled() {
 		opts.Events.Publish(events.Event{Kind: events.KindQoR, QoR: &events.QoREvent{
-			Design:         res.Metrics.Name,
+			Design:         f.Metrics.Name,
 			Profile:        string(opts.Profile),
-			ChannelWidth:   res.Metrics.ChannelWidth,
-			Wirelength:     res.Metrics.WirelengthUsed,
-			CriticalPathNS: res.Metrics.CriticalPath * 1e9,
-			PowerMW:        res.Metrics.PowerTotalMW,
-			EnergyPJ:       res.Metrics.EnergyPJ,
+			ChannelWidth:   f.Metrics.ChannelWidth,
+			Wirelength:     f.Metrics.WirelengthUsed,
+			CriticalPathNS: f.Metrics.CriticalPath * 1e9,
+			PowerMW:        f.Metrics.PowerTotalMW,
+			EnergyPJ:       f.Metrics.EnergyPJ,
 		}})
 	}
+	return fmt.Sprintf("%.3f mW at %.0f MHz", rep.Total*1e3, clock/1e6), nil
+}
 
-	// Stage 11: DAGGER bitstream.
-	err = res.stage(ctx, &opts, "DAGGER", func(context.Context) error {
-		bs, err := bitstream.Generate(res.Packing, res.Problem, res.Placed, res.Routed)
-		if err != nil {
-			return err
-		}
-		res.Bits = bs
-		res.Encoded, err = bitstream.Encode(bs)
-		if err != nil {
-			return err
-		}
-		res.Metrics.BitstreamBits = len(res.Encoded) * 8
-		res.tr.Add("flow.bitstream_bits", int64(res.Metrics.BitstreamBits))
-		res.Stages[len(res.Stages)-1].Detail = fmt.Sprintf("%d bytes", len(res.Encoded))
-		return res.runChecks(&opts, check.StageBitstream, &check.Artifacts{
-			Encoded: res.Encoded, Arch: a, Packing: res.Packing,
-			Problem: res.Problem, Placement: res.Placed,
-			Graph: res.Routed.Graph, Routing: res.Routed,
+func (f *flow) dagger(context.Context) (string, error) {
+	bs, err := bitstream.Generate(f.Packing, f.Problem, f.Placed, f.Routed)
+	if err != nil {
+		return "", err
+	}
+	f.Bits = bs
+	f.Encoded, err = bitstream.Encode(bs)
+	if err != nil {
+		return "", err
+	}
+	f.Metrics.BitstreamBits = len(f.Encoded) * 8
+	f.tr.Add("flow.bitstream_bits", int64(f.Metrics.BitstreamBits))
+	return fmt.Sprintf("%d bytes", len(f.Encoded)),
+		f.runChecks(check.StageBitstream, &check.Artifacts{
+			Encoded: f.Encoded, Arch: f.Arch, Packing: f.Packing,
+			Problem: f.Problem, Placement: f.Placed,
+			Graph: f.Routed.Graph, Routing: f.Routed,
 			Bitstream: bs,
 		})
-	})
-	if err != nil {
-		return res, err
-	}
+}
 
-	// Closing verification: decode + extract + equivalence.
-	if !opts.SkipVerify {
-		err = res.stage(ctx, &opts, "Verify", func(context.Context) error {
-			bs, err := bitstream.Decode(res.Encoded)
-			if err != nil {
-				return err
-			}
-			extracted, err := bitstream.Extract(bs)
-			if err != nil {
-				return err
-			}
-			if err := sim.CheckEquivalent(res.Source, extracted, 12, 400, opts.Seed+1); err != nil {
-				return fmt.Errorf("core: bitstream does not implement the source design: %w", err)
-			}
-			res.Verified = true
-			res.tr.Add("verify.equivalence_checks", 1)
-			res.Stages[len(res.Stages)-1].Detail = "bitstream equivalent to source"
-			return nil
-		})
-		if err != nil {
-			return res, err
-		}
+// verify decodes the bitstream, extracts its netlist and checks it is
+// equivalent to the source.
+func (f *flow) verify(context.Context) (string, error) {
+	bs, err := bitstream.Decode(f.Encoded)
+	if err != nil {
+		return "", err
 	}
-	return res, nil
+	extracted, err := bitstream.Extract(bs)
+	if err != nil {
+		return "", err
+	}
+	if err := sim.CheckEquivalent(f.Source, extracted, 12, 400, f.opts.Seed+1); err != nil {
+		return "", fmt.Errorf("core: bitstream does not implement the source design: %w", err)
+	}
+	f.Verified = true
+	f.tr.Add("verify.equivalence_checks", 1)
+	return "bitstream equivalent to source", nil
 }
 
 // runChecks executes the stage-boundary rule set for one flow stage,
 // records diagnostic counts on the run's trace and fails fast when any
-// error-severity diagnostic fired. It runs inside the stage closure so the
+// error-severity diagnostic fired. It runs inside the stage so the
 // returned error carries the stage tag.
-func (res *Result) runChecks(opts *Options, stage check.Stage, arts *check.Artifacts) error {
-	if opts.SkipChecks {
+func (f *flow) runChecks(stage check.Stage, arts *check.Artifacts) error {
+	if f.opts.SkipChecks {
 		return nil
 	}
-	arts.Disable = opts.DisableChecks
-	arts.Defects = opts.Defects
+	arts.Disable, arts.Defects = f.opts.DisableChecks, f.opts.Defects
 	rep := check.RunStage(stage, arts)
-	rep.Record(res.tr)
+	rep.Record(f.tr)
 	return rep.Err()
 }
 
@@ -731,10 +750,16 @@ func (res *Result) runChecks(opts *Options, stage check.Stage, arts *check.Artif
 // the cancellation before the runner abandons its goroutine and reports
 // the timeout. Placement and routing cancel cooperatively well within
 // this; CPU-bound stages without cancellation points are left to finish
-// in the background (their writes target the already-recorded Stage slot).
+// in the background (their report is discarded, and a timed-out run is
+// never resumed).
 const stageAbandonGrace = 250 * time.Millisecond
 
-func (res *Result) stage(ctx context.Context, opts *Options, tool string, fn func(context.Context) error) error {
+// stage is the driver for one table entry: it announces the stage
+// (StageStart, events), runs it under the stage deadline with panic
+// shielding inside its own span, records its Stage entry and returns its
+// failure as a *StageError.
+func (f *flow) stage(ctx context.Context, s step) error {
+	opts, tool := &f.opts, s.name
 	if opts.StageStart != nil {
 		opts.StageStart(tool)
 	}
@@ -745,75 +770,78 @@ func (res *Result) stage(ctx context.Context, opts *Options, tool string, fn fun
 	if err := ctx.Err(); err != nil {
 		return &StageError{Stage: tool, Err: err}
 	}
-	sctx := ctx
-	cancel := context.CancelFunc(func() {})
+	sctx, cancel := ctx, context.CancelFunc(func() {})
 	if opts.StageTimeout > 0 {
 		sctx, cancel = context.WithTimeout(ctx, opts.StageTimeout)
 	}
 	defer cancel()
-	sp := res.tr.Start(tool)
+	sp := f.tr.Start(tool)
 	//fpgavet:ignore walltime stage wall-clock is telemetry only and never feeds QoR decisions
 	start := time.Now()
-	res.Stages = append(res.Stages, Stage{Tool: tool})
-	var err error
-	if sctx.Done() == nil {
-		// No deadline and no cancellable parent: run inline, no goroutine.
-		err = runShielded(sctx, fn)
-	} else {
-		done := make(chan error, 1)
-		go func() { done <- runShielded(sctx, fn) }()
+	f.Stages = append(f.Stages, Stage{Tool: tool})
+	// The body runs on its own goroutine so a deadline can abandon it; with
+	// no deadline and no cancellable parent, sctx.Done() is nil and the
+	// select simply waits for the body.
+	done := make(chan outcome, 1)
+	go func() { done <- runShielded(sctx, f, s.run) }()
+	var out outcome
+	select {
+	case out = <-done:
+	case <-sctx.Done():
 		select {
-		case err = <-done:
-		case <-sctx.Done():
-			select {
-			case err = <-done:
-			case <-time.After(stageAbandonGrace):
-				err = sctx.Err()
-				res.tr.Add("flow.stage_abandoned", 1)
-			}
+		case out = <-done:
+		case <-time.After(stageAbandonGrace):
+			out.err = sctx.Err()
+			f.tr.Add("flow.stage_abandoned", 1)
 		}
 	}
-	st := &res.Stages[len(res.Stages)-1]
+	st := &f.Stages[len(f.Stages)-1]
+	st.Detail = out.detail
 	sp.SetDetail("%s", st.Detail)
 	sp.End()
 	if sp != nil {
 		// The span is the source of truth for the stage's own timing.
-		st.Duration = sp.Wall
-		st.CPU = sp.CPU
-		st.AllocBytes = sp.AllocBytes
+		st.Duration, st.CPU, st.AllocBytes = sp.Wall, sp.CPU, sp.AllocBytes
 		// Stage wall time feeds the farm's latency distribution, labeled by
 		// stage (bounded: the stage set is fixed). The span already carries
 		// the measurement, so no extra clock read happens here.
-		res.tr.HistogramVec("flow.stage_seconds", "stage").Observe(tool, sp.Wall.Seconds())
+		f.tr.HistogramVec("flow.stage_seconds", "stage").Observe(tool, sp.Wall.Seconds())
 	} else {
 		//fpgavet:ignore walltime fallback duration telemetry when spans are disabled; reporting only
 		st.Duration = time.Since(start)
 	}
-	res.tr.Add("flow.stages", 1)
+	f.tr.Add("flow.stages", 1)
 	if opts.Events.Enabled() {
 		end := &events.StageEvent{Stage: tool, Phase: "end", WallNS: st.Duration.Nanoseconds()}
-		if err != nil {
-			end.Err = err.Error()
+		if out.err != nil {
+			end.Err = out.err.Error()
 		}
 		opts.Events.Publish(events.Event{Kind: events.KindStage, Stage: end})
 	}
-	if err != nil {
-		res.tr.Add("flow.stage_errors", 1)
-		return &StageError{Stage: tool, Err: err, retryable: retryableCause(tool, err)}
+	if out.err != nil {
+		f.tr.Add("flow.stage_errors", 1)
+		return &StageError{Stage: tool, Err: out.err, retryable: retryableCause(s.seeded, out.err)}
 	}
 	return nil
+}
+
+// outcome is what a stage body returned.
+type outcome struct {
+	detail string
+	err    error
 }
 
 // runShielded executes a stage body, converting a panic into a
 // *PanicError so one buggy stage cannot take down the whole runner (or
 // the GUI server driving it).
-func runShielded(ctx context.Context, fn func(context.Context) error) (err error) {
+func runShielded(ctx context.Context, f *flow, run func(*flow, context.Context) (string, error)) (out outcome) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = &PanicError{Value: r, Stack: debug.Stack()}
+			out.err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return fn(ctx)
+	out.detail, out.err = run(f, ctx)
+	return out
 }
 
 // Summary renders the per-stage report like the GUI's log pane.

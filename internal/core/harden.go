@@ -54,22 +54,10 @@ type PanicError struct {
 
 func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 
-// seedDependentStages are the stages whose outcome depends on the
-// placement seed; failures there are worth retrying re-seeded. Everything
-// upstream (parsing, synthesis, mapping, packing) is deterministic in the
-// input alone.
-var seedDependentStages = map[string]bool{
-	"VPR place":  true,
-	"VPR route":  true,
-	"Timing":     true,
-	"PowerModel": true,
-	"DAGGER":     true,
-	"Verify":     true,
-}
-
-// retryableCause classifies a stage failure for the retry policy.
-func retryableCause(stage string, err error) bool {
-	if !seedDependentStages[stage] {
+// retryableCause classifies a stage failure for the retry policy: only a
+// seeded stage can fail retryably.
+func retryableCause(seeded bool, err error) bool {
+	if !seeded {
 		return false
 	}
 	var pe *PanicError
@@ -120,11 +108,14 @@ const reseedStep = 104729
 
 // runRetry is the hardened runner: it executes attempt under the options'
 // retry policy, mutating the options between attempts (new seed, escalated
-// channel width) per the classification of the previous failure. Every
-// attempt, retry and degradation is counted on the run's trace; the
-// counters exist (at zero) even for clean first-attempt runs so metrics
-// consumers can rely on them.
-func runRetry(ctx context.Context, opts Options, attempt func(context.Context, Options) (*Result, error)) (*Result, error) {
+// channel width) per the classification of the previous failure. The first
+// attempt gets from == ""; a retry names the first stage the option change
+// affects, where the run resumes: VPR route after an escalation (the
+// placement is unchanged), the first seeded stage (VPR place) after a
+// re-seed. Every attempt, retry and degradation is counted on the run's
+// trace; the counters exist (at zero) even for clean first-attempt runs so
+// metrics consumers can rely on them.
+func runRetry(ctx context.Context, opts Options, attempt func(ctx context.Context, o Options, from string) (*Result, error)) (*Result, error) {
 	opts.fill()
 	if opts.RRCache == nil {
 		// One cache per hardened run: re-seeded retries and channel-width
@@ -137,42 +128,37 @@ func runRetry(ctx context.Context, opts Options, attempt func(context.Context, O
 	tr.Counter("flow.retries")
 	tr.Counter("flow.degraded")
 	pol := opts.Retry
-	if pol.MaxAttempts < 1 {
-		pol.MaxAttempts = 1
-	}
-	backoff := pol.Backoff
+	backoff, from := pol.Backoff, ""
 	for try := 1; ; try++ {
 		if opts.Events.Enabled() {
 			opts.Events.Publish(events.Event{Kind: events.KindFlow,
 				Flow: &events.FlowEvent{Action: "attempt", Attempt: try, Seed: opts.Seed}})
 		}
 		// Each attempt is a span of its own, so a retried job's trace shows
-		// every attempt (with the flow stages nested under it) on one
+		// every attempt (with the stages it ran nested under it) on one
 		// timeline instead of a flat stage list that silently restarts.
 		asp := tr.Start(fmt.Sprintf("attempt %d", try))
 		asp.SetDetail("seed=%d", opts.Seed)
-		res, err := attempt(ctx, opts)
+		res, err := attempt(ctx, opts, from)
 		tr.Add("flow.attempts", 1)
 		if err == nil {
 			asp.End()
 			return res, nil
 		}
 		se := asStageError(err, try, res)
-		asp.SetDetail("seed=%d err=%v", opts.Seed, se)
-		if try >= pol.MaxAttempts || ctx.Err() != nil {
-			asp.End()
-			return res, se
-		}
 		action := ""
 		switch {
+		case try >= pol.MaxAttempts || ctx.Err() != nil: // out of attempts or cancelled
 		case pol.EscalateChannelWidth && !opts.MinChannelWidth && errors.Is(se, route.ErrUnroutable):
 			opts.MinChannelWidth = true
 			tr.Add("flow.degraded", 1)
-			action = "escalate"
+			action, from = "escalate", "VPR route"
 		case pol.ReseedPlacement && se.Retryable():
 			opts.Seed += reseedStep
-			action = "retry"
-		default:
+			action, from = "retry", "VPR place"
+		}
+		if action == "" {
+			asp.SetDetail("seed=%d err=%v", opts.Seed, se)
 			asp.End()
 			return res, se
 		}

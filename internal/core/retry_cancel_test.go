@@ -15,7 +15,7 @@ import (
 func TestRetryBackoffCancelReturnsPromptly(t *testing.T) {
 	attempts := 0
 	fail := &StageError{Stage: "VPR route", Err: errors.New("synthetic retryable failure"), retryable: true}
-	attempt := func(context.Context, Options) (*Result, error) {
+	attempt := func(context.Context, Options, string) (*Result, error) {
 		attempts++
 		return &Result{}, fail
 	}
@@ -58,7 +58,7 @@ func TestRetryBackoffCancelReturnsPromptly(t *testing.T) {
 // cancellation, backoff delays but does not prevent the retry.
 func TestRetryBackoffRunsWhenNotCancelled(t *testing.T) {
 	attempts := 0
-	attempt := func(context.Context, Options) (*Result, error) {
+	attempt := func(context.Context, Options, string) (*Result, error) {
 		attempts++
 		if attempts == 1 {
 			return &Result{}, &StageError{Stage: "VPR route", Err: errors.New("transient"), retryable: true}

@@ -14,7 +14,6 @@ import (
 	"html/template"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -247,11 +246,10 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 }
 
 func sourceKind(src string) string {
-	t := strings.TrimSpace(src)
 	switch {
-	case strings.HasPrefix(t, ".model"):
+	case netlist.IsBLIF(src):
 		return "BLIF"
-	case edif.IsEDIF(t):
+	case edif.IsEDIF(src):
 		return "EDIF"
 	default:
 		return "VHDL"

@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
@@ -204,5 +205,17 @@ func TestDocsEndpoint(t *testing.T) {
 	home := getBody(t, c, srv.URL+"/")
 	if !strings.Contains(home, "/docs") {
 		t.Error("home does not link the documentation")
+	}
+}
+
+// TestSourceKindCommentedBLIF: committed example netlists open with '#'
+// comment lines and must still be classified as BLIF.
+func TestSourceKindCommentedBLIF(t *testing.T) {
+	src, err := os.ReadFile("../../examples/netlists/count2.blif")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sourceKind(string(src)); got != "BLIF" {
+		t.Errorf("sourceKind(count2.blif) = %q, want BLIF", got)
 	}
 }

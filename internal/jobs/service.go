@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"fpgaflow/internal/core"
+	"fpgaflow/internal/netlist"
 	"fpgaflow/internal/obs"
 	"fpgaflow/internal/obs/events"
 )
@@ -666,7 +667,7 @@ func (s *Service) coreRunner(ctx context.Context, spec Spec) (*core.Result, erro
 		opts.Obs = s.tr
 	}
 	opts.Events = s.bus
-	if spec.IsBLIF() {
+	if netlist.IsBLIF(spec.Source) {
 		return core.RunBLIFContext(ctx, spec.Source, opts)
 	}
 	return core.RunVHDLContext(ctx, spec.Source, opts)

@@ -463,3 +463,27 @@ func TestRealFlowEndToEnd(t *testing.T) {
 		t.Fatalf("result.json: %v", err)
 	}
 }
+
+// TestCommentedBLIFJobSucceeds submits a committed example netlist, which
+// opens with '#' comment lines, through the production runner: the source
+// must enter the flow at the BLIF stage, not the VHDL parser.
+func TestCommentedBLIFJobSucceeds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real flow in -short mode")
+	}
+	src, err := os.ReadFile("../../examples/netlists/count2.blif")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := openService(t, func(c *Config) {
+		c.Workers = 1
+		c.Runner = nil // the production coreRunner
+	})
+	st, err := s.Submit(context.Background(), Spec{Tenant: "alice", Name: "count2", Source: string(src)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := waitTerminal(t, s, st.ID); final.State != StateSucceeded {
+		t.Fatalf("count2.blif job finished %s: %s", final.State, final.Error)
+	}
+}

@@ -174,9 +174,3 @@ func (s *Spec) coreOptions() core.Options {
 	}
 	return o
 }
-
-// IsBLIF reports whether the source enters the flow at the BLIF stage
-// (same sniff the GUI uses: a BLIF file leads with .model).
-func (s *Spec) IsBLIF() bool {
-	return strings.HasPrefix(strings.TrimSpace(s.Source), ".model")
-}

@@ -7,6 +7,23 @@ import (
 	"strings"
 )
 
+// IsBLIF sniffs whether text is a BLIF netlist: its first non-blank,
+// non-comment line is a .model or .inputs directive. Committed netlists
+// open with '#' comments, so a prefix test on the raw text would send them
+// to the VHDL parser.
+func IsBLIF(text string) bool {
+	for text != "" {
+		var line string
+		line, text, _ = strings.Cut(text, "\n")
+		line = strings.TrimSpace(line)
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		return strings.HasPrefix(line, ".model") || strings.HasPrefix(line, ".inputs")
+	}
+	return false
+}
+
 // ReadBLIF parses the first model of a BLIF stream into a Netlist.
 // The supported subset covers what the flow produces and consumes:
 // .model, .inputs, .outputs, .names, .latch, .end, comments and

@@ -23,11 +23,11 @@ const DefaultCapacity = 4096
 // single atomic load — instrumentation sites never need to guard.
 type Bus struct {
 	enabled atomic.Bool
-	seq     atomic.Uint64
 	dropped atomic.Int64
 	start   time.Time
 
 	mu     sync.Mutex
+	seq    uint64 // last stamped Seq
 	ring   []Event
 	next   int // ring write index
 	count  int // elements in ring (<= len(ring))
@@ -77,15 +77,16 @@ func (b *Bus) Dropped() int64 {
 
 // Publish stamps the event (Seq, TimeNS) and delivers it to the ring,
 // every sink, and every subscriber. No-op on a nil or disabled bus.
-// Sinks run under the bus lock, so their observed order matches Seq.
+// Stamping and delivery happen under the bus lock, so the ring, sinks and
+// subscribers all observe events in Seq order.
 func (b *Bus) Publish(ev Event) {
 	if !b.Enabled() {
 		return
 	}
-	ev.Seq = b.seq.Add(1)
-	ev.TimeNS = time.Since(b.start).Nanoseconds()
-
 	b.mu.Lock()
+	b.seq++
+	ev.Seq = b.seq
+	ev.TimeNS = time.Since(b.start).Nanoseconds()
 	b.ring[b.next] = ev
 	b.next = (b.next + 1) % len(b.ring)
 	if b.count < len(b.ring) {
