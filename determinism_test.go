@@ -13,6 +13,8 @@ import (
 	"encoding/json"
 	"runtime"
 	"testing"
+
+	"fpgaflow/internal/obs"
 )
 
 func TestRoutingDeterminismAcrossWorkers(t *testing.T) {
@@ -125,15 +127,24 @@ func TestPlaceWorkersDeterminismMinDelay(t *testing.T) {
 	}
 }
 
+// sisEffort returns a run's deterministic SIS effort counters.
+func sisEffort(tr *obs.Trace) [2]int64 {
+	c := tr.Counters()
+	return [2]int64{c["logic.qm_minimizations"], c["logic.qm_combines"]}
+}
+
 // TestPlacementDeterminismAcrossWorkers sweeps the annealer worker knob in
 // isolation (routing pinned serial) and requires the bit-identical
-// placement and bitstream from every value on every golden design.
+// placement and bitstream from every value on every golden design, with
+// identical SIS effort counters.
 func TestPlacementDeterminismAcrossWorkers(t *testing.T) {
 	for name, src := range goldenExamples(t) {
 		t.Run(name, func(t *testing.T) {
 			var refLoc, refBits []byte
+			var refEffort [2]int64
 			for _, workers := range []int{1, 2, 4, 8} {
-				res, err := Run(src, Options{Seed: 1, SkipVerify: true, RouteWorkers: 1, PlaceWorkers: workers})
+				tr := obs.New(name)
+				res, err := Run(src, Options{Seed: 1, SkipVerify: true, RouteWorkers: 1, PlaceWorkers: workers, Obs: tr})
 				if err != nil {
 					t.Fatalf("place workers=%d: %v", workers, err)
 				}
@@ -141,9 +152,17 @@ func TestPlacementDeterminismAcrossWorkers(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				effort := sisEffort(tr)
+				if effort[0] == 0 {
+					t.Fatalf("place workers=%d: no logic.qm_minimizations recorded", workers)
+				}
 				if refLoc == nil {
-					refLoc, refBits = loc, res.Encoded
+					refLoc, refBits, refEffort = loc, res.Encoded, effort
 					continue
+				}
+				if effort != refEffort {
+					t.Errorf("place workers=%d: SIS effort (minimizations, combines) %v, workers=1 run %v",
+						workers, effort, refEffort)
 				}
 				if !bytes.Equal(loc, refLoc) {
 					t.Errorf("place workers=%d: placement differs from workers=1 run", workers)

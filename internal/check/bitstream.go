@@ -57,13 +57,18 @@ func init() {
 	})
 }
 
+// decodeFor returns the decoded bitstream, decoding Encoded only on the
+// first call of a RunStage pass; every calling rule reports its own
+// diagnostic when the decode fails.
 func decodeFor(a *Artifacts, rep *reporter) *bitstream.Bitstream {
-	bs, err := bitstream.Decode(a.Encoded)
-	if err != nil {
-		rep.add("", "decode failed: %v", err)
+	if a.decoded == nil && a.decodeErr == nil {
+		a.decoded, a.decodeErr = bitstream.Decode(a.Encoded)
+	}
+	if a.decodeErr != nil {
+		rep.add("", "decode failed: %v", a.decodeErr)
 		return nil
 	}
-	return bs
+	return a.decoded
 }
 
 func runBitsDecode(a *Artifacts, rep *reporter) {

@@ -121,6 +121,10 @@ type Artifacts struct {
 	Defects *fault.DefectMap
 	// Disable lists rule IDs to skip (see docs/CHECKS.md on suppression).
 	Disable []string
+
+	// The bitstream rules share one decode of Encoded per RunStage pass.
+	decoded   *bitstream.Bitstream
+	decodeErr error
 }
 
 func (a *Artifacts) disabled(id string) bool {
@@ -208,6 +212,9 @@ type Report struct {
 // RunStage runs every applicable rule of one stage.
 func RunStage(stage Stage, a *Artifacts) *Report {
 	rep := &Report{}
+	// Drop any decode memo from an earlier pass: the caller may have
+	// changed Encoded since.
+	a.decoded, a.decodeErr = nil, nil
 	for _, r := range Rules() {
 		if r.Stage != stage || a.disabled(r.ID) || !r.Applies(a) {
 			continue

@@ -355,6 +355,43 @@ func TestBitstreamCrossChecks(t *testing.T) {
 	}
 }
 
+// TestBitstreamDecodeFailurePerRule checks that the shared decode still
+// lets every applicable bits/* rule report its own failure, and that a
+// second pass over the same Artifacts decodes the bytes it holds now.
+func TestBitstreamDecodeFailurePerRule(t *testing.T) {
+	pk, p, pl, r, a := buildDesign(t)
+	bs, err := bitstream.Generate(pk, p, pl, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := bitstream.Encode(bs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arts := &Artifacts{Encoded: enc, Arch: a, Packing: pk,
+		Problem: p, Placement: pl, Graph: r.Graph, Routing: r}
+	wantClean(t, RunStage(StageBitstream, arts))
+
+	arts.Encoded = enc[:8]
+	rep := RunStage(StageBitstream, arts)
+	perRule := map[string]int{}
+	for _, d := range rep.Diags {
+		if !strings.Contains(d.Message, "decode failed") {
+			t.Errorf("unexpected diagnostic on a corrupt bitstream: %v", d)
+		}
+		perRule[d.Rule]++
+	}
+	rules := []string{"bits/decode", "bits/lut-mask", "bits/switch-route", "bits/pads"}
+	if rep.RulesRun != len(rules) {
+		t.Errorf("%d bitstream rules ran, want %d", rep.RulesRun, len(rules))
+	}
+	for _, id := range rules {
+		if perRule[id] != 1 {
+			t.Errorf("%s reported %d decode failures, want 1:\n%s", id, perRule[id], rep.Format())
+		}
+	}
+}
+
 func TestDisableAndRecord(t *testing.T) {
 	blif := ".model dup\n.inputs a\n.outputs y\n.names a y\n1 1\n.names a y\n0 1\n.end\n"
 	rep := RunStage(StageNetlist, &Artifacts{BLIF: blif, Disable: []string{"net/multi-driven"}})

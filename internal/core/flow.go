@@ -481,9 +481,12 @@ func (f *flow) sis(context.Context) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if err := logic.Optimize(nl, f.opts.OptimizeOptions); err != nil {
+	effort, err := logic.Optimize(nl, f.opts.OptimizeOptions)
+	if err != nil {
 		return "", err
 	}
+	f.tr.Add("logic.qm_minimizations", effort.Minimizations)
+	f.tr.Add("logic.qm_combines", effort.Combines)
 	if err := logic.Decompose(nl); err != nil {
 		return "", err
 	}

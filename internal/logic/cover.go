@@ -26,28 +26,61 @@ func (im implicant) covers(minterm uint32) bool {
 	return (minterm &^ im.mask) == im.value
 }
 
-// MinimizeCover returns a minimal (exact primes, greedy selection) on-set
+// Effort counts the exact-minimization work of one Optimize call: the
+// deterministic SIS effort counters the flow reports on its trace.
+type Effort struct {
+	// Minimizations is the number of truth tables minimized exactly.
+	Minimizations int64
+	// Combines is the number of distance-1 merges made by the
+	// Quine–McCluskey combining step.
+	Combines int64
+}
+
+// qmScratch holds the dense Quine–McCluskey engine's buffers and effort
+// counters. One lives for one Optimize (or MinimizeTruthTable) call and is
+// never shared, so concurrent flows never touch each other's state.
+type qmScratch struct {
+	// seen is a presence bitset over cubes, indexed by mask<<k | value
+	// (4^k bits). It holds a level and the level it combines into at once:
+	// their masks differ in popcount, so their indices never collide.
+	seen      []uint64
+	cur, next []implicant
+	primes    []implicant
+	minterms  []uint32
+	effort    Effort
+}
+
+func (s *qmScratch) has(i uint32) bool { return s.seen[i>>6]&(1<<(i&63)) != 0 }
+func (s *qmScratch) set(i uint32)      { s.seen[i>>6] |= 1 << (i & 63) }
+func (s *qmScratch) clear(i uint32)    { s.seen[i>>6] &^= 1 << (i & 63) }
+
+// minimizeCover returns a minimal (exact primes, greedy selection) on-set
 // cover equivalent to the input cover over k variables. Functions wider
 // than qmLimit variables are reduced by cube containment and distance-1
 // merging only.
-func MinimizeCover(c netlist.Cover, k int) netlist.Cover {
+func (s *qmScratch) minimizeCover(c netlist.Cover, k int) netlist.Cover {
 	if k > qmLimit {
 		return reduceWide(c, k)
 	}
-	tt := truthTableOfCover(c, k)
-	return MinimizeTruthTable(tt, k)
+	return s.minimize(truthTableOfCover(c, k), k)
 }
 
 // MinimizeTruthTable builds a minimal on-set cover for the function given as
 // a truth table over k variables (k <= qmLimit).
 func MinimizeTruthTable(tt []bool, k int) netlist.Cover {
+	return new(qmScratch).minimize(tt, k)
+}
+
+func (s *qmScratch) minimize(tt []bool, k int) netlist.Cover {
+	s.effort.Minimizations++
 	out := netlist.Cover{Value: netlist.LitOne}
-	var minterms []uint32
+	minterms := s.minterms[:0]
 	for m, b := range tt {
 		if b {
 			minterms = append(minterms, uint32(m))
 		}
 	}
+	s.minterms = minterms
 	if len(minterms) == 0 {
 		return out // constant 0: empty on-set
 	}
@@ -61,7 +94,7 @@ func MinimizeTruthTable(tt []bool, k int) netlist.Cover {
 		}
 		return out
 	}
-	primes := primeImplicants(minterms, k)
+	primes := s.primeImplicants(minterms, k)
 	chosen := selectCover(primes, minterms)
 	for _, im := range chosen {
 		out.Cubes = append(out.Cubes, implicantToCube(im, k))
@@ -70,46 +103,55 @@ func MinimizeTruthTable(tt []bool, k int) netlist.Cover {
 	return out
 }
 
-// primeImplicants runs the Quine–McCluskey combining step.
-func primeImplicants(minterms []uint32, k int) []implicant {
-	type key struct{ value, mask uint32 }
-	current := make(map[key]implicant, len(minterms))
-	for _, m := range minterms {
-		current[key{m, 0}] = implicant{m, 0}
+// primeImplicants runs the Quine–McCluskey combining step over distinct
+// minterms and returns every prime implicant (in no particular order; the
+// returned slice is reused by the next call). Each level's cubes sit in a
+// flat list and in the presence bitset, so a cube finds its distance-1
+// partner across each free variable with one lookup: a level costs
+// O(n·k) instead of a pairwise O(n²) scan.
+func (s *qmScratch) primeImplicants(minterms []uint32, k int) []implicant {
+	if words := (1<<uint(2*k) + 63) / 64; len(s.seen) < words {
+		s.seen = make([]uint64, words)
 	}
-	var primes []implicant
-	for len(current) > 0 {
-		combined := make(map[key]bool, len(current))
-		next := make(map[key]implicant)
-		list := make([]implicant, 0, len(current))
-		for _, im := range current {
-			list = append(list, im)
-		}
-		// Group by popcount of value for the classic adjacent-group scan;
-		// with map-based dedup a full pairwise scan is simpler and still
-		// fine at k <= 10.
-		for i := 0; i < len(list); i++ {
-			for j := i + 1; j < len(list); j++ {
-				a, b := list[i], list[j]
-				if a.mask != b.mask {
+	full := uint32(1)<<uint(k) - 1
+	cur, next, primes := s.cur[:0], s.next[:0], s.primes[:0]
+	for _, m := range minterms {
+		cur = append(cur, implicant{m, 0})
+		s.set(m)
+	}
+	for len(cur) > 0 {
+		next = next[:0]
+		//fpga:hotloop
+		for _, im := range cur {
+			combined := false
+			for free := full &^ im.mask; free != 0; free &= free - 1 {
+				bit := free & -free
+				if !s.has(im.mask<<uint(k) | (im.value ^ bit)) {
 					continue
 				}
-				diff := a.value ^ b.value
-				if diff != 0 && diff&(diff-1) == 0 { // single differing bit
-					nk := key{a.value &^ diff, a.mask | diff}
-					next[nk] = implicant{nk.value, nk.mask}
-					combined[key{a.value, a.mask}] = true
-					combined[key{b.value, b.mask}] = true
+				combined = true
+				if im.value&bit != 0 {
+					continue // the pair is merged from its lower cube
+				}
+				s.effort.Combines++
+				merged := implicant{im.value, im.mask | bit}
+				if idx := merged.mask<<uint(k) | merged.value; !s.has(idx) {
+					s.set(idx)
+					next = append(next, merged)
 				}
 			}
-		}
-		for _, im := range list {
-			if !combined[key{im.value, im.mask}] {
+			if !combined {
 				primes = append(primes, im)
 			}
 		}
-		current = next
+		// Clear this level's bits by walking its cubes rather than
+		// re-zeroing all 4^k bits.
+		for _, im := range cur {
+			s.clear(im.mask<<uint(k) | im.value)
+		}
+		cur, next = next, cur
 	}
+	s.cur, s.next, s.primes = cur, next, primes
 	return primes
 }
 

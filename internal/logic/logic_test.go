@@ -11,6 +11,8 @@ import (
 
 func ttOf(c netlist.Cover, k int) []bool { return truthTableOfCover(c, k) }
 
+func minimizeCover(c netlist.Cover, k int) netlist.Cover { return new(qmScratch).minimizeCover(c, k) }
+
 func sameFunction(a, b netlist.Cover, k int) bool {
 	ta, tb := ttOf(a, k), ttOf(b, k)
 	for i := range ta {
@@ -23,7 +25,7 @@ func sameFunction(a, b netlist.Cover, k int) bool {
 
 func TestMinimizeXor(t *testing.T) {
 	c := netlist.Cover{Cubes: []netlist.Cube{netlist.Cube("01"), netlist.Cube("10")}, Value: netlist.LitOne}
-	m := MinimizeCover(c, 2)
+	m := minimizeCover(c, 2)
 	if len(m.Cubes) != 2 {
 		t.Fatalf("XOR minimized to %d cubes", len(m.Cubes))
 	}
@@ -35,14 +37,14 @@ func TestMinimizeXor(t *testing.T) {
 func TestMinimizeMergesAdjacent(t *testing.T) {
 	// f = a (independent of b): minterms 01,11 over (a,b) with a = bit 0.
 	c := netlist.Cover{Cubes: []netlist.Cube{netlist.Cube("10"), netlist.Cube("11")}, Value: netlist.LitOne}
-	m := MinimizeCover(c, 2)
+	m := minimizeCover(c, 2)
 	if len(m.Cubes) != 1 || m.Cubes[0][0] != netlist.LitOne || m.Cubes[0][1] != netlist.LitDC {
 		t.Fatalf("got %v", m.Cubes)
 	}
 }
 
 func TestMinimizeConstants(t *testing.T) {
-	zero := MinimizeCover(netlist.Cover{Value: netlist.LitOne}, 3)
+	zero := minimizeCover(netlist.Cover{Value: netlist.LitOne}, 3)
 	if len(zero.Cubes) != 0 {
 		t.Errorf("const0: %v", zero.Cubes)
 	}
@@ -58,7 +60,7 @@ func TestMinimizeConstants(t *testing.T) {
 		}
 		all.Cubes = append(all.Cubes, cube)
 	}
-	one := MinimizeCover(all, 3)
+	one := minimizeCover(all, 3)
 	if len(one.Cubes) != 1 {
 		t.Errorf("const1 cubes: %v", one.Cubes)
 	}
@@ -72,7 +74,7 @@ func TestMinimizeConstants(t *testing.T) {
 func TestMinimizeOffsetCover(t *testing.T) {
 	// NAND given as off-set.
 	c := netlist.Cover{Cubes: []netlist.Cube{netlist.Cube("11")}, Value: netlist.LitZero}
-	m := MinimizeCover(c, 2)
+	m := minimizeCover(c, 2)
 	if !m.OnSet() {
 		t.Fatal("minimized cover should be on-set")
 	}
@@ -93,7 +95,7 @@ func TestMinimizePreservesFunction(t *testing.T) {
 				tt[i] = raw&(1<<uint(i%32)) != 0
 			}
 			orig := netlist.CoverFromTruthTable(tt, k)
-			m := MinimizeCover(orig, k)
+			m := minimizeCover(orig, k)
 			if !sameFunction(orig, m, k) {
 				return false
 			}
@@ -126,7 +128,7 @@ func TestReduceWidePreservesFunction(t *testing.T) {
 		}
 		c.Cubes = append(c.Cubes, cube)
 	}
-	m := MinimizeCover(c, k)
+	m := minimizeCover(c, k)
 	if len(m.Cubes) > len(c.Cubes) {
 		t.Fatalf("wide reduction grew cover: %d -> %d", len(c.Cubes), len(m.Cubes))
 	}
@@ -209,7 +211,7 @@ func TestOptimizePreservesFunction(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		nl := buildRandomNetlist(t, seed, 6, 25)
 		ref := nl.Clone()
-		if err := Optimize(nl, Options{}); err != nil {
+		if _, err := Optimize(nl, Options{}); err != nil {
 			t.Fatalf("seed %d: Optimize: %v", seed, err)
 		}
 		if err := sim.CheckEquivalent(ref, nl, 8, 500, seed); err != nil {
@@ -286,7 +288,7 @@ func TestEliminateCollapsesChain(t *testing.T) {
 		netlist.Cover{Cubes: []netlist.Cube{netlist.Cube("11")}, Value: netlist.LitOne})
 	nl.MarkOutput("out")
 	ref := nl.Clone()
-	if err := Eliminate(nl, 10, 3); err != nil {
+	if err := new(qmScratch).eliminate(nl, 10, 3); err != nil {
 		t.Fatal(err)
 	}
 	if nl.Node("and1") != nil {

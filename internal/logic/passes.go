@@ -34,27 +34,29 @@ func (o *Options) fill() {
 // Optimize runs the full technology-independent script, a compact analogue
 // of SIS's script.rugged: constant propagation and buffer removal, node
 // elimination, per-node two-level minimization, structural hashing, sweep.
-func Optimize(nl *netlist.Netlist, opts Options) error {
+// It returns the exact-minimization effort it spent.
+func Optimize(nl *netlist.Netlist, opts Options) (Effort, error) {
 	opts.fill()
+	var s qmScratch
 	for it := 0; it < opts.Iterations; it++ {
 		if err := PropagateConstants(nl); err != nil {
-			return err
+			return s.effort, err
 		}
 		RemoveBuffers(nl)
-		if err := Eliminate(nl, opts.EliminateMaxSupport, opts.EliminateMaxFanout); err != nil {
-			return err
+		if err := s.eliminate(nl, opts.EliminateMaxSupport, opts.EliminateMaxFanout); err != nil {
+			return s.effort, err
 		}
-		if err := SimplifyNodes(nl); err != nil {
-			return err
+		if err := s.simplifyNodes(nl); err != nil {
+			return s.effort, err
 		}
 		MergeDuplicates(nl)
 		nl.Sweep()
 	}
-	return nl.Check()
+	return s.effort, nl.Check()
 }
 
-// SimplifyNodes minimizes every logic node's cover in place.
-func SimplifyNodes(nl *netlist.Netlist) error {
+// simplifyNodes minimizes every logic node's cover in place.
+func (s *qmScratch) simplifyNodes(nl *netlist.Netlist) error {
 	for _, n := range nl.Nodes() {
 		if n.Kind != netlist.KindLogic {
 			continue
@@ -62,7 +64,7 @@ func SimplifyNodes(nl *netlist.Netlist) error {
 		if err := checkWidth(n.Cover, len(n.Fanin)); err != nil {
 			return fmt.Errorf("node %s: %w", n.Name, err)
 		}
-		min := MinimizeCover(n.Cover, len(n.Fanin))
+		min := s.minimizeCover(n.Cover, len(n.Fanin))
 		// Drop fanins that became irrelevant (all-DC columns).
 		n.Cover = min
 		pruneUnusedFanins(n)
@@ -183,12 +185,12 @@ func RemoveBuffers(nl *netlist.Netlist) int {
 	return removed
 }
 
-// Eliminate collapses logic nodes with fanout <= maxFanout into their
+// eliminate collapses logic nodes with fanout <= maxFanout into their
 // consumers when the merged support stays within maxSupport and the merged
 // cover does not blow up (the SIS "eliminate" value check: two-level
 // collapsing of XOR/parity chains is exponential and must be refused).
 // Primary outputs and latch D-drivers keep their nodes.
-func Eliminate(nl *netlist.Netlist, maxSupport, maxFanout int) error {
+func (s *qmScratch) eliminate(nl *netlist.Netlist, maxSupport, maxFanout int) error {
 	nl.BuildFanout()
 	for _, g := range nl.Nodes() {
 		if g.Kind != netlist.KindLogic || len(g.Fanin) == 0 {
@@ -212,7 +214,7 @@ func Eliminate(nl *netlist.Netlist, maxSupport, maxFanout int) error {
 				collapsible = false
 				break
 			}
-			m, err := mergedFunction(f, g)
+			m, err := s.mergedFunction(f, g)
 			if err != nil {
 				return err
 			}
@@ -259,7 +261,7 @@ type collapsed struct {
 
 // mergedFunction computes the result of substituting g into f without
 // mutating either node.
-func mergedFunction(f, g *netlist.Node) (collapsed, error) {
+func (s *qmScratch) mergedFunction(f, g *netlist.Node) (collapsed, error) {
 	var fanin []*netlist.Node
 	pos := make(map[*netlist.Node]int)
 	for _, x := range f.Fanin {
@@ -300,19 +302,7 @@ func mergedFunction(f, g *netlist.Node) (collapsed, error) {
 		}
 		tt[m] = netlist.EvalCover(f.Cover, fin)
 	}
-	return collapsed{fanin: fanin, cover: MinimizeTruthTable(tt, k)}, nil
-}
-
-// collapseInto substitutes g's function into f.
-func collapseInto(f, g *netlist.Node) error {
-	m, err := mergedFunction(f, g)
-	if err != nil {
-		return err
-	}
-	f.Fanin = m.fanin
-	f.Cover = m.cover
-	pruneUnusedFanins(f)
-	return nil
+	return collapsed{fanin: fanin, cover: s.minimize(tt, k)}, nil
 }
 
 // MergeDuplicates performs structural hashing: logic nodes with identical

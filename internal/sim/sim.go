@@ -173,62 +173,51 @@ func CheckEquivalent(a, b *netlist.Netlist, exhaustiveLimit, nVectors int, seed 
 	if err := sameNameSet(a.Outputs, b.Outputs); err != nil {
 		return fmt.Errorf("sim: output mismatch: %w", err)
 	}
+	sa, err := New(a)
+	if err != nil {
+		return err
+	}
+	sb, err := New(b)
+	if err != nil {
+		return err
+	}
+	// One simulator per side steps every vector. A combinational netlist
+	// settles from its inputs alone, so reusing it is the same as a fresh
+	// Eval per vector; a sequential one carries its latch state on.
 	seq := a.Stats().Latches > 0 || b.Stats().Latches > 0
 	if !seq && len(an) <= exhaustiveLimit {
 		for m := uint64(0); m < 1<<uint(len(an)); m++ {
-			in := inputVector(an, m)
-			if err := compareOnce(a, b, in, 0); err != nil {
+			if err := compareOnce(sa, sb, inputVector(an, m), 0); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 	rng := rand.New(rand.NewSource(seed))
-	if seq {
-		sa, err := New(a)
-		if err != nil {
-			return err
-		}
-		sb, err := New(b)
-		if err != nil {
-			return err
-		}
-		for cyc := 0; cyc < nVectors; cyc++ {
-			in := randomVector(an, rng)
-			oa, err := sa.Step(in)
-			if err != nil {
-				return err
-			}
-			ob, err := sb.Step(in)
-			if err != nil {
-				return err
-			}
-			for _, o := range a.Outputs {
-				if oa[o] != ob[o] {
-					return &NotEquivalentError{Output: o, Inputs: in, Cycle: cyc, A: oa[o], B: ob[o]}
-				}
-			}
-		}
-		return nil
-	}
 	for v := 0; v < nVectors; v++ {
-		if err := compareOnce(a, b, randomVector(an, rng), 0); err != nil {
+		cycle := 0
+		if seq {
+			cycle = v
+		}
+		if err := compareOnce(sa, sb, randomVector(an, rng), cycle); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func compareOnce(a, b *netlist.Netlist, in map[string]bool, cycle int) error {
-	oa, err := Eval(a, in)
+// compareOnce steps both simulators on one input vector and reports the
+// first output, in a's declaration order, on which they disagree.
+func compareOnce(sa, sb *Simulator, in map[string]bool, cycle int) error {
+	oa, err := sa.Step(in)
 	if err != nil {
 		return err
 	}
-	ob, err := Eval(b, in)
+	ob, err := sb.Step(in)
 	if err != nil {
 		return err
 	}
-	for _, o := range a.Outputs {
+	for _, o := range sa.nl.Outputs {
 		if oa[o] != ob[o] {
 			return &NotEquivalentError{Output: o, Inputs: in, Cycle: cycle, A: oa[o], B: ob[o]}
 		}

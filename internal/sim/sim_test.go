@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -226,5 +227,110 @@ func TestActivityDeterministicWithSeed(t *testing.T) {
 		if a2.Density[k] != v {
 			t.Fatalf("activity not deterministic for %s", k)
 		}
+	}
+}
+
+const mixBLIF = `
+.model mix
+.inputs a b c d e f
+.outputs x y z
+.names a b c t
+11- 1
+-01 1
+.names t d e x
+1-1 1
+01- 1
+.names t e f y
+110 1
+0-1 1
+.names x y f z
+11- 1
+--1 1
+.end
+`
+
+// evalLoopReference is CheckEquivalent as a fresh sim.Eval per vector:
+// the same vector order, random stream and output order, without reusing
+// a simulator between vectors.
+func evalLoopReference(t *testing.T, a, b *netlist.Netlist, exhaustiveLimit, nVectors int, seed int64) error {
+	t.Helper()
+	names := InputNames(a)
+	var vectors []map[string]bool
+	if len(names) <= exhaustiveLimit {
+		for m := uint64(0); m < 1<<uint(len(names)); m++ {
+			vectors = append(vectors, inputVector(names, m))
+		}
+	} else {
+		rng := rand.New(rand.NewSource(seed))
+		for v := 0; v < nVectors; v++ {
+			vectors = append(vectors, randomVector(names, rng))
+		}
+	}
+	for _, in := range vectors {
+		oa, err := Eval(a, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ob, err := Eval(b, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range a.Outputs {
+			if oa[o] != ob[o] {
+				return &NotEquivalentError{Output: o, Inputs: in, Cycle: 0, A: oa[o], B: ob[o]}
+			}
+		}
+	}
+	return nil
+}
+
+// TestCheckEquivalentMatchesEvalLoop flips one cover bit at a time and
+// checks the reused-simulator check reports exactly the counterexample a
+// per-vector Eval loop finds, on the exhaustive and the random path.
+func TestCheckEquivalentMatchesEvalLoop(t *testing.T) {
+	a, err := netlist.ParseBLIF(mixBLIF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flips := 0
+	for _, name := range []string{"t", "x", "y", "z"} {
+		for ci, cube := range a.Node(name).Cover.Cubes {
+			for li, lit := range cube {
+				if lit == netlist.LitDC {
+					continue
+				}
+				b := a.Clone()
+				flipped := b.Node(name).Cover.Cubes[ci].Clone()
+				flipped[li] = netlist.LitOne
+				if lit == netlist.LitOne {
+					flipped[li] = netlist.LitZero
+				}
+				b.Node(name).Cover.Cubes[ci] = flipped
+				for _, path := range []struct {
+					name            string
+					exhaustiveLimit int
+				}{{"exhaustive", 16}, {"random", 0}} {
+					got := CheckEquivalent(a, b, path.exhaustiveLimit, 40, 5)
+					want := evalLoopReference(t, a, b, path.exhaustiveLimit, 40, 5)
+					if want == nil {
+						if got != nil {
+							t.Errorf("%s cube %d lit %d %s: got %v, Eval loop found no difference", name, ci, li, path.name, got)
+						}
+						continue
+					}
+					flips++
+					g, ok := got.(*NotEquivalentError)
+					if !ok {
+						t.Fatalf("%s cube %d lit %d %s: want *NotEquivalentError, got %T: %v", name, ci, li, path.name, got, got)
+					}
+					if !reflect.DeepEqual(g, want) {
+						t.Errorf("%s cube %d lit %d %s:\n got %v\nwant %v", name, ci, li, path.name, g, want)
+					}
+				}
+			}
+		}
+	}
+	if flips == 0 {
+		t.Fatal("no flipped cover bit changed the function")
 	}
 }
