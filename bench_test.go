@@ -356,14 +356,15 @@ func TestRunFacade(t *testing.T) {
 	}
 }
 
-// BenchmarkTimingDrivenAblation compares wirelength-driven and timing-driven
-// placement through the full flow.
+// BenchmarkTimingDrivenAblation compares the balanced (wirelength-driven)
+// flow with the timing profile (timing-driven placement and delay-driven
+// routing) through the full flow.
 func BenchmarkTimingDrivenAblation(b *testing.B) {
 	src := circuits.RippleAdder(8).VHDL
-	run := func(b *testing.B, td bool) {
+	run := func(b *testing.B, prof Profile) {
 		var critSum float64
 		for i := 0; i < b.N; i++ {
-			res, err := Run(src, Options{Seed: 1, SkipVerify: true, TimingDrivenPlace: td, ClockHz: 100e6})
+			res, err := Run(src, Options{Seed: 1, SkipVerify: true, Profile: prof, ClockHz: 100e6})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -372,6 +373,6 @@ func BenchmarkTimingDrivenAblation(b *testing.B) {
 		}
 		b.ReportMetric(critSum/float64(b.N)*1e9, "crit-ns")
 	}
-	b.Run("wirelength", func(b *testing.B) { run(b, false) })
-	b.Run("timing", func(b *testing.B) { run(b, true) })
+	b.Run("wirelength", func(b *testing.B) { run(b, ProfileBalanced) })
+	b.Run("timing", func(b *testing.B) { run(b, ProfileTiming) })
 }

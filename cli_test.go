@@ -128,4 +128,10 @@ func TestCommandLinePipeline(t *testing.T) {
 	if !strings.Contains(full, "bitstream equivalent to source") {
 		t.Fatalf("fpgaflow: %q", full)
 	}
+	// -timing aliases -profile timing; pairing it with another profile is
+	// a usage error, not a silently mixed objective.
+	err := exec.Command(tool("fpgaflow"), "-timing", "-profile", "min-energy", "design.vhd").Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Fatalf("fpgaflow -timing -profile min-energy: %v, want exit status 2", err)
+	}
 }

@@ -22,8 +22,8 @@ func main() {
 	minW := flag.Bool("min-w", false, "search minimum channel width")
 	greedy := flag.Bool("greedy", false, "greedy LUT mapper instead of FlowMap")
 	noVerify := flag.Bool("no-verify", false, "skip the closing bitstream equivalence check")
-	timing := flag.Bool("timing", false, "timing-driven placement and routing")
-	profile := flag.String("profile", "", "QoR objective: balanced (default), min-delay, min-energy, min-area")
+	profile := flag.String("profile", "", "QoR objective: balanced (default), timing, min-delay, min-energy, min-area")
+	timing := flag.Bool("timing", false, "alias for -profile timing")
 	seeds := flag.Int("place-seeds", 1, "parallel placement seeds (keep the best)")
 	clock := flag.Float64("clock", 0, "power-estimation clock in MHz (0 = fmax)")
 	archFile := flag.String("arch", "", "DUTYS architecture file")
@@ -43,20 +43,24 @@ func main() {
 		obs.PrintVersion(os.Stdout, "fpgaflow")
 		return
 	}
-	src, err := readInput(flag.Arg(0))
+	prof, err := core.ParseProfile(*profile)
 	if err != nil {
 		fatal(err)
 	}
-	prof, err := core.ParseProfile(*profile)
+	if *timing && *profile != "" && prof != core.ProfileTiming {
+		fmt.Fprintf(os.Stderr, "fpgaflow: -timing is -profile timing; it cannot be combined with -profile %s\n", *profile)
+		os.Exit(2)
+	} else if *timing {
+		prof = core.ProfileTiming
+	}
+	src, err := readInput(flag.Arg(0))
 	if err != nil {
 		fatal(err)
 	}
 	tr, finishObs := obsFlags.Start("fpgaflow")
 	opts := core.Options{
 		Top: *top, Seed: *seed, MinChannelWidth: *minW,
-		SkipVerify: *noVerify, ClockHz: *clock * 1e6,
-		Profile:           prof,
-		TimingDrivenPlace: *timing, TimingDrivenRoute: *timing,
+		SkipVerify: *noVerify, ClockHz: *clock * 1e6, Profile: prof,
 		PlaceSeeds: *seeds, PlaceWorkers: *jobs, RouteWorkers: *jobs, Obs: tr,
 		Events: obsFlags.Bus,
 	}

@@ -37,7 +37,7 @@ func main() {
 		fatal(err)
 	}
 	if !*mapOnly {
-		if _, err := logic.Optimize(nl, logic.Options{}); err != nil {
+		if _, err := logic.Optimize(nl); err != nil {
 			fatal(err)
 		}
 	}

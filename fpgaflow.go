@@ -49,6 +49,7 @@ type Profile = core.Profile
 // QoR objective profiles: the fpgaflow -profile values.
 const (
 	ProfileBalanced  = core.ProfileBalanced
+	ProfileTiming    = core.ProfileTiming
 	ProfileMinDelay  = core.ProfileMinDelay
 	ProfileMinEnergy = core.ProfileMinEnergy
 	ProfileMinArea   = core.ProfileMinArea

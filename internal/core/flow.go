@@ -69,36 +69,12 @@ type Options struct {
 	// RouteMaxIters bounds PathFinder iterations.
 	RouteMaxIters int
 	// MinChannelWidth binary-searches the smallest routable W instead of
-	// using the architecture's fixed width.
+	// using the architecture's fixed width (ProfileMinArea implies it).
 	MinChannelWidth bool
-	// Profile selects a named QoR objective (min-delay, min-energy,
-	// min-area) that turns on the matching option flags below; see
-	// ParseProfile. The zero value is the balanced wirelength-driven flow.
+	// Profile selects the QoR objective (timing, min-delay, min-energy,
+	// min-area) every stage reads its mode from; see ParseProfile. The zero
+	// value is the balanced wirelength-driven flow.
 	Profile Profile
-	// TimingDrivenPlace weights placement cost by net criticality (depth
-	// through the mapped netlist), trading wirelength for critical path.
-	TimingDrivenPlace bool
-	// TimingDrivenRoute weights routing base costs by resource RC delay.
-	TimingDrivenRoute bool
-	// CriticalityDrivenRoute closes the timing loop inside the router:
-	// per-net criticalities (static depth estimate before the first
-	// PathFinder iteration, slack-derived from the committed routing after
-	// every iteration) blend into the congestion cost so critical nets take
-	// fast paths while relaxed nets absorb detours. Implies
-	// TimingDrivenRoute. Bit-identical for every worker count: the
-	// recompute is a pure function of the committed routing.
-	CriticalityDrivenRoute bool
-	// EnergyDrivenRoute weights routing base costs by node capacitance so
-	// nets prefer low-C resources. Ignored when a timing-driven route mode
-	// is on.
-	EnergyDrivenRoute bool
-	// PowerAwarePack groups registered BLEs into shared clusters so gated
-	// clock trees cover fewer CLBs (pack.Params.GroupGated).
-	PowerAwarePack bool
-	// PlaceCritAlpha is the timing-driven placement trade-off between
-	// wirelength and criticality weighting (place.CriticalityWeights
-	// alpha); 0 selects the default of 8.
-	PlaceCritAlpha float64
 	// PlaceSeeds runs that many independent annealing seeds in parallel and
 	// keeps the cheapest placement (0/1 = single seed).
 	PlaceSeeds int
@@ -137,8 +113,6 @@ type Options struct {
 	// DisableChecks suppresses individual check rules by ID
 	// (see docs/CHECKS.md for the rule list and suppression policy).
 	DisableChecks []string
-	// OptimizeOptions tunes the SIS stage.
-	OptimizeOptions logic.Options
 	// Defects injects an imperfect fabric (see internal/fault): placement
 	// avoids defective sites, routing masks dead wires and switches
 	// (re-applied at every channel-width escalation), and the stage-boundary
@@ -180,18 +154,11 @@ func (o *Options) trace() *obs.Trace {
 }
 
 func (o *Options) fill() {
-	o.Profile.apply(o)
-	if o.CriticalityDrivenRoute {
-		o.TimingDrivenRoute = true
-	}
-	if o.TimingDrivenRoute {
-		o.EnergyDrivenRoute = false
+	if profiles[o.Profile].minW {
+		o.MinChannelWidth = true
 	}
 	if o.PlaceEffort == 0 {
 		o.PlaceEffort = 1
-	}
-	if o.PlaceCritAlpha == 0 {
-		o.PlaceCritAlpha = 8
 	}
 	if o.ActivityCycles == 0 {
 		o.ActivityCycles = 500
@@ -481,7 +448,7 @@ func (f *flow) sis(context.Context) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	effort, err := logic.Optimize(nl, f.opts.OptimizeOptions)
+	effort, err := logic.Optimize(nl)
 	if err != nil {
 		return "", err
 	}
@@ -519,7 +486,7 @@ func (f *flow) lutMap(context.Context) (string, error) {
 func (f *flow) tvpack(context.Context) (string, error) {
 	c := f.Arch.CLB
 	pk, err := pack.Pack(f.Mapped.Netlist, pack.Params{
-		N: c.N, K: c.K, I: c.I, GroupGated: f.opts.PowerAwarePack})
+		N: c.N, K: c.K, I: c.I, GroupGated: profiles[f.opts.Profile].gatedPack})
 	if err != nil {
 		return "", err
 	}
@@ -528,7 +495,7 @@ func (f *flow) tvpack(context.Context) (string, error) {
 	f.Metrics.CLBs, f.Metrics.Utilization = len(pk.Clusters), pk.Utilization()
 	f.tr.Add("flow.clbs", int64(len(pk.Clusters)))
 	detail := fmt.Sprintf("%d CLBs, %.0f%% BLE utilization", len(pk.Clusters), 100*pk.Utilization())
-	if f.opts.PowerAwarePack {
+	if profiles[f.opts.Profile].gatedPack {
 		detail += fmt.Sprintf(", %d clocked", pk.ClockedClusters())
 	}
 	return detail, f.runChecks(check.StagePack, &check.Artifacts{Packing: pk})
@@ -558,8 +525,9 @@ func (f *flow) vprPlace(sctx context.Context) (string, error) {
 	popts := place.Options{Seed: opts.Seed, InnerNum: opts.PlaceEffort, Fixed: opts.FixedPads, Obs: f.tr,
 		Ctx: sctx, Bad: opts.Defects.BadSiteSet(), Events: opts.Events, Workers: opts.PlaceWorkers}
 	mode := "wirelength-driven"
-	if opts.TimingDrivenPlace {
-		popts.Weights = place.CriticalityWeights(f.Packing, f.Problem, opts.PlaceCritAlpha)
+	if profiles[opts.Profile].timingPlace {
+		// alpha 8: critical nets weigh up to 9x a relaxed net.
+		popts.Weights = place.CriticalityWeights(f.Packing, f.Problem, 8)
 		mode = "timing-driven"
 	}
 	var pl *place.Placement
@@ -580,10 +548,9 @@ func (f *flow) vprPlace(sctx context.Context) (string, error) {
 
 func (f *flow) vprRoute(sctx context.Context) (string, error) {
 	opts, a := &f.opts, f.Arch
-	ropts := route.Options{MaxIters: opts.RouteMaxIters, DelayDriven: opts.TimingDrivenRoute,
-		EnergyDriven: opts.EnergyDrivenRoute, Obs: f.tr, Ctx: sctx,
-		Workers: opts.RouteWorkers, Cache: opts.RRCache, Events: opts.Events}
-	if opts.CriticalityDrivenRoute {
+	ropts := route.Options{MaxIters: opts.RouteMaxIters, Base: profiles[opts.Profile].routeBase, Obs: f.tr,
+		Ctx: sctx, Workers: opts.RouteWorkers, Cache: opts.RRCache, Events: opts.Events}
+	if profiles[opts.Profile].critRoute {
 		pk, p, pl := f.Packing, f.Problem, f.Placed
 		ropts.Criticality = func(g *rrgraph.Graph, routes []*route.NetRoute) []float64 {
 			if routes == nil {

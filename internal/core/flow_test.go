@@ -192,7 +192,7 @@ func TestFlowSegmentLengths(t *testing.T) {
 
 func TestTimingDrivenPlaceFlow(t *testing.T) {
 	b := circuits.RippleAdder(8)
-	td, err := RunVHDL(b.VHDL, Options{Seed: 4, TimingDrivenPlace: true})
+	td, err := RunVHDL(b.VHDL, Options{Seed: 4, Profile: ProfileTiming})
 	if err != nil {
 		t.Fatalf("%v\n%s", err, td.Summary())
 	}

@@ -1,18 +1,25 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"fpgaflow/internal/route"
+)
 
 // Profile is a named QoR objective that configures the whole CAD stack at
-// once — the fpgaflow -profile knob. Profiles only ever turn optimizations
-// on; explicitly-set Options fields keep their values.
+// once — the fpgaflow -profile knob. It is the flow's only objective
+// setting: each stage asks the profile which mode to run in.
 type Profile string
 
 const (
 	// ProfileBalanced is the default wirelength-driven flow.
 	ProfileBalanced Profile = ""
-	// ProfileMinDelay optimizes the critical path: timing-driven placement
-	// (criticality-weighted bounding boxes), delay-driven routing base
-	// costs, and the criticality-aware PathFinder blend that recomputes
+	// ProfileTiming is timing-driven placement (criticality-weighted
+	// bounding boxes) plus delay-driven routing base costs, without the
+	// in-router criticality blend — the fpgaflow -timing flow.
+	ProfileTiming Profile = "timing"
+	// ProfileMinDelay optimizes the critical path: everything ProfileTiming
+	// does plus the criticality-aware PathFinder blend that recomputes
 	// per-net slack after every rip-up-and-reroute iteration.
 	ProfileMinDelay Profile = "min-delay"
 	// ProfileMinEnergy optimizes energy per cycle: power-aware packing
@@ -25,33 +32,35 @@ const (
 	ProfileMinArea Profile = "min-area"
 )
 
+// stageModes is what a profile asks of the stages.
+type stageModes struct {
+	timingPlace bool           // VPR place weights nets by criticality (place.CriticalityWeights)
+	routeBase   route.BaseCost // VPR route's base-cost model
+	critRoute   bool           // VPR route blends per-net criticality into its costs
+	gatedPack   bool           // T-VPack groups gated registers (pack.Params.GroupGated)
+	minW        bool           // VPR route searches the minimum routable channel width
+}
+
+// profiles maps every profile to its stage modes. The criticality blend
+// recomputes per-net slack from the committed routing after every
+// PathFinder iteration, a pure function of that routing, so it stays
+// bit-identical for every worker count.
+var profiles = map[Profile]stageModes{
+	ProfileBalanced:  {},
+	ProfileTiming:    {timingPlace: true, routeBase: route.BaseDelay},
+	ProfileMinDelay:  {timingPlace: true, routeBase: route.BaseDelay, critRoute: true},
+	ProfileMinEnergy: {routeBase: route.BaseEnergy, gatedPack: true},
+	ProfileMinArea:   {minW: true},
+}
+
 // ParseProfile validates a -profile flag value ("balanced" and "" both
 // select the default).
 func ParseProfile(s string) (Profile, error) {
-	switch s {
-	case "", "balanced":
+	if s == "balanced" {
 		return ProfileBalanced, nil
-	case string(ProfileMinDelay):
-		return ProfileMinDelay, nil
-	case string(ProfileMinEnergy):
-		return ProfileMinEnergy, nil
-	case string(ProfileMinArea):
-		return ProfileMinArea, nil
 	}
-	return "", fmt.Errorf("core: unknown profile %q (want balanced, min-delay, min-energy or min-area)", s)
-}
-
-// apply folds the profile into the option flags it implies.
-func (p Profile) apply(o *Options) {
-	switch p {
-	case ProfileMinDelay:
-		o.TimingDrivenPlace = true
-		o.TimingDrivenRoute = true
-		o.CriticalityDrivenRoute = true
-	case ProfileMinEnergy:
-		o.PowerAwarePack = true
-		o.EnergyDrivenRoute = true
-	case ProfileMinArea:
-		o.MinChannelWidth = true
+	if _, ok := profiles[Profile(s)]; !ok {
+		return "", fmt.Errorf("core: unknown profile %q (want balanced, timing, min-delay, min-energy or min-area)", s)
 	}
+	return Profile(s), nil
 }

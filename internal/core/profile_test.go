@@ -5,11 +5,12 @@ import (
 
 	"fpgaflow/internal/circuits"
 	"fpgaflow/internal/obs/events"
+	"fpgaflow/internal/route"
 )
 
 func TestParseProfile(t *testing.T) {
 	for in, want := range map[string]Profile{
-		"": ProfileBalanced, "balanced": ProfileBalanced,
+		"": ProfileBalanced, "balanced": ProfileBalanced, "timing": ProfileTiming,
 		"min-delay": ProfileMinDelay, "min-energy": ProfileMinEnergy, "min-area": ProfileMinArea,
 	} {
 		got, err := ParseProfile(in)
@@ -22,41 +23,40 @@ func TestParseProfile(t *testing.T) {
 	}
 }
 
-func TestProfileAppliesFlags(t *testing.T) {
-	d := Options{Profile: ProfileMinDelay}
-	d.fill()
-	if !d.TimingDrivenPlace || !d.TimingDrivenRoute || !d.CriticalityDrivenRoute {
-		t.Errorf("min-delay flags not applied: %+v", d)
+// TestProfileStageModes pins what each profile asks of the stages: the
+// placement mode, the router's base cost, the in-router criticality blend,
+// power-aware packing and the channel-width search (which Options.fill
+// turns on).
+func TestProfileStageModes(t *testing.T) {
+	for prof, want := range map[Profile]stageModes{
+		ProfileBalanced:  {routeBase: route.BaseHops},
+		ProfileTiming:    {timingPlace: true, routeBase: route.BaseDelay},
+		ProfileMinDelay:  {timingPlace: true, routeBase: route.BaseDelay, critRoute: true},
+		ProfileMinEnergy: {routeBase: route.BaseEnergy, gatedPack: true},
+		ProfileMinArea:   {routeBase: route.BaseHops, minW: true},
+	} {
+		if got := profiles[prof]; got != want {
+			t.Errorf("%q: stage modes %+v, want %+v", prof, got, want)
+		}
+		o := Options{Profile: prof}
+		o.fill()
+		if o.MinChannelWidth != want.minW {
+			t.Errorf("%q: MinChannelWidth = %v after fill, want %v", prof, o.MinChannelWidth, want.minW)
+		}
 	}
-	if d.EnergyDrivenRoute {
-		t.Error("min-delay must not leave energy-driven routing on")
-	}
-	e := Options{Profile: ProfileMinEnergy}
-	e.fill()
-	if !e.PowerAwarePack || !e.EnergyDrivenRoute {
-		t.Errorf("min-energy flags not applied: %+v", e)
-	}
-	a := Options{Profile: ProfileMinArea}
-	a.fill()
-	if !a.MinChannelWidth {
-		t.Error("min-area did not enable the channel-width search")
-	}
-	// Criticality-driven routing implies delay-driven and suppresses the
-	// energy base (the two cost models are mutually exclusive).
-	c := Options{CriticalityDrivenRoute: true, EnergyDrivenRoute: true}
-	c.fill()
-	if !c.TimingDrivenRoute || c.EnergyDrivenRoute {
-		t.Errorf("criticality-driven coupling wrong: %+v", c)
+	if len(profiles) != 5 {
+		t.Errorf("%d profiles, want 5", len(profiles))
 	}
 }
 
 // TestProfileFlowsEmitQoR runs a sequential design under every profile and
 // checks each flow completes, reports a positive per-cycle energy, and
-// publishes exactly one tagged QoR event carrying the metrics the gates
+// publishes exactly one QoR event, tagged with its own profile (a timing
+// run is labelled "timing", not balanced), carrying the metrics the gates
 // compare.
 func TestProfileFlowsEmitQoR(t *testing.T) {
 	b := circuits.Counter(4)
-	for _, prof := range []Profile{ProfileBalanced, ProfileMinDelay, ProfileMinEnergy, ProfileMinArea} {
+	for _, prof := range []Profile{ProfileBalanced, ProfileTiming, ProfileMinDelay, ProfileMinEnergy, ProfileMinArea} {
 		bus := events.NewBus(256)
 		bus.SetEnabled(true)
 		res, err := RunVHDL(b.VHDL, Options{Seed: 2, Profile: prof, SkipVerify: true, Events: bus})

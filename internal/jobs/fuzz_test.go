@@ -17,6 +17,10 @@ func FuzzDecodeSpec(f *testing.F) {
 	f.Add([]byte(`{"tenant":"a","source":"x","options":{"seed":-1,"retries":16}}`))
 	f.Add([]byte(`{"tenant":"UPPER","source":"x"}`))
 	f.Add([]byte(`{"tenant":"a","source":"x","options":{"place_effort":1e308}}`))
+	f.Add([]byte(`{"tenant":"a","source":"x","options":{"profile":"min-delay"}}`))
+	f.Add([]byte(`{"tenant":"a","source":"x","options":{"profile":"fastest"}}`)) // SpecError on options.profile
+	f.Add([]byte(`{"tenant":"a","source":"x","options":{"timing_driven_place":true}}`))
+	f.Add([]byte(`{"tenant":"a","source":"x","options":{"timing_driven_route":true}}`))
 	f.Add([]byte(`[`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(``))

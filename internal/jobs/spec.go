@@ -59,15 +59,38 @@ type FlowOptions struct {
 	PlaceEffort float64 `json:"place_effort,omitempty"`
 	// MinChannelWidth searches the smallest routable channel width.
 	MinChannelWidth bool `json:"min_channel_width,omitempty"`
-	// TimingDrivenPlace weights placement cost by net criticality.
-	TimingDrivenPlace bool `json:"timing_driven_place,omitempty"`
-	// TimingDrivenRoute weights routing base costs by RC delay.
-	TimingDrivenRoute bool `json:"timing_driven_route,omitempty"`
+	// Profile selects the QoR objective, spelled as for fpgaflow -profile
+	// (see core.ParseProfile; "" is balanced).
+	Profile core.Profile `json:"profile,omitempty"`
 	// SkipVerify disables the closing bitstream equivalence check.
 	SkipVerify bool `json:"skip_verify,omitempty"`
 	// Retries bounds hardened-runner attempts (0 selects the default
 	// policy's three attempts; 1 disables retrying).
 	Retries int `json:"retries,omitempty"`
+}
+
+// UnmarshalJSON also accepts v1 options, which selected timing-driven
+// placement and routing with two booleans instead of a profile: either
+// timing_driven_place or timing_driven_route set decodes as the timing
+// profile, so v1 specs replayed from the WAL keep running.
+func (o *FlowOptions) UnmarshalJSON(data []byte) error {
+	type v2 FlowOptions // drops this method, so decoding does not recurse
+	var v struct {
+		v2
+		TimingDrivenPlace bool `json:"timing_driven_place"`
+		TimingDrivenRoute bool `json:"timing_driven_route"`
+	}
+	if err := json.Unmarshal(data, &v); err != nil {
+		return err
+	}
+	*o = FlowOptions(v.v2)
+	if v.TimingDrivenPlace || v.TimingDrivenRoute {
+		if o.Profile != "" && o.Profile != core.ProfileTiming {
+			return &SpecError{Field: "options.profile", Reason: fmt.Sprintf("%q conflicts with the v1 timing_driven_* keys", o.Profile)}
+		}
+		o.Profile = core.ProfileTiming
+	}
+	return nil
 }
 
 // Spec is one submitted compile job: who wants it, what source to compile,
@@ -92,6 +115,10 @@ type Spec struct {
 func DecodeSpec(data []byte) (Spec, error) {
 	var s Spec
 	if err := json.Unmarshal(data, &s); err != nil {
+		var se *SpecError
+		if errors.As(err, &se) {
+			return Spec{}, se
+		}
 		return Spec{}, &SpecError{Field: "body", Reason: err.Error()}
 	}
 	if err := s.Validate(); err != nil {
@@ -100,7 +127,9 @@ func DecodeSpec(data []byte) (Spec, error) {
 	return s, nil
 }
 
-// Validate checks the spec's field constraints.
+// Validate checks the spec's field constraints. It also normalizes the
+// profile spelling ("balanced" becomes ""), so both spellings drive and
+// fingerprint as the same flow.
 func (s *Spec) Validate() error {
 	if s.Tenant == "" {
 		return &SpecError{Field: "tenant", Reason: "must be non-empty"}
@@ -129,6 +158,11 @@ func (s *Spec) Validate() error {
 	if o.PlaceEffort < 0 || o.PlaceEffort > 100 {
 		return &SpecError{Field: "options.place_effort", Reason: "must be in [0, 100]"}
 	}
+	p, err := core.ParseProfile(string(o.Profile))
+	if err != nil {
+		return &SpecError{Field: "options.profile", Reason: err.Error()}
+	}
+	s.Options.Profile = p
 	return nil
 }
 
@@ -139,6 +173,11 @@ func (s *Spec) Validate() error {
 // intentionally excluded), which is what makes crash-replay idempotent:
 // re-running a recovered job reproduces the same artifacts — the same
 // input+options keying idea rrgraph.Cache uses for RR graphs.
+//
+// The option string keeps its v1 layout, whose two timing booleans both
+// read "profile is timing"; any other non-balanced profile is hashed as one
+// more field. Every v1 spec with neither or both timing keys therefore
+// keeps its v1 fingerprint.
 func (s *Spec) Fingerprint() string {
 	h := sha256.New()
 	put := func(field string) {
@@ -150,9 +189,12 @@ func (s *Spec) Fingerprint() string {
 	put("v1")
 	put(s.Source)
 	o := s.Options
+	timing := o.Profile == core.ProfileTiming
 	put(fmt.Sprintf("%d|%g|%t|%t|%t|%t|%d",
-		o.Seed, o.PlaceEffort, o.MinChannelWidth, o.TimingDrivenPlace,
-		o.TimingDrivenRoute, o.SkipVerify, o.Retries))
+		o.Seed, o.PlaceEffort, o.MinChannelWidth, timing, timing, o.SkipVerify, o.Retries))
+	if o.Profile != core.ProfileBalanced && !timing {
+		put(string(o.Profile))
+	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -161,13 +203,12 @@ func (s *Spec) Fingerprint() string {
 // attaches its own per-run trace and bus.
 func (s *Spec) coreOptions() core.Options {
 	o := core.Options{
-		Seed:              s.Options.Seed,
-		PlaceEffort:       s.Options.PlaceEffort,
-		MinChannelWidth:   s.Options.MinChannelWidth,
-		TimingDrivenPlace: s.Options.TimingDrivenPlace,
-		TimingDrivenRoute: s.Options.TimingDrivenRoute,
-		SkipVerify:        s.Options.SkipVerify,
-		Retry:             core.DefaultRetryPolicy(),
+		Seed:            s.Options.Seed,
+		PlaceEffort:     s.Options.PlaceEffort,
+		MinChannelWidth: s.Options.MinChannelWidth,
+		Profile:         s.Options.Profile,
+		SkipVerify:      s.Options.SkipVerify,
+		Retry:           core.DefaultRetryPolicy(),
 	}
 	if s.Options.Retries > 0 {
 		o.Retry.MaxAttempts = s.Options.Retries

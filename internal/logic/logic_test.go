@@ -211,7 +211,7 @@ func TestOptimizePreservesFunction(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		nl := buildRandomNetlist(t, seed, 6, 25)
 		ref := nl.Clone()
-		if _, err := Optimize(nl, Options{}); err != nil {
+		if _, err := Optimize(nl); err != nil {
 			t.Fatalf("seed %d: Optimize: %v", seed, err)
 		}
 		if err := sim.CheckEquivalent(ref, nl, 8, 500, seed); err != nil {

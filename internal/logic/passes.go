@@ -7,43 +7,28 @@ import (
 	"fpgaflow/internal/netlist"
 )
 
-// Options tunes the optimization script.
-type Options struct {
-	// EliminateMaxSupport bounds the combined support of a collapse; nodes
-	// whose merge would exceed it are kept. Default 10.
-	EliminateMaxSupport int
-	// EliminateMaxFanout bounds the fanout of nodes considered for
-	// elimination (SIS's value threshold). Default 3.
-	EliminateMaxFanout int
-	// Iterations of the full script. Default 2.
-	Iterations int
-}
-
-func (o *Options) fill() {
-	if o.EliminateMaxSupport == 0 {
-		o.EliminateMaxSupport = 10
-	}
-	if o.EliminateMaxFanout == 0 {
-		o.EliminateMaxFanout = 3
-	}
-	if o.Iterations == 0 {
-		o.Iterations = 2
-	}
-}
+// The optimization script's fixed effort: nodes whose merge would exceed
+// eliminateMaxSupport combined inputs are kept, only nodes with fanout up
+// to eliminateMaxFanout are considered for elimination (SIS's value
+// threshold), and the whole script runs scriptIterations times.
+const (
+	eliminateMaxSupport = 10
+	eliminateMaxFanout  = 3
+	scriptIterations    = 2
+)
 
 // Optimize runs the full technology-independent script, a compact analogue
 // of SIS's script.rugged: constant propagation and buffer removal, node
 // elimination, per-node two-level minimization, structural hashing, sweep.
 // It returns the exact-minimization effort it spent.
-func Optimize(nl *netlist.Netlist, opts Options) (Effort, error) {
-	opts.fill()
+func Optimize(nl *netlist.Netlist) (Effort, error) {
 	var s qmScratch
-	for it := 0; it < opts.Iterations; it++ {
+	for it := 0; it < scriptIterations; it++ {
 		if err := PropagateConstants(nl); err != nil {
 			return s.effort, err
 		}
 		RemoveBuffers(nl)
-		if err := s.eliminate(nl, opts.EliminateMaxSupport, opts.EliminateMaxFanout); err != nil {
+		if err := s.eliminate(nl, eliminateMaxSupport, eliminateMaxFanout); err != nil {
 			return s.effort, err
 		}
 		if err := s.simplifyNodes(nl); err != nil {

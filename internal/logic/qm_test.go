@@ -119,7 +119,7 @@ func TestOptimizeEffortDeterministic(t *testing.T) {
 	var ref Effort
 	for run := 0; run < 3; run++ {
 		nl := buildRandomNetlist(t, 7, 6, 25)
-		e, err := Optimize(nl, Options{})
+		e, err := Optimize(nl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func BenchmarkOptimize(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, err := Optimize(nl, Options{}); err != nil {
+		if _, err := Optimize(nl); err != nil {
 			b.Fatal(err)
 		}
 	}

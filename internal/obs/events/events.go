@@ -198,8 +198,8 @@ type JobEvent struct {
 type QoREvent struct {
 	// Design is the netlist's top model name.
 	Design string `json:"design"`
-	// Profile is the optimization profile ("" = balanced, "min-delay",
-	// "min-energy", "min-area").
+	// Profile is the optimization profile ("" = balanced, "timing",
+	// "min-delay", "min-energy", "min-area").
 	Profile string `json:"profile,omitempty"`
 	// ChannelWidth is the routed channel width.
 	ChannelWidth int `json:"channel_width"`

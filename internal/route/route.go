@@ -24,25 +24,39 @@ import (
 	"fpgaflow/internal/rrgraph"
 )
 
+// BaseCost selects the per-node base cost PathFinder negotiates over. One
+// value per run, so delay- and energy-shaped costs cannot be mixed.
+type BaseCost int
+
+const (
+	// BaseHops charges every wire the same unit cost: paths minimize hops.
+	BaseHops BaseCost = iota
+	// BaseDelay weights base costs by each resource's intrinsic RC delay
+	// so paths prefer electrically fast routes, not just few hops.
+	BaseDelay
+	// BaseEnergy weights base costs by each resource's capacitance so
+	// paths prefer low switched-capacitance routes (the min-energy
+	// profile's cost axis). The A* lookahead tables assume hop- or
+	// RC-floored costs, so energy-driven searches run as plain Dijkstra
+	// (identical results, more heap pops).
+	BaseEnergy
+)
+
+// PathFinder's negotiation schedule: the initial present-congestion
+// factor, its per-iteration growth, and the history-cost accumulation rate
+// on overused nodes.
+const (
+	presFacInit = 0.5
+	presFacMult = 1.3
+	histFac     = 1.0
+)
+
 // Options tunes the router.
 type Options struct {
 	// MaxIters bounds the rip-up-and-reroute iterations (default 40).
 	MaxIters int
-	// PresFacInit is the initial present-congestion factor (default 0.5).
-	PresFacInit float64
-	// PresFacMult grows the present factor each iteration (default 1.3).
-	PresFacMult float64
-	// HistFac accumulates history cost on overused nodes (default 1.0).
-	HistFac float64
-	// DelayDriven weights base costs by each resource's intrinsic RC delay
-	// so paths prefer electrically fast routes, not just few hops.
-	DelayDriven bool
-	// EnergyDriven weights base costs by each resource's capacitance so
-	// paths prefer low switched-capacitance routes (the min-energy
-	// profile's cost axis). Mutually exclusive with DelayDriven; the A*
-	// lookahead tables assume hop- or RC-floored costs, so energy-driven
-	// searches run as plain Dijkstra (identical results, more heap pops).
-	EnergyDriven bool
+	// Base selects the base-cost model (the zero value is BaseHops).
+	Base BaseCost
 	// Criticality makes the router timing-driven: it is called with nil
 	// routes before the first iteration (a static pre-routing estimate)
 	// and with the complete committed routing after every iteration, and
@@ -51,13 +65,13 @@ type Options struct {
 	//
 	//	(1-c) * congestion_cost + c * base_cost
 	//
-	// so critical nets chase the cheapest (with DelayDriven, the fastest)
+	// so critical nets chase the cheapest (with BaseDelay, the fastest)
 	// path and shed congestion avoidance, while relaxed nets detour around
 	// contention. c is clamped to CritMax so the present/history terms can
 	// always resolve conflicts. The callback must be a pure function of
 	// its arguments; committed routings are identical at every worker
 	// count, so the recomputed criticalities — and the routing — stay
-	// bit-identical under any -j. Setting Criticality forces DelayDriven
+	// bit-identical under any -j. Setting Criticality forces BaseDelay
 	// (the blend needs a delay-shaped base cost, and the delay-driven A*
 	// floors remain admissible under it; see docs/PERFORMANCE.md).
 	Criticality func(g *rrgraph.Graph, routes []*NetRoute) []float64
@@ -67,10 +81,6 @@ type Options struct {
 	// the flag exists so the equivalence test can prove exactly that, and
 	// as an escape hatch for debugging search behavior.
 	NoLookahead bool
-	// NoFailurePredictor disables the early abort of hopeless width
-	// trials (see predictStall); every unroutable attempt then burns the
-	// full MaxIters budget. Useful when studying long-tail convergence.
-	NoFailurePredictor bool
 	// Ctx cancels routing cooperatively: the router checks it at every
 	// rip-up-and-reroute iteration and returns the context's error. nil
 	// means no cancellation.
@@ -111,22 +121,10 @@ func (o *Options) fill() {
 		// The criticality blend mixes congestion cost with a bare base
 		// cost; with flat unit bases the blend would only wash out the
 		// negotiation, so timing-driven routing implies delay-shaped bases.
-		o.DelayDriven = true
-	}
-	if o.DelayDriven {
-		o.EnergyDriven = false
+		o.Base = BaseDelay
 	}
 	if o.MaxIters == 0 {
 		o.MaxIters = 40
-	}
-	if o.PresFacInit == 0 {
-		o.PresFacInit = 0.5
-	}
-	if o.PresFacMult == 0 {
-		o.PresFacMult = 1.3
-	}
-	if o.HistFac == 0 {
-		o.HistFac = 1.0
 	}
 }
 
@@ -205,24 +203,20 @@ func Route(p *place.Problem, pl *place.Placement, g *rrgraph.Graph, opts Options
 			usage[n] += delta
 		}
 	}
-	presFac := opts.PresFacInit
+	presFac := presFacInit
 
-	// Delay-driven base costs: normalize each wire's R*C against the worst
-	// so costs stay comparable to the unit hop cost. Energy-driven bases
-	// normalize capacitance alone the same way.
-	var delayNorm, capNorm float64
-	if opts.DelayDriven {
+	// Delay- and energy-driven base costs normalize each wire's R*C
+	// (respectively C) against the graph's worst, so costs stay comparable
+	// to the unit hop cost.
+	var norm float64
+	switch opts.Base {
+	case BaseDelay:
 		for _, n := range g.Nodes {
-			if d := n.R * n.C; d > delayNorm {
-				delayNorm = d
-			}
+			norm = max(norm, n.R*n.C)
 		}
-	}
-	if opts.EnergyDriven {
+	case BaseEnergy:
 		for _, n := range g.Nodes {
-			if n.C > capNorm {
-				capNorm = n.C
-			}
+			norm = max(norm, n.C)
 		}
 	}
 	// Per-net criticality for the timing-driven blend: seeded from the
@@ -254,7 +248,7 @@ func Route(p *place.Problem, pl *place.Placement, g *rrgraph.Graph, opts Options
 	// shared by every cache clone). See search.go for the admissibility
 	// argument; NoLookahead degrades to plain Dijkstra, and energy-driven
 	// bases (no RC floor in the tables) always search undirected.
-	hr := newHeur(g, opts.DelayDriven, delayNorm, !opts.NoLookahead && !opts.EnergyDriven)
+	hr := newHeur(g, opts.Base == BaseDelay, norm, !opts.NoLookahead && opts.Base != BaseEnergy)
 	// costFor is the node-cost function net ni searches with. usage and
 	// history are frozen while a batch is in flight, so concurrent reads
 	// are safe; own excludes the net's own previous route so a net is not
@@ -288,10 +282,10 @@ func Route(p *place.Problem, pl *place.Placement, g *rrgraph.Graph, opts Options
 			base := 1.0
 			if n.Type == rrgraph.Sink {
 				base = 0.1
-			} else if opts.DelayDriven && delayNorm > 0 {
-				base = 0.3 + 2*(n.R*n.C)/delayNorm
-			} else if opts.EnergyDriven && capNorm > 0 {
-				base = 0.3 + 2*n.C/capNorm
+			} else if opts.Base == BaseDelay && norm > 0 {
+				base = 0.3 + 2*(n.R*n.C)/norm
+			} else if opts.Base == BaseEnergy && norm > 0 {
+				base = 0.3 + 2*n.C/norm
 			}
 			congest := (base + history[id]) * pres
 			if c > 0 {
@@ -495,7 +489,7 @@ func Route(p *place.Problem, pl *place.Placement, g *rrgraph.Graph, opts Options
 			if usage[id] > n.Capacity {
 				over++
 				overUnits += usage[id] - n.Capacity
-				history[id] += opts.HistFac * float64(usage[id]-n.Capacity)
+				history[id] += histFac * float64(usage[id]-n.Capacity)
 			}
 		}
 		res.Overused = over
@@ -535,7 +529,7 @@ func Route(p *place.Problem, pl *place.Placement, g *rrgraph.Graph, opts Options
 		// declare the width unroutable instead of burning the rest of the
 		// MaxIters budget — failing trials dominate the min-channel-width
 		// search's cost by an order of magnitude.
-		if !opts.NoFailurePredictor && iter-bestIter >= predictStall && bestOver >= predictMinOver {
+		if iter-bestIter >= predictStall && bestOver >= predictMinOver {
 			break
 		}
 		// Timing-driven recompute: every net now has a committed route, so
@@ -546,7 +540,7 @@ func Route(p *place.Problem, pl *place.Placement, g *rrgraph.Graph, opts Options
 			setCrit(opts.Criticality(g, routes))
 			critUpdates++
 		}
-		presFac *= opts.PresFacMult
+		presFac *= presFacMult
 	}
 	publishCongestion(g, usage, res, &opts)
 	return res, nil

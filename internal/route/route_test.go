@@ -216,7 +216,7 @@ func TestDelayDrivenRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Route(p, pl, g, Options{DelayDriven: true})
+	r, err := Route(p, pl, g, Options{Base: BaseDelay})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,7 +101,7 @@ func TestPropertyEnergyDrivenRouteLegalAndDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := route.Route(p, pl, g, route.Options{Workers: 4, EnergyDriven: true})
+			r, err := route.Route(p, pl, g, route.Options{Workers: 4, Base: route.BaseEnergy})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +120,7 @@ func TestPropertyEnergyDrivenRouteLegalAndDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r1, err := route.Route(p, pl, g1, route.Options{Workers: 1, EnergyDriven: true})
+			r1, err := route.Route(p, pl, g1, route.Options{Workers: 1, Base: route.BaseEnergy})
 			if err != nil {
 				t.Fatal(err)
 			}
