@@ -96,7 +96,7 @@ func BenchmarkTriStateBufferSweep(b *testing.B) {
 // BenchmarkExploreLUTSize regenerates the §3.1 K exploration (K=4 optimum).
 func BenchmarkExploreLUTSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts, err := experiments.ExploreLUTSize(io.Discard, circuits.SmallSuite(), 1)
+		pts, err := experiments.ExploreLUTSize(io.Discard, circuits.SmallSuite(), 1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func BenchmarkExploreLUTSize(b *testing.B) {
 // optimum).
 func BenchmarkExploreClusterSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts, err := experiments.ExploreClusterSize(io.Discard, circuits.SmallSuite(), 1)
+		pts, err := experiments.ExploreClusterSize(io.Discard, circuits.SmallSuite(), 1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -318,10 +318,10 @@ func TestReproduceAll(t *testing.T) {
 	if _, err := experiments.ExploreClusterInputs(w, circuits.SmallSuite()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := experiments.PaperVsBaseline(w, circuits.SmallSuite(), 1); err != nil {
+	if _, err := experiments.PaperVsBaseline(w, circuits.SmallSuite(), 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := experiments.FullFlow(w, circuits.SmallSuite(), 1, true); err != nil {
+	if _, err := experiments.FullFlow(w, circuits.SmallSuite(), 1, true, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -329,7 +329,7 @@ func TestReproduceAll(t *testing.T) {
 // BenchmarkPaperVsBaseline regenerates the headline platform comparison.
 func BenchmarkPaperVsBaseline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.PaperVsBaseline(io.Discard, circuits.SmallSuite(), 1)
+		rows, err := experiments.PaperVsBaseline(io.Discard, circuits.SmallSuite(), 1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -23,7 +23,7 @@ func main() {
 		obs.PrintVersion(os.Stdout, "experiments")
 		return
 	}
-	_, finishObs := obsFlags.Start("experiments")
+	tr, finishObs := obsFlags.Start("experiments")
 	w := os.Stdout
 	suite := circuits.Suite()
 	if *small {
@@ -77,27 +77,27 @@ func main() {
 		fmt.Fprintln(w)
 	}
 	if sel("lutsize") {
-		_, err := experiments.ExploreLUTSize(w, suite, *seed)
+		_, err := experiments.ExploreLUTSize(w, suite, *seed, tr)
 		fail(err)
 		fmt.Fprintln(w)
 	}
 	if sel("clustersize") {
-		_, err := experiments.ExploreClusterSize(w, suite, *seed)
+		_, err := experiments.ExploreClusterSize(w, suite, *seed, tr)
 		fail(err)
 		fmt.Fprintln(w)
 	}
 	if sel("headline") {
-		_, err := experiments.PaperVsBaseline(w, suite, *seed)
+		_, err := experiments.PaperVsBaseline(w, suite, *seed, tr)
 		fail(err)
 		fmt.Fprintln(w)
 	}
 	if sel("segment") {
-		_, err := experiments.ExploreSegmentLength(w, suite, *seed)
+		_, err := experiments.ExploreSegmentLength(w, suite, *seed, tr)
 		fail(err)
 		fmt.Fprintln(w)
 	}
 	if sel("flow") {
-		_, err := experiments.FullFlow(w, suite, *seed, true)
+		_, err := experiments.FullFlow(w, suite, *seed, true, tr)
 		fail(err)
 	}
 	fail(finishObs())

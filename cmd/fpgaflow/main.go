@@ -62,7 +62,6 @@ func main() {
 		Top: *top, Seed: *seed, MinChannelWidth: *minW,
 		SkipVerify: *noVerify, ClockHz: *clock * 1e6, Profile: prof,
 		PlaceSeeds: *seeds, PlaceWorkers: *jobs, RouteWorkers: *jobs, Obs: tr,
-		Events: obsFlags.Bus,
 	}
 	if *greedy {
 		opts.Mapper = core.MapGreedy

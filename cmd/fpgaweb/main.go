@@ -35,6 +35,7 @@ func main() {
 	s := gui.NewServer()
 	if *jobsDir != "" {
 		tr := obs.New("jobs")
+		tr.SetEvents(s.Obs.Events()) // job events share the GUI's /events stream
 		svc, err := jobs.Open(jobs.Config{
 			Dir:         *jobsDir,
 			Workers:     *workers,
@@ -42,7 +43,6 @@ func main() {
 			TenantRate:  *quotaRate,
 			TenantBurst: *quotaBurst,
 			Obs:         tr,
-			Events:      s.Bus,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

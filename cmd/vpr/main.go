@@ -64,13 +64,13 @@ func main() {
 		fatal(err)
 	}
 	p.AutoSize()
-	pl, err := place.Place(p, place.Options{Seed: *seed, InnerNum: *effort, Obs: tr, Events: obsFlags.Bus, Workers: *jobs})
+	pl, err := place.Place(p, place.Options{Seed: *seed, InnerNum: *effort, Obs: tr, Workers: *jobs})
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("placed %d blocks on %dx%d grid, bb cost %.2f\n", len(p.Blocks), a.Cols, a.Rows, pl.Cost)
 	var r *route.Result
-	ropts := route.Options{Obs: tr, Workers: *jobs, Events: obsFlags.Bus}
+	ropts := route.Options{Obs: tr, Workers: *jobs}
 	if *minW {
 		ropts.Cache = rrgraph.NewCache(0)
 		w, rr, err := route.MinChannelWidth(p, pl, 1, a.Routing.ChannelWidth, ropts)

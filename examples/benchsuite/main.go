@@ -23,7 +23,7 @@ func main() {
 	if *small {
 		suite = circuits.SmallSuite()
 	}
-	if _, err := experiments.FullFlow(os.Stdout, suite, 1, *verify); err != nil {
+	if _, err := experiments.FullFlow(os.Stdout, suite, 1, *verify, nil); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -45,7 +45,7 @@ func main() {
 	}
 
 	fmt.Println("\n== LUT size exploration (paper §3.1: K=4 minimizes energy) ==")
-	if _, err := experiments.ExploreLUTSize(os.Stdout, circuits.SmallSuite(), 1); err != nil {
+	if _, err := experiments.ExploreLUTSize(os.Stdout, circuits.SmallSuite(), 1, nil); err != nil {
 		log.Fatal(err)
 	}
 

@@ -12,7 +12,6 @@ import (
 	"sort"
 
 	"fpgaflow/internal/arch"
-	"fpgaflow/internal/obs"
 )
 
 // Node is an electrical net with a lumped capacitance.
@@ -328,11 +327,8 @@ func (c *Circuit) Init() error {
 }
 
 // Run advances simulation until the event queue drains or the time limit.
-// Applied events report to the process-global observability trace as
-// circuit.events.
 func (c *Circuit) Run(until float64) error {
 	steps := 0
-	defer func() { obs.C("circuit.events").Add(int64(steps)) }()
 	for len(c.queue) > 0 {
 		e := c.queue.pop()
 		if e.dead {

@@ -132,25 +132,14 @@ type Options struct {
 	// tool name (GUI progress reporting; fault-injection tests use it to
 	// simulate stuck or crashing stages).
 	StageStart func(stage string)
-	// Obs receives per-stage spans and stage-specific counters for the run.
-	// nil falls back to the process-global trace (obs.Global), which is
-	// itself a no-op unless a main installed one.
-	Obs *obs.Trace
-	// Events receives the iteration-level telemetry stream: stage
-	// boundaries, hardened-runner decisions (attempts, retries,
+	// Obs receives per-stage spans and stage-specific counters for the run
+	// (nil disables reporting). The event bus attached to it
+	// (Trace.SetEvents) receives the iteration-level telemetry stream:
+	// stage boundaries, hardened-runner decisions (attempts, retries,
 	// escalations), one event per annealing temperature step and per
-	// PathFinder iteration, and the final fabric occupancy/congestion maps
-	// the heatmap artifact derives from. nil disables the stream at the
-	// cost of one atomic load per publish site (see internal/obs/events).
-	Events *events.Bus
-}
-
-// trace resolves the effective observability trace for the run.
-func (o *Options) trace() *obs.Trace {
-	if o.Obs != nil {
-		return o.Obs
-	}
-	return obs.Global()
+	// PathFinder iteration, the QoR record, and the final fabric
+	// occupancy/congestion maps the heatmap artifact derives from.
+	Obs *obs.Trace
 }
 
 func (o *Options) fill() {
@@ -351,7 +340,7 @@ func (f *flow) attempt(ctx context.Context, o Options, from string) (*Result, er
 // per run, however many attempts follow) and, on the BLIF entry, lints and
 // parses the input.
 func (f *flow) start() error {
-	f.Result, f.saved = &Result{tr: f.opts.trace()}, make([]Result, len(stages))
+	f.Result, f.saved = &Result{tr: f.opts.Obs}, make([]Result, len(stages))
 	a := f.opts.Arch
 	if a == nil {
 		a = arch.Paper()
@@ -523,7 +512,7 @@ func (f *flow) dutys(context.Context) (string, error) {
 func (f *flow) vprPlace(sctx context.Context) (string, error) {
 	opts := &f.opts
 	popts := place.Options{Seed: opts.Seed, InnerNum: opts.PlaceEffort, Fixed: opts.FixedPads, Obs: f.tr,
-		Ctx: sctx, Bad: opts.Defects.BadSiteSet(), Events: opts.Events, Workers: opts.PlaceWorkers}
+		Ctx: sctx, Bad: opts.Defects.BadSiteSet(), Workers: opts.PlaceWorkers}
 	mode := "wirelength-driven"
 	if profiles[opts.Profile].timingPlace {
 		// alpha 8: critical nets weigh up to 9x a relaxed net.
@@ -549,7 +538,7 @@ func (f *flow) vprPlace(sctx context.Context) (string, error) {
 func (f *flow) vprRoute(sctx context.Context) (string, error) {
 	opts, a := &f.opts, f.Arch
 	ropts := route.Options{MaxIters: opts.RouteMaxIters, Base: profiles[opts.Profile].routeBase, Obs: f.tr,
-		Ctx: sctx, Workers: opts.RouteWorkers, Cache: opts.RRCache, Events: opts.Events}
+		Ctx: sctx, Workers: opts.RouteWorkers, Cache: opts.RRCache}
 	if profiles[opts.Profile].critRoute {
 		pk, p, pl := f.Packing, f.Problem, f.Placed
 		ropts.Criticality = func(g *rrgraph.Graph, routes []*route.NetRoute) []float64 {
@@ -632,7 +621,7 @@ func (f *flow) powerModel(context.Context) (string, error) {
 	if clock == 0 {
 		clock = f.Timing.MaxClockHz
 	}
-	act, err := sim.EstimateActivityObs(f.Mapped.Netlist, opts.ActivityCycles, 0.5, opts.Seed, f.tr)
+	act, err := sim.EstimateActivity(f.Mapped.Netlist, opts.ActivityCycles, 0.5, opts.Seed, f.tr)
 	if err != nil {
 		return "", err
 	}
@@ -648,8 +637,8 @@ func (f *flow) powerModel(context.Context) (string, error) {
 	// Publish the per-design QoR record: the delay/energy numbers the
 	// golden suite and benchgate gate on, tagged with the profile that
 	// produced them.
-	if opts.Events.Enabled() {
-		opts.Events.Publish(events.Event{Kind: events.KindQoR, QoR: &events.QoREvent{
+	if f.tr.Events().Enabled() {
+		f.tr.Publish(events.Event{Kind: events.KindQoR, QoR: &events.QoREvent{
 			Design:         f.Metrics.Name,
 			Profile:        string(opts.Profile),
 			ChannelWidth:   f.Metrics.ChannelWidth,
@@ -733,8 +722,8 @@ func (f *flow) stage(ctx context.Context, s step) error {
 	if opts.StageStart != nil {
 		opts.StageStart(tool)
 	}
-	if opts.Events.Enabled() {
-		opts.Events.Publish(events.Event{Kind: events.KindStage,
+	if f.tr.Events().Enabled() {
+		f.tr.Publish(events.Event{Kind: events.KindStage,
 			Stage: &events.StageEvent{Stage: tool, Phase: "start"}})
 	}
 	if err := ctx.Err(); err != nil {
@@ -781,12 +770,12 @@ func (f *flow) stage(ctx context.Context, s step) error {
 		st.Duration = time.Since(start)
 	}
 	f.tr.Add("flow.stages", 1)
-	if opts.Events.Enabled() {
+	if f.tr.Events().Enabled() {
 		end := &events.StageEvent{Stage: tool, Phase: "end", WallNS: st.Duration.Nanoseconds()}
 		if out.err != nil {
 			end.Err = out.err.Error()
 		}
-		opts.Events.Publish(events.Event{Kind: events.KindStage, Stage: end})
+		f.tr.Publish(events.Event{Kind: events.KindStage, Stage: end})
 	}
 	if out.err != nil {
 		f.tr.Add("flow.stage_errors", 1)

@@ -125,7 +125,6 @@ func TestFlowEmitsSpanPerStage(t *testing.T) {
 // TestFlowWithoutTraceStillTimesStages checks the no-observability path:
 // a flow run with no trace installed must still stamp per-stage durations.
 func TestFlowWithoutTraceStillTimesStages(t *testing.T) {
-	obs.SetGlobal(nil)
 	res, err := RunVHDL(circuits.ParityTree(4).VHDL, Options{Seed: 1, SkipVerify: true})
 	if err != nil {
 		t.Fatal(err)

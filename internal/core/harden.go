@@ -123,15 +123,15 @@ func runRetry(ctx context.Context, opts Options, attempt func(ctx context.Contex
 		// private clone so per-attempt defect masks never cross-contaminate.
 		opts.RRCache = rrgraph.NewCache(0)
 	}
-	tr := opts.trace()
+	tr := opts.Obs
 	tr.Counter("flow.attempts")
 	tr.Counter("flow.retries")
 	tr.Counter("flow.degraded")
 	pol := opts.Retry
 	backoff, from := pol.Backoff, ""
 	for try := 1; ; try++ {
-		if opts.Events.Enabled() {
-			opts.Events.Publish(events.Event{Kind: events.KindFlow,
+		if tr.Events().Enabled() {
+			tr.Publish(events.Event{Kind: events.KindFlow,
 				Flow: &events.FlowEvent{Action: "attempt", Attempt: try, Seed: opts.Seed}})
 		}
 		// Each attempt is a span of its own, so a retried job's trace shows
@@ -165,8 +165,8 @@ func runRetry(ctx context.Context, opts Options, attempt func(ctx context.Contex
 		asp.SetDetail("seed=%d %s: %v", opts.Seed, action, se)
 		asp.End()
 		tr.Add("flow.retries", 1)
-		if opts.Events.Enabled() {
-			opts.Events.Publish(events.Event{Kind: events.KindFlow, Flow: &events.FlowEvent{
+		if tr.Events().Enabled() {
+			tr.Publish(events.Event{Kind: events.KindFlow, Flow: &events.FlowEvent{
 				Action: action, Attempt: try + 1, Seed: opts.Seed, Reason: se.Error()}})
 		}
 		if backoff > 0 {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fpgaflow/internal/circuits"
+	"fpgaflow/internal/obs"
 	"fpgaflow/internal/obs/events"
 	"fpgaflow/internal/route"
 )
@@ -58,8 +59,9 @@ func TestProfileFlowsEmitQoR(t *testing.T) {
 	b := circuits.Counter(4)
 	for _, prof := range []Profile{ProfileBalanced, ProfileTiming, ProfileMinDelay, ProfileMinEnergy, ProfileMinArea} {
 		bus := events.NewBus(256)
-		bus.SetEnabled(true)
-		res, err := RunVHDL(b.VHDL, Options{Seed: 2, Profile: prof, SkipVerify: true, Events: bus})
+		tr := obs.New("qor")
+		tr.SetEvents(bus)
+		res, err := RunVHDL(b.VHDL, Options{Seed: 2, Profile: prof, SkipVerify: true, Obs: tr})
 		if err != nil {
 			t.Fatalf("profile %q: %v\n%s", prof, err, res.Summary())
 		}

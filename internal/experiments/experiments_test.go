@@ -7,6 +7,7 @@ import (
 
 	"fpgaflow/internal/circuit"
 	"fpgaflow/internal/circuits"
+	"fpgaflow/internal/obs"
 )
 
 func TestTable1Report(t *testing.T) {
@@ -125,12 +126,21 @@ func TestExploreLUTSize(t *testing.T) {
 		t.Skip("flow sweep")
 	}
 	var sb strings.Builder
-	pts, err := ExploreLUTSize(&sb, fastSuite(), 1)
+	tr := obs.New("explore")
+	pts, err := ExploreLUTSize(&sb, fastSuite(), 1, tr)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, sb.String())
 	}
 	if len(pts) != 6 {
 		t.Fatalf("%d points", len(pts))
+	}
+	// The concurrent flows' metrics fold into the caller's trace; their
+	// span trees stay with their own runs.
+	if n := tr.Counter("flow.stages").Value(); n <= 0 {
+		t.Errorf("flow.stages = %d on the sweep's trace, want > 0", n)
+	}
+	if spans := tr.Spans(); len(spans) != 0 {
+		t.Errorf("sweep trace holds %d spans of concurrent runs, want none", len(spans))
 	}
 	best := argminPower(pts)
 	if best < 3 || best > 5 {
@@ -150,7 +160,7 @@ func TestExploreClusterSize(t *testing.T) {
 		t.Skip("flow sweep")
 	}
 	var sb strings.Builder
-	pts, err := ExploreClusterSize(&sb, fastSuite(), 1)
+	pts, err := ExploreClusterSize(&sb, fastSuite(), 1, nil)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, sb.String())
 	}
@@ -165,7 +175,7 @@ func TestFullFlowTable(t *testing.T) {
 		t.Skip("flow sweep")
 	}
 	var sb strings.Builder
-	rows, err := FullFlow(&sb, fastSuite(), 1, true)
+	rows, err := FullFlow(&sb, fastSuite(), 1, true, nil)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, sb.String())
 	}
@@ -184,7 +194,7 @@ func TestExploreSegmentLength(t *testing.T) {
 		t.Skip("flow sweep")
 	}
 	var sb strings.Builder
-	rows, err := ExploreSegmentLength(&sb, fastSuite(), 1)
+	rows, err := ExploreSegmentLength(&sb, fastSuite(), 1, nil)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, sb.String())
 	}
@@ -219,7 +229,7 @@ func TestPaperVsBaseline(t *testing.T) {
 		t.Skip("flow sweep")
 	}
 	var sb strings.Builder
-	rows, err := PaperVsBaseline(&sb, fastSuite(), 1)
+	rows, err := PaperVsBaseline(&sb, fastSuite(), 1, nil)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, sb.String())
 	}

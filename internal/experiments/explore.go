@@ -10,6 +10,7 @@ import (
 	"fpgaflow/internal/core"
 	"fpgaflow/internal/logic"
 	"fpgaflow/internal/netlist"
+	"fpgaflow/internal/obs"
 	"fpgaflow/internal/pack"
 	"fpgaflow/internal/power"
 	"fpgaflow/internal/techmap"
@@ -34,11 +35,15 @@ type SweepPoint struct {
 
 // runSuiteAt runs the benchmark suite through the flow on the given
 // architecture (each design on its own goroutine; results reduced in
-// deterministic benchmark order) and averages the metrics.
-func runSuiteAt(a *arch.Arch, suite []circuits.Benchmark, seed int64) (SweepPoint, error) {
+// deterministic benchmark order) and averages the metrics. Each flow
+// reports into a trace of its own — a trace's spans must not be opened
+// concurrently — and the runs' metrics are folded into tr in benchmark
+// order, so counters and histograms aggregate while spans stay per run.
+func runSuiteAt(a *arch.Arch, suite []circuits.Benchmark, seed int64, tr *obs.Trace) (SweepPoint, error) {
 	type one struct {
 		res *core.Result
 		err error
+		tr  *obs.Trace
 	}
 	results := make([]one, len(suite))
 	var wg sync.WaitGroup
@@ -46,17 +51,22 @@ func runSuiteAt(a *arch.Arch, suite []circuits.Benchmark, seed int64) (SweepPoin
 		wg.Add(1)
 		go func(i int, b circuits.Benchmark) {
 			defer wg.Done()
+			var run *obs.Trace
+			if tr != nil {
+				run = obs.New(b.Name)
+			}
 			res, err := core.RunVHDL(b.VHDL, core.Options{
 				Arch: a, AutoSizeGrid: true, Seed: seed, SkipVerify: true,
-				ClockHz: explorationClock, ActivityCycles: 200,
+				ClockHz: explorationClock, ActivityCycles: 200, Obs: run,
 			})
-			results[i] = one{res, err}
+			results[i] = one{res, err, run}
 		}(i, b)
 	}
 	wg.Wait()
 	var pt SweepPoint
 	ran := 0
 	for _, r := range results {
+		tr.MergeFrom(r.tr)
 		if r.err != nil {
 			pt.Failures++
 			continue
@@ -84,8 +94,9 @@ func runSuiteAt(a *arch.Arch, suite []circuits.Benchmark, seed int64) (SweepPoin
 
 // ExploreLUTSize reproduces the §3.1 LUT-size exploration: K in [2,7] with
 // I = (K/2)(N+1), measuring average power at a fixed clock. The paper (via
-// [24]) finds K=4 minimizes energy.
-func ExploreLUTSize(w io.Writer, suite []circuits.Benchmark, seed int64) ([]SweepPoint, error) {
+// [24]) finds K=4 minimizes energy. The flows' metrics report to tr (nil
+// disables reporting).
+func ExploreLUTSize(w io.Writer, suite []circuits.Benchmark, seed int64, tr *obs.Trace) ([]SweepPoint, error) {
 	fmt.Fprintf(w, "LUT size exploration (N=5, I=(K/2)(N+1), %d benchmarks, %.0f MHz)\n",
 		len(suite), explorationClock/1e6)
 	var out []SweepPoint
@@ -93,7 +104,7 @@ func ExploreLUTSize(w io.Writer, suite []circuits.Benchmark, seed int64) ([]Swee
 		a := arch.Paper()
 		a.CLB.K = k
 		a.CLB.I = pack.InputsForUtilization(k, a.CLB.N)
-		pt, err := runSuiteAt(a, suite, seed)
+		pt, err := runSuiteAt(a, suite, seed, tr)
 		if err != nil {
 			return nil, fmt.Errorf("K=%d: %w", k, err)
 		}
@@ -107,8 +118,9 @@ func ExploreLUTSize(w io.Writer, suite []circuits.Benchmark, seed int64) ([]Swee
 }
 
 // ExploreClusterSize reproduces the §3.1 cluster-size exploration: N in
-// [1,10]; the paper finds N=5 minimizes energy.
-func ExploreClusterSize(w io.Writer, suite []circuits.Benchmark, seed int64) ([]SweepPoint, error) {
+// [1,10]; the paper finds N=5 minimizes energy. The flows' metrics report
+// to tr (nil disables reporting).
+func ExploreClusterSize(w io.Writer, suite []circuits.Benchmark, seed int64, tr *obs.Trace) ([]SweepPoint, error) {
 	fmt.Fprintf(w, "Cluster size exploration (K=4, I=(K/2)(N+1), %d benchmarks, %.0f MHz)\n",
 		len(suite), explorationClock/1e6)
 	var out []SweepPoint
@@ -116,7 +128,7 @@ func ExploreClusterSize(w io.Writer, suite []circuits.Benchmark, seed int64) ([]
 		a := arch.Paper()
 		a.CLB.N = n
 		a.CLB.I = pack.InputsForUtilization(a.CLB.K, n)
-		pt, err := runSuiteAt(a, suite, seed)
+		pt, err := runSuiteAt(a, suite, seed, tr)
 		if err != nil {
 			return nil, fmt.Errorf("N=%d: %w", n, err)
 		}
@@ -201,8 +213,9 @@ type FlowRow struct {
 }
 
 // FullFlow runs the complete benchmark suite through the whole flow,
-// producing the per-design metric table.
-func FullFlow(w io.Writer, suite []circuits.Benchmark, seed int64, verify bool) ([]FlowRow, error) {
+// producing the per-design metric table. The flows report to tr (nil
+// disables reporting).
+func FullFlow(w io.Writer, suite []circuits.Benchmark, seed int64, verify bool, tr *obs.Trace) ([]FlowRow, error) {
 	fmt.Fprintf(w, "Full flow (VHDL -> bitstream) on %d benchmarks\n", len(suite))
 	fmt.Fprintf(w, "  %-12s %6s %6s %6s %7s %4s %9s %9s %9s %10s %9s\n",
 		"design", "gates", "LUTs", "depth", "CLBs", "W", "crit(ns)", "fmax(MHz)", "power(mW)", "bits", "verified")
@@ -210,7 +223,7 @@ func FullFlow(w io.Writer, suite []circuits.Benchmark, seed int64, verify bool) 
 	for _, b := range suite {
 		res, err := core.RunVHDL(b.VHDL, core.Options{
 			Seed: seed, SkipVerify: !verify, ClockHz: explorationClock,
-			MinChannelWidth: true, ActivityCycles: 200,
+			MinChannelWidth: true, ActivityCycles: 200, Obs: tr,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", b.Name, err)
@@ -235,8 +248,9 @@ type SegmentRow struct {
 
 // ExploreSegmentLength connects the Figs 8-10 conclusion to the flow: it
 // runs the suite on fabrics with length-1/2/4 wire segments and reports
-// minimum channel width, wirelength, delay and power.
-func ExploreSegmentLength(w io.Writer, suite []circuits.Benchmark, seed int64) ([]SegmentRow, error) {
+// minimum channel width, wirelength, delay and power. The flows report to
+// tr (nil disables reporting).
+func ExploreSegmentLength(w io.Writer, suite []circuits.Benchmark, seed int64, tr *obs.Trace) ([]SegmentRow, error) {
 	fmt.Fprintf(w, "Segment length exploration (%d benchmarks, min channel width)\n", len(suite))
 	var out []SegmentRow
 	for _, seg := range []int{1, 2, 4} {
@@ -248,7 +262,7 @@ func ExploreSegmentLength(w io.Writer, suite []circuits.Benchmark, seed int64) (
 			a.Routing.SegmentLength = seg
 			res, err := core.RunVHDL(b.VHDL, core.Options{
 				Arch: a, AutoSizeGrid: true, Seed: seed, SkipVerify: true,
-				ClockHz: explorationClock, MinChannelWidth: true, ActivityCycles: 200,
+				ClockHz: explorationClock, MinChannelWidth: true, ActivityCycles: 200, Obs: tr,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("seg=%d %s: %w", seg, b.Name, err)
@@ -304,7 +318,8 @@ type HeadlineRow struct {
 // PaperVsBaseline runs the suite on the paper's low-energy platform and on
 // the conventional baseline at the same data rate, reporting the energy
 // advantage the paper's architecture decisions (DETFF + clock gating) buy.
-func PaperVsBaseline(w io.Writer, suite []circuits.Benchmark, seed int64) ([]HeadlineRow, error) {
+// The flows report to tr (nil disables reporting).
+func PaperVsBaseline(w io.Writer, suite []circuits.Benchmark, seed int64, tr *obs.Trace) ([]HeadlineRow, error) {
 	fmt.Fprintf(w, "Paper platform vs conventional baseline (%.0f MHz data rate)\n", explorationClock/1e6)
 	fmt.Fprintf(w, "  %-12s %12s %12s %8s %14s %14s\n",
 		"design", "paper(mW)", "base(mW)", "saving", "clk-paper(mW)", "clk-base(mW)")
@@ -314,7 +329,7 @@ func PaperVsBaseline(w io.Writer, suite []circuits.Benchmark, seed int64) ([]Hea
 		run := func(a *arch.Arch) (*core.Result, error) {
 			return core.RunVHDL(b.VHDL, core.Options{
 				Arch: a, AutoSizeGrid: true, Seed: seed, SkipVerify: true,
-				ClockHz: explorationClock, ActivityCycles: 200,
+				ClockHz: explorationClock, ActivityCycles: 200, Obs: tr,
 			})
 		}
 		rp, err := run(arch.Paper())

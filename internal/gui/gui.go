@@ -42,10 +42,6 @@ type Server struct {
 	// LastTrace is the observability trace of the most recent full flow
 	// run, served at /metrics.
 	LastTrace *obs.Trace
-	// Bus is the server-lifetime convergence-telemetry bus: every flow run
-	// publishes its iteration events here, and /events (SSE) and /heatmap
-	// serve from it live.
-	Bus *events.Bus
 	// Jobs is the crash-safe job service behind the /jobs lifecycle API
 	// (nil = the API is disabled). Run drains it on shutdown.
 	Jobs *jobs.Service
@@ -55,7 +51,10 @@ type Server struct {
 	// Obs is the server's own trace: HTTP handler latency histograms
 	// (http.request_seconds, labeled by route pattern — a fixed, bounded
 	// label set, never raw URLs) and request counters. Served by /metrics
-	// in both JSON and Prometheus form.
+	// in both JSON and Prometheus form. Its event bus (Obs.Events) is the
+	// server-lifetime convergence-telemetry bus: every flow run's trace
+	// and the job service's trace attach it, and /events (SSE) and
+	// /heatmap serve from it live.
 	Obs *obs.Trace
 	// runs counts full flow executions since server start.
 	runs int64
@@ -68,8 +67,9 @@ type Server struct {
 
 // NewServer returns a GUI server with paper-default options.
 func NewServer() *Server {
-	return &Server{Opts: core.Options{Seed: 1}, Bus: events.NewBus(0),
-		Obs: obs.New("fpgaweb"), closing: make(chan struct{})}
+	s := &Server{Opts: core.Options{Seed: 1}, Obs: obs.New("fpgaweb"), closing: make(chan struct{})}
+	s.Obs.SetEvents(events.NewBus(0))
+	return s
 }
 
 // timed wraps a handler with the HTTP latency histogram. The label is the
@@ -370,8 +370,8 @@ func (s *Server) runFull(r *http.Request) error {
 	}
 	s.Opts.MinChannelWidth = r.FormValue("minw") == "on"
 	tr := obs.New("fpgaweb")
+	tr.SetEvents(s.Obs.Events())
 	s.Opts.Obs = tr
-	s.Opts.Events = s.Bus
 	s.runs++
 	var res *core.Result
 	var err error

@@ -23,8 +23,9 @@ func newJobsServer(t *testing.T, mod func(*jobs.Config)) (*httptest.Server, *Ser
 	t.Helper()
 	s := NewServer()
 	tr := obs.New("jobs")
+	tr.SetEvents(s.Obs.Events())
 	cfg := jobs.Config{
-		Dir: t.TempDir(), Workers: 2, Obs: tr, Events: s.Bus,
+		Dir: t.TempDir(), Workers: 2, Obs: tr,
 		Runner: func(ctx context.Context, spec jobs.Spec) (*core.Result, error) {
 			return &core.Result{Encoded: []byte("bits:" + spec.Fingerprint())}, nil
 		},
@@ -300,9 +301,10 @@ func TestSSESubscriberLeak(t *testing.T) {
 	}
 	// All streams are live: the bus sees the subscribers.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Bus.Subscribers() != n {
+	bus := s.Obs.Events()
+	for bus.Subscribers() != n {
 		if time.Now().After(deadline) {
-			t.Fatalf("subscribers = %d, want %d", s.Bus.Subscribers(), n)
+			t.Fatalf("subscribers = %d, want %d", bus.Subscribers(), n)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -310,9 +312,9 @@ func TestSSESubscriberLeak(t *testing.T) {
 		cancel()
 	}
 	deadline = time.Now().Add(5 * time.Second)
-	for s.Bus.Subscribers() != 0 {
+	for bus.Subscribers() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("subscriber leak: %d still registered after all clients left", s.Bus.Subscribers())
+			t.Fatalf("subscriber leak: %d still registered after all clients left", bus.Subscribers())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -355,7 +357,7 @@ func TestShutdownWithStuckSSESubscriber(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	for s.Bus.Subscribers() == 0 {
+	for s.Obs.Events().Subscribers() == 0 {
 		time.Sleep(10 * time.Millisecond)
 	}
 

@@ -1,5 +1,6 @@
-// Live flow introspection: the GUI server owns a convergence-telemetry bus
-// (internal/obs/events) that every flow run publishes into, and exposes it
+// Live flow introspection: the GUI server's trace carries a
+// convergence-telemetry bus (internal/obs/events) that every flow run
+// publishes into, and the server exposes it
 // over HTTP — /events streams the raw event feed as server-sent events,
 // /heatmap serves the fabric heatmap derived from the latest run, and
 // /debug/pprof/* gives the standard Go profiling views of the live server.
@@ -49,8 +50,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 
-	id, ch, replay := s.Bus.Subscribe(256)
-	defer s.Bus.Unsubscribe(id)
+	bus := s.Obs.Events()
+	id, ch, replay := bus.Subscribe(256)
+	defer bus.Unsubscribe(id)
 	// Bound the replay: a late subscriber catches up from recent history,
 	// not from the bus's entire ring — a large run would otherwise turn
 	// every new SSE connection into a multi-megabyte burst.
@@ -99,7 +101,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // latest place_map/route_congestion events on the bus. 404 until a flow has
 // placed something.
 func (s *Server) handleHeatmap(w http.ResponseWriter, r *http.Request) {
-	h := events.HeatmapFromBus(s.Bus)
+	h := events.HeatmapFromBus(s.Obs.Events())
 	if h == nil {
 		http.Error(w, "no flow run yet: upload a design and run placement", http.StatusNotFound)
 		return

@@ -85,11 +85,11 @@ type Config struct {
 	MaxAttempts int
 	// Runner overrides the flow executor (tests; nil = the real flow).
 	Runner Runner
-	// Obs receives the jobs.* counters and queue gauges (nil = none).
+	// Obs receives the jobs.* counters and queue gauges (nil = none). Its
+	// event bus (Trace.Events) receives job lifecycle events (KindJob)
+	// and, through each job's own trace, the flow telemetry of the jobs
+	// themselves, stamped with the job's trace ID.
 	Obs *obs.Trace
-	// Events receives job lifecycle events (KindJob) alongside the flow
-	// telemetry of the jobs themselves.
-	Events *events.Bus
 }
 
 func (c *Config) fill() {
@@ -166,7 +166,6 @@ type Service struct {
 	dir    string
 	wal    *wal
 	tr     *obs.Trace
-	bus    *events.Bus
 	clock  func() time.Time
 	quotas *quotas
 
@@ -209,7 +208,6 @@ func Open(cfg Config) (*Service, error) {
 		cfg:    cfg,
 		dir:    cfg.Dir,
 		tr:     cfg.Obs,
-		bus:    cfg.Events,
 		quotas: newQuotas(cfg.TenantRate, cfg.TenantBurst),
 		jobs:   make(map[string]*job),
 		active: make(map[string]string),
@@ -332,11 +330,13 @@ func (s *Service) recover() error {
 
 // startJobTrace creates the job's trace with its deterministic trace ID
 // (sha256 of job ID + spec fingerprint — a replayed submission carries the
-// same ID across process restarts).
+// same ID across process restarts) on the service's event bus, so the
+// job's flow telemetry streams alongside the lifecycle events.
 func (s *Service) startJobTrace(j *job) {
 	j.traceID = obs.DeriveTraceID(j.id, j.fp)
 	j.tr = obs.New("job " + j.id)
 	j.tr.SetTraceID(j.traceID)
+	j.tr.SetEvents(s.tr.Events())
 }
 
 // markQueued opens the job's queue-wait span; call just before enqueue.
@@ -666,7 +666,6 @@ func (s *Service) coreRunner(ctx context.Context, spec Spec) (*core.Result, erro
 	if opts.Obs == nil {
 		opts.Obs = s.tr
 	}
-	opts.Events = s.bus
 	if netlist.IsBLIF(spec.Source) {
 		return core.RunBLIFContext(ctx, spec.Source, opts)
 	}
@@ -709,12 +708,19 @@ func (s *Service) finish(j *job, state State, errText, digest string, metrics *R
 		// job is still open from the WAL's point of view and replays
 	}
 	s.mu.Lock()
+	s.endQueueWait(j) // canceled-while-queued jobs go terminal with the span open
+	s.mu.Unlock()
+	// Persist the job's span tree before the job reads as terminal, so a
+	// client that sees the terminal state — through Wait or a status poll —
+	// always finds trace.json. Best-effort telemetry: a failed trace write
+	// is counted, never turns a finished job into a failure.
+	s.writeTrace(j)
+	s.mu.Lock()
 	j.state = state
 	j.errText = errText
 	j.artifact = digest
 	j.metrics = metrics
 	j.cancel = nil
-	s.endQueueWait(j) // canceled-while-queued jobs go terminal with the span open
 	tenant := j.spec.Tenant
 	delete(s.active, j.spec.Tenant+"/"+j.fp)
 	s.mu.Unlock()
@@ -727,12 +733,6 @@ func (s *Service) finish(j *job, state State, errText, digest string, metrics *R
 		s.tr.Add("jobs.canceled", 1)
 	}
 	s.tr.CounterVec("jobs.finished_by_tenant", "tenant").Add(tenant, 1)
-	// Persist the job's span tree as an artifact, then fold its metrics
-	// into the service totals. Both are best-effort telemetry: a failed
-	// trace write is counted, never turns a finished job into a failure.
-	// The trace must be on disk before j.done wakes waiters, so a client
-	// that Waits and then lists artifacts always sees trace.json.
-	s.writeTrace(j)
 	s.tr.MergeFrom(j.tr)
 	s.mu.Lock()
 	close(j.done)
@@ -983,9 +983,10 @@ func (j *job) status() Status {
 	}
 }
 
-// publishJobEvent emits one lifecycle event on the bus (nil-safe).
+// publishJobEvent emits one lifecycle event on the service trace's bus
+// (nil-safe).
 func (s *Service) publishJobEvent(j *job, action string) {
-	if !s.bus.Enabled() {
+	if !s.tr.Events().Enabled() {
 		return
 	}
 	s.mu.Lock()
@@ -994,7 +995,7 @@ func (s *Service) publishJobEvent(j *job, action string) {
 		State: string(j.state), Attempt: j.attempt, Reason: j.errText,
 	}
 	s.mu.Unlock()
-	s.bus.Publish(events.Event{Kind: events.KindJob, Job: ev})
+	s.tr.Publish(events.Event{Kind: events.KindJob, Job: ev})
 }
 
 // Close drains the service: admission stops immediately, workers finish

@@ -7,9 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"fpgaflow/internal/core"
 	"fpgaflow/internal/obs"
+	"fpgaflow/internal/obs/events"
 )
 
 // TestJobTraceArtifact checks the per-job tracing contract end to end at
@@ -167,5 +169,66 @@ func TestTraceWriteFailureDoesNotFailJob(t *testing.T) {
 	}
 	if svcTr.Counters()["jobs.trace_write_errors"] == 0 {
 		t.Error("trace write failure not counted")
+	}
+}
+
+// TestJobFlowEventsCarryTraceID runs a real count2 BLIF job through the
+// production coreRunner on a service whose trace carries an event bus: the
+// flow's convergence telemetry must stream on that bus next to the job
+// lifecycle events, each flow event stamped with the job's trace ID.
+func TestJobFlowEventsCarryTraceID(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real flow in -short mode")
+	}
+	src, err := os.ReadFile("../../examples/netlists/count2.blif")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus := events.NewBus(0)
+	svcTr := obs.New("svc")
+	svcTr.SetEvents(bus)
+	s := openService(t, func(c *Config) {
+		c.Workers = 1
+		c.Runner = nil // the production coreRunner
+		c.Obs = svcTr
+	})
+	st, err := s.Submit(context.Background(), Spec{Tenant: "alice", Name: "count2", Source: string(src)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := waitTerminal(t, s, st.ID)
+	if final.State != StateSucceeded || final.TraceID == "" {
+		t.Fatalf("count2.blif job finished %s (trace %q): %s", final.State, final.TraceID, final.Error)
+	}
+	// The "done" lifecycle event lands just after Wait wakes.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		flow := map[events.Kind]int{}
+		actions := map[string]bool{}
+		for _, ev := range bus.Snapshot() {
+			switch ev.Kind {
+			case events.KindJob:
+				if ev.Job.ID == st.ID {
+					actions[ev.Job.Action] = true
+				}
+			case events.KindPlaceStep, events.KindRouteIter, events.KindStage, events.KindQoR:
+				if ev.TraceID != final.TraceID {
+					t.Fatalf("%s event carries trace ID %q, want the job's %q", ev.Kind, ev.TraceID, final.TraceID)
+				}
+				flow[ev.Kind]++
+			}
+		}
+		for _, k := range []events.Kind{events.KindPlaceStep, events.KindRouteIter, events.KindStage, events.KindQoR} {
+			if flow[k] == 0 {
+				t.Fatalf("no %s events from the job's flow on the service bus (saw %v)", k, flow)
+			}
+		}
+		if actions["submitted"] && actions["start"] && actions["done"] {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job lifecycle events %v, want submitted, start and done", actions)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

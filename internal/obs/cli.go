@@ -3,6 +3,7 @@ package obs
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -36,12 +37,6 @@ type CLIFlags struct {
 	MutexProfile string
 	ChromeTrace  string
 	Events       string
-
-	// Bus is the live event bus Start creates when -events is set; mains
-	// hand it to the flow (core.Options.Events, place/route Options.Events).
-	// nil when events were not requested — every publish site tolerates
-	// that.
-	Bus *events.Bus
 }
 
 // RegisterCLIFlags declares the observability flags on fs (use
@@ -68,21 +63,22 @@ func (c *CLIFlags) Enabled() bool {
 		c.ChromeTrace != "" || c.Events != ""
 }
 
-// Start creates the run trace (also installed as the process global so
-// library-level counters report into it), starts profiling and sinks, and
-// returns a finish func that must run before exit — it stops the profiles
-// and writes every requested output. When -events is set, Start also
-// creates the live event bus (c.Bus) with a JSONL sink under the events
-// directory; finish derives heatmap.json from the stream. When no
+// Start creates the run trace, starts profiling and sinks, and returns a
+// finish func that must run before exit — it stops the profiles and writes
+// every requested output. When -events is set, Start also attaches a live
+// event bus with a JSONL sink under the events directory to the trace
+// (Trace.Events); finish derives heatmap.json from the stream. When no
 // observability flag was given it returns a nil trace (all instrumentation
-// no-ops) and a no-op finish.
+// no-ops) and a no-op finish. If Start fails part-way, everything it had
+// opened is closed and the profiling rates it raised are reset.
 func (c *CLIFlags) Start(name string) (*Trace, func() error) {
 	if !c.Enabled() {
 		return nil, func() error { return nil }
 	}
 	tr := New(name)
-	SetGlobal(tr)
 
+	// closers release what Start opened, in opening order: finish runs them
+	// first, and a failing Start runs them before returning.
 	var closers []func() error
 	fail := func(err error) (*Trace, func() error) {
 		for _, f := range closers {
@@ -106,24 +102,30 @@ func (c *CLIFlags) Start(name string) (*Trace, func() error) {
 	}
 	if c.BlockProfile != "" {
 		// Rate 1 records every blocking event — the full-fidelity setting
-		// for an opted-in diagnosis run; finish resets the rate to 0.
+		// for an opted-in diagnosis run; the closer stops sampling before
+		// finish dumps the profile.
 		runtime.SetBlockProfileRate(1)
+		closers = append(closers, func() error { runtime.SetBlockProfileRate(0); return nil })
 	}
 	if c.MutexProfile != "" {
 		runtime.SetMutexProfileFraction(1)
+		closers = append(closers, func() error { runtime.SetMutexProfileFraction(0); return nil })
 	}
-	var jsonl *JSONLSink
-	var jsonlFile *os.File
 	if c.JSONL != "" {
 		f, err := os.Create(c.JSONL)
 		if err != nil {
 			return fail(err)
 		}
-		jsonlFile = f
-		jsonl = NewJSONLSink(f)
+		jsonl := NewJSONLSink(f)
 		tr.SetSink(jsonl)
+		closers = append(closers, func() error {
+			err := jsonl.Close(tr)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			return err
+		})
 	}
-	var eventsFile *os.File
 	if c.Events != "" {
 		if err := os.MkdirAll(c.Events, 0o755); err != nil {
 			return fail(err)
@@ -132,9 +134,22 @@ func (c *CLIFlags) Start(name string) (*Trace, func() error) {
 		if err != nil {
 			return fail(err)
 		}
-		eventsFile = f
-		c.Bus = events.NewBus(0)
-		c.Bus.AddSink(events.NewJSONLWriter(f).Write)
+		bus := events.NewBus(0)
+		bus.AddSink(events.NewJSONLWriter(f).Write)
+		tr.SetEvents(bus)
+		closers = append(closers, func() error {
+			// Stop publishers before the sink's file goes away, then derive
+			// the heatmap artifact from the stream.
+			bus.SetEnabled(false)
+			var err error
+			if h := events.HeatmapFromBus(bus); h != nil {
+				err = writeFile(filepath.Join(c.Events, "heatmap.json"), h.WriteJSON)
+			}
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			return err
+		})
 	}
 
 	finish := func() error {
@@ -148,72 +163,23 @@ func (c *CLIFlags) Start(name string) (*Trace, func() error) {
 		for _, f := range closers {
 			keep(f())
 		}
-		if jsonl != nil {
-			keep(jsonl.Close(tr))
-			keep(jsonlFile.Close())
-		}
-		if eventsFile != nil {
-			// Stop publishers before the sink's file goes away, then derive
-			// the heatmap artifact from the stream.
-			c.Bus.SetEnabled(false)
-			if h := events.HeatmapFromBus(c.Bus); h != nil {
-				f, err := os.Create(filepath.Join(c.Events, "heatmap.json"))
-				if err != nil {
-					keep(err)
-				} else {
-					keep(h.WriteJSON(f))
-					keep(f.Close())
-				}
-			}
-			keep(eventsFile.Close())
-		}
 		if c.MemProfile != "" {
-			f, err := os.Create(c.MemProfile)
-			if err != nil {
-				keep(err)
-			} else {
+			keep(writeFile(c.MemProfile, func(w io.Writer) error {
 				runtime.GC() // materialize the final live-heap picture
-				keep(pprof.Lookup("heap").WriteTo(f, 0))
-				keep(f.Close())
-			}
+				return pprof.Lookup("heap").WriteTo(w, 0)
+			}))
 		}
 		if c.BlockProfile != "" {
-			runtime.SetBlockProfileRate(0) // stop sampling before the dump
-			f, err := os.Create(c.BlockProfile)
-			if err != nil {
-				keep(err)
-			} else {
-				keep(pprof.Lookup("block").WriteTo(f, 0))
-				keep(f.Close())
-			}
+			keep(writeFile(c.BlockProfile, func(w io.Writer) error { return pprof.Lookup("block").WriteTo(w, 0) }))
 		}
 		if c.MutexProfile != "" {
-			runtime.SetMutexProfileFraction(0)
-			f, err := os.Create(c.MutexProfile)
-			if err != nil {
-				keep(err)
-			} else {
-				keep(pprof.Lookup("mutex").WriteTo(f, 0))
-				keep(f.Close())
-			}
+			keep(writeFile(c.MutexProfile, func(w io.Writer) error { return pprof.Lookup("mutex").WriteTo(w, 0) }))
 		}
 		if c.ChromeTrace != "" {
-			f, err := os.Create(c.ChromeTrace)
-			if err != nil {
-				keep(err)
-			} else {
-				keep(WriteChromeTrace(f, tr.Summary()))
-				keep(f.Close())
-			}
+			keep(writeFile(c.ChromeTrace, func(w io.Writer) error { return WriteChromeTrace(w, tr.Summary()) }))
 		}
 		if c.Metrics != "" {
-			f, err := os.Create(c.Metrics)
-			if err != nil {
-				keep(err)
-			} else {
-				keep(tr.WriteJSON(f))
-				keep(f.Close())
-			}
+			keep(writeFile(c.Metrics, tr.WriteJSON))
 		}
 		if c.TraceText {
 			keep(tr.WriteText(os.Stderr))
@@ -221,4 +187,18 @@ func (c *CLIFlags) Start(name string) (*Trace, func() error) {
 		return firstErr
 	}
 	return tr, finish
+}
+
+// writeFile creates path, fills it with write and closes it, returning the
+// first error.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

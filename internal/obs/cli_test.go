@@ -48,23 +48,24 @@ func TestCLIFlagsProfiles(t *testing.T) {
 	}
 }
 
-// TestCLIFlagsEventsDir checks the -events wiring: Start creates the bus
-// with a JSONL sink, finish disables it and derives heatmap.json from the
-// stream.
+// TestCLIFlagsEventsDir checks the -events wiring: Start attaches a bus
+// with a JSONL sink to the trace it returns, finish disables it and derives
+// heatmap.json from the stream.
 func TestCLIFlagsEventsDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ev")
 	c := &CLIFlags{Events: dir}
-	_, finish := c.Start("test")
-	if c.Bus == nil || !c.Bus.Enabled() {
-		t.Fatal("Start did not create an enabled event bus")
+	tr, finish := c.Start("test")
+	bus := tr.Events()
+	if !bus.Enabled() {
+		t.Fatal("Start did not attach an enabled event bus to the trace")
 	}
-	c.Bus.Publish(events.Event{Kind: events.KindPlaceMap, PlaceMap: &events.PlaceMap{
+	tr.Publish(events.Event{Kind: events.KindPlaceMap, PlaceMap: &events.PlaceMap{
 		Cols: 2, Rows: 2, CLBs: []events.Cell{{X: 1, Y: 1, Used: 3, Capacity: 4}},
 	}})
 	if err := finish(); err != nil {
 		t.Fatalf("finish: %v", err)
 	}
-	if c.Bus.Enabled() {
+	if bus.Enabled() {
 		t.Error("finish left the bus enabled after closing its sink")
 	}
 	if _, err := os.Stat(filepath.Join(dir, "events.jsonl")); err != nil {
@@ -80,6 +81,43 @@ func TestCLIFlagsEventsDir(t *testing.T) {
 	}
 	if h.Cols != 2 || h.Rows != 2 || len(h.CLBs) != 1 {
 		t.Errorf("heatmap = %dx%d with %d CLBs, want 2x2 with 1", h.Cols, h.Rows, len(h.CLBs))
+	}
+}
+
+// TestCLIFlagsStartFailureReleases checks a Start that fails part-way
+// releases what it had already set up: with -events pointing below a
+// regular file, the -jsonl file opened earlier must be closed again and
+// the raised block/mutex sampling rates reset.
+func TestCLIFlagsStartFailureReleases(t *testing.T) {
+	dir := t.TempDir()
+	notDir := filepath.Join(dir, "file")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jsonlPath := filepath.Join(dir, "spans.jsonl")
+	c := &CLIFlags{JSONL: jsonlPath, Events: filepath.Join(notDir, "ev"),
+		BlockProfile: filepath.Join(dir, "block.pprof"), MutexProfile: filepath.Join(dir, "mutex.pprof")}
+	tr, finish := c.Start("test")
+	if tr != nil {
+		t.Fatal("Start returned a trace although -events cannot be created")
+	}
+	if err := finish(); err == nil {
+		t.Fatal("finish of a failed Start returned no error")
+	}
+	if got := runtime.SetMutexProfileFraction(-1); got != 0 {
+		t.Errorf("mutex profile fraction = %d after failed Start, want 0", got)
+	}
+	if runtime.GOOS != "linux" {
+		return // open descriptors are inspected through /proc/self/fd
+	}
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot list open descriptors: %v", err)
+	}
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && target == jsonlPath {
+			t.Errorf("-jsonl file %s still open (fd %s) after failed Start", jsonlPath, fd.Name())
+		}
 	}
 }
 

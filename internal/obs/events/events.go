@@ -4,12 +4,12 @@
 // per flow stage or hardened-runner decision) plus fabric heatmaps derived
 // from the same stream.
 //
-// The package sits below internal/obs on purpose: payloads are pure data
-// (structural coordinates and numbers, the same keys internal/fault uses),
-// so the place, route and core packages can publish without import cycles,
-// and consumers — the fpgaflow -events sink, cmd/qorviz, the fpgaweb SSE
-// endpoint — can replay, persist and render the stream without touching CAD
-// types.
+// The package sits below internal/obs on purpose: a run's Bus rides on its
+// obs.Trace (Trace.SetEvents), and the flow's layers publish through
+// Trace.Publish. Payloads are pure data (structural coordinates and
+// numbers, the same keys internal/fault uses), so consumers — the fpgaflow
+// -events sink, cmd/qorviz, the fpgaweb SSE endpoint — can replay, persist
+// and render the stream without touching CAD types.
 //
 // Publishing is gated by an atomic enabled flag: a disabled or nil *Bus
 // costs one nil check plus one atomic load per call site, so the hot loops
@@ -221,6 +221,10 @@ type Event struct {
 	// TimeNS is the offset from bus creation, in nanoseconds.
 	TimeNS int64 `json:"t_ns"`
 	Kind   Kind  `json:"kind"`
+	// TraceID is the publishing run's correlation ID (obs.Trace.Publish
+	// stamps it; empty for runs without one, e.g. CLI runs). Farm jobs
+	// sharing one bus are told apart by it.
+	TraceID string `json:"trace_id,omitempty"`
 
 	PlaceStep       *PlaceStep       `json:"place_step,omitempty"`
 	PlaceMap        *PlaceMap        `json:"place_map,omitempty"`

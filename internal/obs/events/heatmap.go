@@ -77,18 +77,22 @@ func BuildHeatmap(pm *PlaceMap, rc *RouteCongestion) *Heatmap {
 }
 
 // HeatmapFromBus derives the heatmap from a bus's event stream: the latest
-// place_map and route_congestion events win. Returns nil when the stream
-// holds neither (nothing to map).
+// place_map and route_congestion events win. When several runs share the
+// bus (farm workers) and those two events come from different
+// runs (their TraceIDs differ), only the newer event's half is served —
+// one run's CLBs never sit next to another run's channels. Returns nil
+// when the stream holds neither (nothing to map).
 func HeatmapFromBus(b *Bus) *Heatmap {
-	var pm *PlaceMap
-	var rc *RouteCongestion
-	if ev, ok := b.Latest(KindPlaceMap); ok {
-		pm = ev.PlaceMap
+	pm, _ := b.Latest(KindPlaceMap)
+	rc, _ := b.Latest(KindRouteCongestion)
+	if pm.PlaceMap != nil && rc.RouteCongestion != nil && pm.TraceID != rc.TraceID {
+		if pm.Seq > rc.Seq {
+			rc.RouteCongestion = nil
+		} else {
+			pm.PlaceMap = nil
+		}
 	}
-	if ev, ok := b.Latest(KindRouteCongestion); ok {
-		rc = ev.RouteCongestion
-	}
-	return BuildHeatmap(pm, rc)
+	return BuildHeatmap(pm.PlaceMap, rc.RouteCongestion)
 }
 
 // WriteJSON writes the heatmap.json document.

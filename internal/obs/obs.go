@@ -8,10 +8,14 @@
 // guard on whether observability is enabled. A disabled call costs one nil
 // check.
 //
+// The trace is the only telemetry handle a layer receives: it also carries
+// the run's iteration-level event stream (internal/obs/events), attached
+// with SetEvents and published through Trace.Publish.
+//
 // Typical use from a command:
 //
 //	tr := obs.New("fpgaflow")
-//	obs.SetGlobal(tr) // libraries without an explicit handle report here
+//	tr.SetEvents(events.NewBus(0)) // optional: the convergence stream
 //	sp := tr.Start("VPR place")
 //	tr.Counter("place.moves").Add(n)
 //	sp.End()
@@ -25,6 +29,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"fpgaflow/internal/obs/events"
 )
 
 // Counter is a monotonic (or at least additive) integer metric. Add is safe
@@ -197,6 +203,7 @@ type Trace struct {
 	spans   []*Span // completed-or-open spans in start order
 	stack   []*Span // currently open spans (innermost last)
 	sink    Sink
+	bus     atomic.Pointer[events.Bus]
 
 	counters      sync.Map // string -> *Counter
 	gauges        sync.Map // string -> *Gauge
@@ -237,6 +244,34 @@ func (t *Trace) TraceID() string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.traceID
+}
+
+// SetEvents attaches the run's event bus (nil detaches it); no-op on nil.
+func (t *Trace) SetEvents(b *events.Bus) {
+	if t != nil {
+		t.bus.Store(b)
+	}
+}
+
+// Events returns the attached event bus, nil on a nil trace or when none
+// is attached. Hot loops guard on Events().Enabled() before building a
+// payload: with no trace that is one nil check, with a trace one atomic
+// load more.
+func (t *Trace) Events() *events.Bus {
+	if t == nil {
+		return nil
+	}
+	return t.bus.Load()
+}
+
+// Publish stamps the event with the trace's TraceID and delivers it on the
+// attached bus; no-op when no enabled bus is attached. Runs sharing one bus
+// (farm jobs) stay distinguishable by their trace IDs.
+func (t *Trace) Publish(ev events.Event) {
+	if b := t.Events(); b.Enabled() {
+		ev.TraceID = t.TraceID()
+		b.Publish(ev)
+	}
 }
 
 // MergeFrom folds o's metrics into t: counters and histograms add,
@@ -420,18 +455,3 @@ func sortedKeys[M ~map[string]V, V any](m M) []string {
 	sort.Strings(keys)
 	return keys
 }
-
-// global is the process-wide default trace used by library code that has no
-// explicit handle (e.g. the switch-level circuit simulator). It is nil — a
-// universal no-op — until a main installs one with SetGlobal.
-var global atomic.Pointer[Trace]
-
-// SetGlobal installs tr as the process default trace (nil clears it).
-func SetGlobal(tr *Trace) { global.Store(tr) }
-
-// Global returns the process default trace, possibly nil.
-func Global() *Trace { return global.Load() }
-
-// C returns the named counter on the global trace (nil-safe no-op counter
-// when no global trace is installed).
-func C(name string) *Counter { return Global().Counter(name) }

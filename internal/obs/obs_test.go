@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"fpgaflow/internal/obs/events"
 )
 
 func TestSpanNestingAndOrdering(t *testing.T) {
@@ -101,9 +103,11 @@ func TestNilSafety(t *testing.T) {
 	if got := tr.Counters(); got != nil {
 		t.Fatalf("nil trace Counters = %v", got)
 	}
-	// No global installed: C must be a safe no-op.
-	SetGlobal(nil)
-	C("whatever").Add(1)
+	if tr.Events() != nil {
+		t.Fatal("nil trace Events should be nil")
+	}
+	tr.SetEvents(events.NewBus(0))
+	tr.Publish(events.Event{Kind: events.KindFlow, Flow: &events.FlowEvent{Action: "attempt"}})
 }
 
 func TestJSONRoundTrip(t *testing.T) {
@@ -219,16 +223,81 @@ func TestWriteTextMentionsEverything(t *testing.T) {
 	}
 }
 
-func TestGlobalTrace(t *testing.T) {
-	tr := New("global")
-	SetGlobal(tr)
-	defer SetGlobal(nil)
-	C("hits").Add(3)
-	if got := tr.Counter("hits").Value(); got != 3 {
-		t.Fatalf("global counter = %d, want 3", got)
+// TestPublishStampsTraceID checks Trace.Publish delivers on the attached
+// bus with the trace's ID, and that a trace without an ID (a CLI run)
+// leaves the field empty so its events.jsonl carries no trace_id key.
+func TestPublishStampsTraceID(t *testing.T) {
+	bus := events.NewBus(256)
+	job, cli := New("job"), New("cli")
+	job.SetTraceID("a1")
+	job.SetEvents(bus)
+	cli.SetEvents(bus)
+	job.Publish(events.Event{Kind: events.KindFlow, Flow: &events.FlowEvent{Action: "attempt"}})
+	cli.Publish(events.Event{Kind: events.KindFlow, Flow: &events.FlowEvent{Action: "attempt"}})
+	got := bus.Snapshot()
+	if len(got) != 2 || got[0].TraceID != "a1" || got[1].TraceID != "" {
+		t.Fatalf("events = %+v, want trace IDs a1 then empty", got)
 	}
-	if Global() != tr {
-		t.Fatal("Global() did not return the installed trace")
+	line, err := json.Marshal(got[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(line), "trace_id") {
+		t.Errorf("event without a trace ID serializes one: %s", line)
+	}
+	// Concurrent publishers (parallel placement seeds, farm workers) share
+	// the trace's bus while it is swapped.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				job.Publish(events.Event{Kind: events.KindFlow, Flow: &events.FlowEvent{Action: "attempt"}})
+				job.SetEvents(bus)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := bus.Len(); n != 202 {
+		t.Errorf("bus holds %d events after concurrent publishing, want 202", n)
+	}
+	bus.SetEnabled(false)
+	job.Publish(events.Event{Kind: events.KindFlow, Flow: &events.FlowEvent{Action: "retry"}})
+	if bus.Len() != 202 {
+		t.Error("Publish delivered on a disabled bus")
+	}
+}
+
+// TestSharedBusHeatmapKeepsRunsApart is the farm case: two runs publish to
+// one bus, and the heatmap must never pair one run's placement with the
+// other's routing — on a mismatch only the newer run's half is served.
+func TestSharedBusHeatmapKeepsRunsApart(t *testing.T) {
+	bus := events.NewBus(16)
+	a, b := New("a"), New("b")
+	a.SetTraceID("a")
+	b.SetTraceID("b")
+	a.SetEvents(bus)
+	b.SetEvents(bus)
+	placeMap := func(x int) events.Event {
+		return events.Event{Kind: events.KindPlaceMap, PlaceMap: &events.PlaceMap{Cols: 4, Rows: 4,
+			CLBs: []events.Cell{{X: x, Y: 1, Used: 1, Capacity: 5}}}}
+	}
+	a.Publish(placeMap(1))
+	b.Publish(placeMap(2))
+	a.Publish(events.Event{Kind: events.KindRouteCongestion, RouteCongestion: &events.RouteCongestion{
+		Width: 4, Success: true, Segments: []events.Segment{{X: 1, Y: 0, Usage: 1, Capacity: 1}}}})
+	h := events.HeatmapFromBus(bus)
+	if h == nil || len(h.Channels) != 1 {
+		t.Fatalf("heatmap = %+v, want run a's routing half", h)
+	}
+	if len(h.CLBs) != 0 {
+		t.Errorf("heatmap pairs run b's CLBs %+v with run a's channels", h.CLBs)
+	}
+	// The same run's halves still combine.
+	a.Publish(placeMap(3))
+	if h := events.HeatmapFromBus(bus); h == nil || len(h.CLBs) != 1 || h.CLBs[0].X != 3 || len(h.Channels) != 1 {
+		t.Errorf("heatmap of one run's halves = %+v, want both halves", h)
 	}
 }
 

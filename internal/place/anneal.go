@@ -65,14 +65,13 @@ type Options struct {
 	Ctx context.Context
 	// Obs receives annealer counters (place.moves, place.accepted,
 	// place.temperature_steps); nil disables reporting. Counters are
-	// atomic, so parallel multi-seed runs aggregate safely.
+	// atomic, so parallel multi-seed runs aggregate safely. Its event bus
+	// (Trace.Events) receives one place_step event per temperature step
+	// and a final place_map occupancy event; without an enabled bus that
+	// costs one nil check and an atomic load per temperature step.
+	// PlaceBest seeds share one trace; events carry the seed to tell the
+	// streams apart.
 	Obs *obs.Trace
-	// Events receives one place_step event per temperature step and a
-	// final place_map occupancy event (convergence telemetry; see
-	// internal/obs/events). nil or disabled costs one atomic load per
-	// temperature step. PlaceBest seeds share one bus; events carry the
-	// seed to tell the streams apart.
-	Events *events.Bus
 }
 
 // site is an indexable placement site.
@@ -481,8 +480,8 @@ func Place(p *Problem, opts Options) (*Placement, error) {
 		if m := float64(max(a.Cols, a.Rows) + 2); rlim > m {
 			rlim = m
 		}
-		if opts.Events.Enabled() {
-			opts.Events.Publish(events.Event{Kind: events.KindPlaceStep, PlaceStep: &events.PlaceStep{
+		if opts.Obs.Events().Enabled() {
+			opts.Obs.Publish(events.Event{Kind: events.KindPlaceStep, PlaceStep: &events.PlaceStep{
 				Seed: opts.Seed, Step: tempSteps, Temperature: stepTemp, Cost: cost,
 				AcceptRate: accRate, RangeLimit: rlim, Moves: movesPerT,
 			}})
@@ -506,7 +505,7 @@ func Place(p *Problem, opts Options) (*Placement, error) {
 // listed in deterministic order (blocks, then sorted pad sites) so the
 // derived heatmap artifact is byte-stable.
 func publishPlaceMap(p *Problem, pl *Placement, opts Options) {
-	if !opts.Events.Enabled() {
+	if !opts.Obs.Events().Enabled() {
 		return
 	}
 	a := p.Arch
@@ -537,7 +536,7 @@ func publishPlaceMap(p *Problem, pl *Placement, opts Options) {
 	for _, xy := range pads {
 		pm.Pads = append(pm.Pads, events.Cell{X: xy[0], Y: xy[1], Used: padUsed[xy], Capacity: a.IORate})
 	}
-	opts.Events.Publish(events.Event{Kind: events.KindPlaceMap, PlaceMap: pm})
+	opts.Obs.Publish(events.Event{Kind: events.KindPlaceMap, PlaceMap: pm})
 }
 
 // proposal is one speculative annealer move: block b moves from cur to s,

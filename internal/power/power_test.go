@@ -72,7 +72,7 @@ func build(t *testing.T, gated, detff bool) *flow {
 	if err != nil || !r.Success {
 		t.Fatalf("route: %v", err)
 	}
-	act, err := sim.EstimateActivity(nl, 1000, 0.5, 11)
+	act, err := sim.EstimateActivity(nl, 1000, 0.5, 11, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

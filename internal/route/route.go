@@ -99,13 +99,12 @@ type Options struct {
 	// that clone, so defect masks never leak between trials or runs.
 	Cache *rrgraph.Cache
 	// Obs receives PathFinder counters (route.iterations, route.nets_routed,
-	// route.overuse_sum, route.heap_pops); nil disables reporting.
+	// route.overuse_sum, route.heap_pops); nil disables reporting. Its
+	// event bus (Trace.Events) receives one route_iter event per PathFinder
+	// iteration and a final route_congestion map keyed by structural wire
+	// coordinates; without an enabled bus that costs one nil check and an
+	// atomic load per iteration.
 	Obs *obs.Trace
-	// Events receives one route_iter event per PathFinder iteration and a
-	// final route_congestion map keyed by structural wire coordinates
-	// (convergence telemetry; see internal/obs/events). nil or disabled
-	// costs one atomic load per iteration.
-	Events *events.Bus
 }
 
 // ctxErr returns the options context's error, nil when no context is set.
@@ -501,12 +500,12 @@ func Route(p *place.Problem, pl *place.Placement, g *rrgraph.Graph, opts Options
 			reuseOK = false
 		}
 		prevOver = over
-		if opts.Events.Enabled() {
+		if opts.Obs.Events().Enabled() {
 			var pops int64
 			for _, sc := range scratches {
 				pops += sc.pops
 			}
-			opts.Events.Publish(events.Event{Kind: events.KindRouteIter, RouteIter: &events.RouteIter{
+			opts.Obs.Publish(events.Event{Kind: events.KindRouteIter, RouteIter: &events.RouteIter{
 				Iter: iter, Overused: over, OveruseSum: overUnits, PresFac: presFac,
 				Wirelength: res.WirelengthUsed(), HeapPops: pops - prevPops,
 				DirtyNets: int(netsRouted - prevRouted),
@@ -566,7 +565,7 @@ const (
 // internal/fault.WireRef uses and listed in node-ID order, so the derived
 // artifact is byte-stable.
 func publishCongestion(g *rrgraph.Graph, usage []int, res *Result, opts *Options) {
-	if !opts.Events.Enabled() {
+	if !opts.Obs.Events().Enabled() {
 		return
 	}
 	rc := &events.RouteCongestion{Width: g.W, Iterations: res.Iterations, Success: res.Success}
@@ -579,7 +578,7 @@ func publishCongestion(g *rrgraph.Graph, usage []int, res *Result, opts *Options
 			Usage: usage[id], Capacity: n.Capacity,
 		})
 	}
-	opts.Events.Publish(events.Event{Kind: events.KindRouteCongestion, RouteCongestion: rc})
+	opts.Obs.Publish(events.Event{Kind: events.KindRouteCongestion, RouteCongestion: rc})
 }
 
 // netBatchSize is the number of nets that share one congestion snapshot.

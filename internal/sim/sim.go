@@ -261,14 +261,9 @@ type Activity struct {
 // EstimateActivity runs nCycles of random inputs and returns per-signal
 // transition densities and static probabilities. Input signals toggle with
 // probability inputToggle each cycle (0.5 gives uncorrelated inputs).
-// Simulation events report to the process-global observability trace.
-func EstimateActivity(nl *netlist.Netlist, nCycles int, inputToggle float64, seed int64) (*Activity, error) {
-	return EstimateActivityObs(nl, nCycles, inputToggle, seed, obs.Global())
-}
-
-// EstimateActivityObs is EstimateActivity reporting simulation counters
-// (sim.cycles, sim.transitions, sim.signals) to an explicit trace.
-func EstimateActivityObs(nl *netlist.Netlist, nCycles int, inputToggle float64, seed int64, tr *obs.Trace) (*Activity, error) {
+// Simulation counters (sim.cycles, sim.transitions, sim.signals) report to
+// tr (nil disables reporting).
+func EstimateActivity(nl *netlist.Netlist, nCycles int, inputToggle float64, seed int64, tr *obs.Trace) (*Activity, error) {
 	s, err := New(nl)
 	if err != nil {
 		return nil, err

@@ -192,7 +192,7 @@ func TestEstimateActivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	act, err := EstimateActivity(nl, 2000, 0.5, 42)
+	act, err := EstimateActivity(nl, 2000, 0.5, 42, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,11 +215,11 @@ func TestEstimateActivity(t *testing.T) {
 
 func TestActivityDeterministicWithSeed(t *testing.T) {
 	nl, _ := netlist.ParseBLIF(counterBLIF)
-	a1, err := EstimateActivity(nl, 500, 0.5, 9)
+	a1, err := EstimateActivity(nl, 500, 0.5, 9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := EstimateActivity(nl, 500, 0.5, 9)
+	a2, err := EstimateActivity(nl, 500, 0.5, 9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
