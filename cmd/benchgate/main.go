@@ -3,7 +3,8 @@
 // observability layer enabled, emits a machine-readable report (one obs
 // summary per design), and compares the tier-1 QoR metrics — LUTs, CLBs,
 // minimum channel width, bitstream bits, routed wirelength, routed-net
-// count and PathFinder heap pops (routing-effort proxy) — against a
+// count, PathFinder heap pops (routing-effort proxy) and FlowMap
+// augmenting paths (LUT-mapping effort) — against a
 // committed baseline, failing (exit 1) on drift beyond the tolerance.
 //
 // Usage:
@@ -42,6 +43,10 @@ type DesignReport struct {
 	Wirelength    int64 `json:"wirelength"`
 	RoutedNets    int64 `json:"routed_nets"`
 	RouteHeapPops int64 `json:"route_heap_pops"`
+	// TechmapAugmentations is FlowMap's augmenting-path count, the
+	// LUT-mapping effort. It does not depend on search order, so it is
+	// gated at the structural tolerance.
+	TechmapAugmentations int64 `json:"techmap_augmentations"`
 	// Timing/power QoR: post-route critical path (picoseconds) and energy
 	// per clock cycle (femtojoules), gated by -delay-tol and -energy-tol.
 	// Integer units keep the JSON byte-stable run to run.
@@ -151,17 +156,18 @@ func run(seed int64, embedSummaries bool) (*Report, error) {
 		counters := tr.Counters()
 		gauges := tr.Gauges()
 		d := DesignReport{
-			Name:           bench.Name,
-			LUTs:           counters["flow.luts"],
-			CLBs:           counters["flow.clbs"],
-			ChannelWidth:   counters["flow.channel_width"],
-			BitstreamBits:  counters["flow.bitstream_bits"],
-			Wirelength:     counters["route.wirelength"],
-			RoutedNets:     counters["flow.nets"],
-			RouteHeapPops:  counters["route.heap_pops"],
-			CriticalPathPS: int64(math.Round(gauges["timing.critical_path_ns"] * 1e3)),
-			EnergyFJ:       int64(math.Round(gauges["power.energy_pj"] * 1e3)),
-			WallMS:         float64(time.Since(start).Microseconds()) / 1000,
+			Name:                 bench.Name,
+			LUTs:                 counters["flow.luts"],
+			CLBs:                 counters["flow.clbs"],
+			ChannelWidth:         counters["flow.channel_width"],
+			BitstreamBits:        counters["flow.bitstream_bits"],
+			Wirelength:           counters["route.wirelength"],
+			RoutedNets:           counters["flow.nets"],
+			RouteHeapPops:        counters["route.heap_pops"],
+			TechmapAugmentations: counters["techmap.augmentations"],
+			CriticalPathPS:       int64(math.Round(gauges["timing.critical_path_ns"] * 1e3)),
+			EnergyFJ:             int64(math.Round(gauges["power.energy_pj"] * 1e3)),
+			WallMS:               float64(time.Since(start).Microseconds()) / 1000,
 		}
 		if embedSummaries {
 			d.Metrics = tr.Summary()
@@ -203,6 +209,7 @@ func compare(base, cur *Report, bd bands) error {
 		check("wirelength", b.Wirelength, d.Wirelength, bd.tol)
 		check("routed_nets", b.RoutedNets, d.RoutedNets, bd.tol)
 		check("route_heap_pops", b.RouteHeapPops, d.RouteHeapPops, bd.pops)
+		check("techmap_augmentations", b.TechmapAugmentations, d.TechmapAugmentations, bd.tol)
 		check("critical_path_ps", b.CriticalPathPS, d.CriticalPathPS, bd.delay)
 		check("energy_fj", b.EnergyFJ, d.EnergyFJ, bd.energy)
 	}
@@ -231,12 +238,12 @@ func markdown(base, cur *Report, bd bands, baselinePath string) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "### benchgate: tier-1 QoR vs `%s` (tol %.0f%%, heap-pop tol %.0f%%, delay tol %.0f%%, energy tol %.0f%%)\n\n",
 		baselinePath, bd.tol*100, bd.pops*100, bd.delay*100, bd.energy*100)
-	sb.WriteString("| design | LUTs | CLBs | W | bits | wirelength | nets | heap pops | crit ps | energy fJ | wall ms | status |\n")
-	sb.WriteString("|---|---|---|---|---|---|---|---|---|---|---|---|\n")
+	sb.WriteString("| design | LUTs | CLBs | W | bits | wirelength | nets | heap pops | augmentations | crit ps | energy fJ | wall ms | status |\n")
+	sb.WriteString("|---|---|---|---|---|---|---|---|---|---|---|---|---|\n")
 	for _, d := range cur.Designs {
 		b, ok := baseBy[d.Name]
 		if !ok {
-			fmt.Fprintf(&sb, "| %s | – | – | – | – | – | – | – | – | – | %.1f | ❌ missing from baseline |\n",
+			fmt.Fprintf(&sb, "| %s | – | – | – | – | – | – | – | – | – | – | %.1f | ❌ missing from baseline |\n",
 				d.Name, d.WallMS)
 			continue
 		}
@@ -254,7 +261,7 @@ func markdown(base, cur *Report, bd bands, baselinePath string) string {
 			}
 			return s
 		}
-		row := fmt.Sprintf("| %s | %s | %s | %s | %s | %s | %s | %s | %s | %s | %.1f |",
+		row := fmt.Sprintf("| %s | %s | %s | %s | %s | %s | %s | %s | %s | %s | %s | %.1f |",
 			d.Name,
 			cell(b.LUTs, d.LUTs, bd.tol),
 			cell(b.CLBs, d.CLBs, bd.tol),
@@ -263,6 +270,7 @@ func markdown(base, cur *Report, bd bands, baselinePath string) string {
 			cell(b.Wirelength, d.Wirelength, bd.tol),
 			cell(b.RoutedNets, d.RoutedNets, bd.tol),
 			cell(b.RouteHeapPops, d.RouteHeapPops, bd.pops),
+			cell(b.TechmapAugmentations, d.TechmapAugmentations, bd.tol),
 			cell(b.CriticalPathPS, d.CriticalPathPS, bd.delay),
 			cell(b.EnergyFJ, d.EnergyFJ, bd.energy),
 			d.WallMS)
@@ -274,7 +282,7 @@ func markdown(base, cur *Report, bd bands, baselinePath string) string {
 		sb.WriteString(row + "\n")
 	}
 	for name := range baseBy {
-		fmt.Fprintf(&sb, "| %s | – | – | – | – | – | – | – | – | – | – | ❌ in baseline but not run |\n", name)
+		fmt.Fprintf(&sb, "| %s | – | – | – | – | – | – | – | – | – | – | – | ❌ in baseline but not run |\n", name)
 	}
 	sb.WriteString("\n")
 	return sb.String()

@@ -56,3 +56,17 @@ func TestMarkdownHasDelayAndEnergyColumns(t *testing.T) {
 		t.Fatalf("markdown row not marked failing:\n%s", md)
 	}
 }
+
+func TestCompareGatesTechmapAugmentations(t *testing.T) {
+	bd := bands{tol: 0.05, pops: 0.20, delay: 0.05, energy: 0.05}
+	base, cur := gateReports()
+	base.Designs[0].TechmapAugmentations = 1000
+	cur.Designs[0].TechmapAugmentations = 1100
+	err := compare(base, cur, bd)
+	if err == nil || !strings.Contains(err.Error(), "techmap_augmentations") {
+		t.Fatalf("LUT-map effort drift not gated: %v", err)
+	}
+	if md := markdown(base, cur, bd, "bench_baseline.json"); !strings.Contains(md, "1000 → 1100 ⚠️") {
+		t.Fatalf("markdown does not flag the augmentation drift:\n%s", md)
+	}
+}

@@ -127,21 +127,23 @@ func TestPlaceWorkersDeterminismMinDelay(t *testing.T) {
 	}
 }
 
-// sisEffort returns a run's deterministic SIS effort counters.
-func sisEffort(tr *obs.Trace) [2]int64 {
+// sisEffort returns a run's deterministic SIS effort counters: logic
+// optimization's QM work and LUT mapping's cut tests and augmenting paths.
+func sisEffort(tr *obs.Trace) [4]int64 {
 	c := tr.Counters()
-	return [2]int64{c["logic.qm_minimizations"], c["logic.qm_combines"]}
+	return [4]int64{c["logic.qm_minimizations"], c["logic.qm_combines"],
+		c["techmap.cut_tests"], c["techmap.augmentations"]}
 }
 
 // TestPlacementDeterminismAcrossWorkers sweeps the annealer worker knob in
 // isolation (routing pinned serial) and requires the bit-identical
 // placement and bitstream from every value on every golden design, with
-// identical SIS effort counters.
+// identical SIS and LUT-map effort counters.
 func TestPlacementDeterminismAcrossWorkers(t *testing.T) {
 	for name, src := range goldenExamples(t) {
 		t.Run(name, func(t *testing.T) {
 			var refLoc, refBits []byte
-			var refEffort [2]int64
+			var refEffort [4]int64
 			for _, workers := range []int{1, 2, 4, 8} {
 				tr := obs.New(name)
 				res, err := Run(src, Options{Seed: 1, SkipVerify: true, RouteWorkers: 1, PlaceWorkers: workers, Obs: tr})
@@ -153,15 +155,15 @@ func TestPlacementDeterminismAcrossWorkers(t *testing.T) {
 					t.Fatal(err)
 				}
 				effort := sisEffort(tr)
-				if effort[0] == 0 {
-					t.Fatalf("place workers=%d: no logic.qm_minimizations recorded", workers)
+				if effort[0] == 0 || effort[2] == 0 || effort[3] == 0 {
+					t.Fatalf("place workers=%d: effort counters missing: %v", workers, effort)
 				}
 				if refLoc == nil {
 					refLoc, refBits, refEffort = loc, res.Encoded, effort
 					continue
 				}
 				if effort != refEffort {
-					t.Errorf("place workers=%d: SIS effort (minimizations, combines) %v, workers=1 run %v",
+					t.Errorf("place workers=%d: effort (minimizations, combines, cut tests, augmentations) %v, workers=1 run %v",
 						workers, effort, refEffort)
 				}
 				if !bytes.Equal(loc, refLoc) {
@@ -172,5 +174,24 @@ func TestPlacementDeterminismAcrossWorkers(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestGreedyMapperDeterminism requires two flows with the greedy LUT
+// mapper to produce the same bitstream: its cone growth must not depend
+// on map iteration order.
+func TestGreedyMapperDeterminism(t *testing.T) {
+	src := goldenExamples(t)["pipe48"]
+	var ref []byte
+	for run := 0; run < 2; run++ {
+		res, err := Run(src, Options{Seed: 1, SkipVerify: true, Mapper: MapGreedy})
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if ref == nil {
+			ref = res.Encoded
+		} else if !bytes.Equal(res.Encoded, ref) {
+			t.Fatalf("run %d: greedy-mapped bitstream differs from run 0", run)
+		}
 	}
 }

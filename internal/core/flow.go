@@ -467,6 +467,8 @@ func (f *flow) lutMap(context.Context) (string, error) {
 	f.Mapped = mapped
 	f.Metrics.LUTs, f.Metrics.Depth = mapped.LUTs, mapped.Depth
 	f.tr.Add("flow.luts", int64(mapped.LUTs))
+	f.tr.Add("techmap.cut_tests", mapped.CutTests)
+	f.tr.Add("techmap.augmentations", mapped.Augmentations)
 	f.tr.SetGauge("lutmap.depth", float64(mapped.Depth))
 	return fmt.Sprintf("%d LUTs, depth %d", mapped.LUTs, mapped.Depth),
 		f.runChecks(check.StageNetlist, &check.Artifacts{Netlist: mapped.Netlist, K: k})

@@ -1,0 +1,197 @@
+package techmap
+
+import (
+	"fmt"
+	"strings"
+
+	"fpgaflow/internal/logic"
+	"fpgaflow/internal/netlist"
+)
+
+// byName orders nodes by name, the order of every cut's LUT inputs.
+func byName(a, b *netlist.Node) int { return strings.Compare(a.Name, b.Name) }
+
+// buildMapped constructs the LUT netlist from the chosen cuts: cutOf
+// returns the LUT inputs of a logic node, or false when no cut covers it.
+func buildMapped(nl *netlist.Netlist, cutOf func(*netlist.Node) ([]*netlist.Node, bool)) (*Result, error) {
+	out := netlist.New(nl.Name)
+	made := make(map[*netlist.Node]*netlist.Node, nl.NumNodes())
+
+	for _, in := range nl.Inputs {
+		n, err := out.AddInput(in.Name)
+		if err != nil {
+			return nil, err
+		}
+		made[in] = n
+	}
+	// Latches first (as placeholders) so feedback resolves; D fanin fixed later.
+	for _, n := range nl.Nodes() {
+		if n.Kind == netlist.KindLatch {
+			q, err := out.AddLatch(n.Name, nil, n.Init, n.Clock)
+			if err != nil {
+				return nil, err
+			}
+			q.Fanin = nil
+			made[n] = q
+		}
+	}
+
+	var ce coneEval
+	var emit func(n *netlist.Node) (*netlist.Node, error)
+	emit = func(n *netlist.Node) (*netlist.Node, error) {
+		if m, ok := made[n]; ok {
+			return m, nil
+		}
+		if n.Kind != netlist.KindLogic {
+			return nil, fmt.Errorf("techmap: unexpected %s node %q during emission", n.Kind, n.Name)
+		}
+		inputs, ok := cutOf(n)
+		if !ok {
+			return nil, fmt.Errorf("techmap: node %q required but not covered", n.Name)
+		}
+		mappedIn := make([]*netlist.Node, len(inputs))
+		for i, f := range inputs {
+			m, err := emit(f)
+			if err != nil {
+				return nil, err
+			}
+			mappedIn[i] = m
+		}
+		fn, err := ce.truthTable(n, inputs)
+		if err != nil {
+			return nil, err
+		}
+		lut, err := out.AddLogic(n.Name, mappedIn, logic.MinimizeTruthTable(fn, len(inputs)))
+		if err != nil {
+			return nil, err
+		}
+		made[n] = lut
+		return lut, nil
+	}
+
+	// Required roots: primary outputs and latch D inputs.
+	for _, o := range nl.Outputs {
+		n := nl.Node(o)
+		if n == nil {
+			return nil, fmt.Errorf("techmap: output %q missing", o)
+		}
+		if _, err := emit(n); err != nil {
+			return nil, err
+		}
+		out.MarkOutput(o)
+	}
+	for _, n := range nl.Nodes() {
+		if n.Kind != netlist.KindLatch {
+			continue
+		}
+		d, err := emit(n.Fanin[0])
+		if err != nil {
+			return nil, err
+		}
+		made[n].Fanin = []*netlist.Node{d}
+	}
+	out.Sweep()
+	// Area recovery: overlapping cuts duplicate cone logic; structurally
+	// identical LUTs merge back into one.
+	logic.MergeDuplicates(out)
+	if err := out.Check(); err != nil {
+		return nil, err
+	}
+	st := out.Stats()
+	return &Result{Netlist: out, Depth: st.Depth, LUTs: st.Logic}, nil
+}
+
+// inputPattern[i] is input i's column of a truth table over the 64 rows
+// of one word: row r holds bit i of r.
+var inputPattern = [6]uint64{
+	0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
+	0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000,
+}
+
+// coneEval evaluates cone functions bit-parallel, reusing its buffers
+// from one cone to the next.
+type coneEval struct {
+	val   map[*netlist.Node]int // offset of a node's rows in words
+	words []uint64
+	fin   []int
+}
+
+// truthTable returns the function of node t over the given cut inputs
+// (input i is bit i of the row index). Each cone node is evaluated once
+// over all 2^k rows, 64 rows per word.
+func (e *coneEval) truthTable(t *netlist.Node, inputs []*netlist.Node) ([]bool, error) {
+	k := len(inputs)
+	if k > 16 {
+		return nil, fmt.Errorf("techmap: cut of %d inputs too wide", k)
+	}
+	rows := 1 << uint(k)
+	nw := (rows + 63) / 64
+	if e.val == nil {
+		e.val = make(map[*netlist.Node]int)
+	}
+	clear(e.val)
+	e.words, e.fin = e.words[:0], e.fin[:0]
+	for i, in := range inputs {
+		e.val[in] = len(e.words)
+		for w := 0; w < nw; w++ {
+			var x uint64
+			switch {
+			case i < 6:
+				x = inputPattern[i]
+			case w>>uint(i-6)&1 != 0:
+				x = ^uint64(0)
+			}
+			e.words = append(e.words, x)
+		}
+	}
+	var eval func(n *netlist.Node) (int, error)
+	eval = func(n *netlist.Node) (int, error) {
+		if off, ok := e.val[n]; ok {
+			return off, nil
+		}
+		if n.Kind != netlist.KindLogic {
+			return 0, fmt.Errorf("techmap: cone of %q escapes cut at %q", t.Name, n.Name)
+		}
+		base := len(e.fin)
+		for _, f := range n.Fanin {
+			off, err := eval(f)
+			if err != nil {
+				return 0, err
+			}
+			e.fin = append(e.fin, off)
+		}
+		fin := e.fin[base:]
+		off := len(e.words)
+		for w := 0; w < nw; w++ {
+			var hit uint64
+			for _, cube := range n.Cover.Cubes {
+				m := ^uint64(0)
+				for i, lit := range cube {
+					switch lit {
+					case netlist.LitOne:
+						m &= e.words[fin[i]+w]
+					case netlist.LitZero:
+						m &^= e.words[fin[i]+w]
+					}
+				}
+				hit |= m
+			}
+			if !n.Cover.OnSet() {
+				hit = ^hit
+			}
+			e.words = append(e.words, hit)
+		}
+		e.fin = e.fin[:base]
+		e.val[n] = off
+		return off, nil
+	}
+	off, err := eval(t)
+	if err != nil {
+		return nil, err
+	}
+	tt := make([]bool, rows)
+	for r := range tt {
+		tt[r] = e.words[off+r>>6]>>uint(r&63)&1 != 0
+	}
+	return tt, nil
+}

@@ -7,7 +7,7 @@ package techmap
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"fpgaflow/internal/logic"
 	"fpgaflow/internal/netlist"
@@ -20,6 +20,12 @@ type Result struct {
 	Depth int
 	// LUTs is the number of LUTs created.
 	LUTs int
+	// CutTests counts FlowMap's K-feasible-cut computations, one per logic
+	// node with fanin (zero for MapGreedy).
+	CutTests int64
+	// Augmentations counts the augmenting paths those computations found.
+	// Each test adds min(max-flow, K+1), which no search order changes.
+	Augmentations int64
 }
 
 // FlowMap maps nl onto K-input LUTs with optimal depth. The input network's
@@ -31,349 +37,301 @@ func FlowMap(nl *netlist.Netlist, k int) (*Result, error) {
 	if mf := logic.MaxFanin(nl); mf > k {
 		return nil, fmt.Errorf("techmap: network has %d-input node, exceeds K=%d; decompose first", mf, k)
 	}
+	m, err := newFlowMapper(nl, k)
+	if err != nil {
+		return nil, err
+	}
+	for i := range m.nodes {
+		m.labelNode(int32(i))
+	}
+	res, err := buildMapped(nl, m.cutOf)
+	if err != nil {
+		return nil, err
+	}
+	res.CutTests, res.Augmentations = m.cutTests, m.augmentations
+	return res, nil
+}
+
+// Flow-network vertices: the source, the sink, then an in/out pair per
+// cut candidate (the out vertex is in+1).
+const (
+	src  = 0
+	sink = 1
+)
+
+// arc is one residual-graph edge; rev indexes the reverse arc in adj[to].
+type arc struct {
+	to, cap, rev int32
+}
+
+// flowMapper is the state of one FlowMap call. Nodes are numbered once in
+// topological order, and every per-node and per-vertex buffer is a slice
+// reused by each node's cut test, so a test allocates nothing once the
+// buffers have grown.
+type flowMapper struct {
+	k     int32
+	nodes []*netlist.Node // topological order
+	index map[*netlist.Node]int32
+	fanin [][]int32
+	logic []bool
+	label []int32
+	cut   [][]*netlist.Node // LUT inputs chosen for each logic node
+	arena []*netlist.Node   // backing store of the feasible cuts
+
+	// stamp identifies the current cut test: a node is in its cone when
+	// inCone equals stamp, and owns vertices vin when hasVert equals stamp.
+	stamp   uint32
+	inCone  []uint32
+	hasVert []uint32
+	vin     []int32
+	cone    []int32
+	cands   []int32 // nodes owning vertices, in creation order
+
+	adj       [][]arc
+	nverts    int32
+	parent    []int32
+	parentArc []int32
+	queue     []int32
+
+	cutTests, augmentations int64
+}
+
+func newFlowMapper(nl *netlist.Netlist, k int) (*flowMapper, error) {
 	topo, err := nl.TopoSort()
 	if err != nil {
 		return nil, err
 	}
-
-	label := make(map[*netlist.Node]int, nl.NumNodes())
-	cut := make(map[*netlist.Node][]*netlist.Node, nl.NumNodes())
-	for _, n := range topo {
-		if n.Kind != netlist.KindLogic {
-			label[n] = 0
-			continue
-		}
-		if len(n.Fanin) == 0 { // constant: a zero-input LUT at depth 0
-			label[n] = 0
-			cut[n] = nil
-			continue
-		}
-		p := 0
-		for _, f := range n.Fanin {
-			if label[f] > p {
-				p = label[f]
-			}
-		}
-		cone := collectCone(n)
-		label[n] = p // tentative: t always joins the sink cluster
-		cutNodes, feasible := kFeasibleCut(n, cone, label, p, k)
-		if feasible {
-			label[n] = p
-			cut[n] = cutNodes
-		} else {
-			label[n] = p + 1
-			cut[n] = append([]*netlist.Node(nil), n.Fanin...)
+	n := len(topo)
+	m := &flowMapper{
+		k:       int32(k),
+		nodes:   topo,
+		index:   make(map[*netlist.Node]int32, n),
+		fanin:   make([][]int32, n),
+		logic:   make([]bool, n),
+		label:   make([]int32, n),
+		cut:     make([][]*netlist.Node, n),
+		inCone:  make([]uint32, n),
+		hasVert: make([]uint32, n),
+		vin:     make([]int32, n),
+	}
+	edges := 0
+	for i, nd := range topo {
+		m.index[nd] = int32(i)
+		if nd.Kind == netlist.KindLogic {
+			m.logic[i] = true
+			edges += len(nd.Fanin)
 		}
 	}
-	return buildMapped(nl, k, cut, label)
+	flat := make([]int32, 0, edges)
+	for i, nd := range topo {
+		if !m.logic[i] {
+			continue
+		}
+		start := len(flat)
+		for _, f := range nd.Fanin {
+			j, ok := m.index[f]
+			if !ok {
+				return nil, fmt.Errorf("techmap: fanin %q of %q is not in the netlist", f.Name, nd.Name)
+			}
+			flat = append(flat, j)
+		}
+		m.fanin[i] = flat[start:len(flat):len(flat)]
+	}
+	return m, nil
 }
 
-// collectCone returns the combinational transitive fanin of t including t.
-// Inputs and latches are not cone members (they are cut candidates).
-func collectCone(t *netlist.Node) map[*netlist.Node]bool {
-	cone := make(map[*netlist.Node]bool)
-	var walk func(n *netlist.Node)
-	walk = func(n *netlist.Node) {
-		if cone[n] || n.Kind != netlist.KindLogic {
-			return
-		}
-		cone[n] = true
-		for _, f := range n.Fanin {
-			walk(f)
-		}
+// cutOf returns the LUT inputs chosen for a logic node.
+func (m *flowMapper) cutOf(n *netlist.Node) ([]*netlist.Node, bool) {
+	i, ok := m.index[n]
+	if !ok || !m.logic[i] {
+		return nil, false
 	}
-	walk(t)
-	return cone
+	return m.cut[i], true
+}
+
+// labelNode computes node i's FlowMap label and cut; every earlier node in
+// topological order must already be labelled.
+func (m *flowMapper) labelNode(i int32) {
+	if !m.logic[i] || len(m.fanin[i]) == 0 {
+		// Inputs, latches and constants (zero-input LUTs) sit at depth 0.
+		return
+	}
+	p := int32(0)
+	for _, f := range m.fanin[i] {
+		p = max(p, m.label[f])
+	}
+	m.label[i] = p // tentative: t always joins the sink cluster
+	if cut, ok := m.kFeasibleCut(i, p); ok {
+		m.cut[i] = cut
+		return
+	}
+	m.label[i] = p + 1
+	m.cut[i] = m.nodes[i].Fanin
 }
 
 // kFeasibleCut tests whether cone(t) has a K-feasible cut of height p-1 and
-// returns the cut node set (the LUT inputs) if so. Following FlowMap, nodes
-// in the cone with label == p are collapsed into the sink; unit node
-// capacities make max-flow <= K equivalent to a K-feasible node cut.
-func kFeasibleCut(t *netlist.Node, cone map[*netlist.Node]bool, label map[*netlist.Node]int, p, k int) ([]*netlist.Node, bool) {
-	// Flow network: source -> each cone input (node outside cone feeding a
-	// cone node); internal cone nodes (label < p) split in/out with cap 1;
-	// nodes with label == p merge into the sink.
-	type arc struct {
-		to  int
-		cap int
-		rev int // index of reverse arc in adj[to]
-	}
-	var adj [][]arc
-	addNode := func() int {
-		adj = append(adj, nil)
-		return len(adj) - 1
-	}
-	addArc := func(u, v, c int) {
-		adj[u] = append(adj[u], arc{to: v, cap: c, rev: len(adj[v])})
-		adj[v] = append(adj[v], arc{to: u, cap: 0, rev: len(adj[u]) - 1})
-	}
+// returns the cut node set (the LUT inputs, sorted by name) if so.
+// Following FlowMap, nodes in the cone with label == p are collapsed into
+// the sink; unit node capacities make max-flow <= K equivalent to a
+// K-feasible node cut.
+func (m *flowMapper) kFeasibleCut(t, p int32) ([]*netlist.Node, bool) {
+	m.cutTests++
+	m.stamp++
+	m.collectCone(t)
 	// A cone input already at height p (e.g. a primary input when p == 0)
 	// would have to sit on the sink side of any height-(p-1) cut, which is
 	// impossible: no such cut exists.
-	for n := range cone {
-		for _, f := range n.Fanin {
-			if label[f] == p && !cone[f] {
+	for _, u := range m.cone {
+		for _, f := range m.fanin[u] {
+			if m.label[f] == p && m.inCone[f] != m.stamp {
 				return nil, false
 			}
 		}
 	}
-
-	src := addNode()
-	sink := addNode()
-
-	inV := make(map[*netlist.Node]int)  // entry vertex of a cut-candidate node
-	outV := make(map[*netlist.Node]int) // exit vertex
-	vertexOf := func(n *netlist.Node, out bool) int {
-		if label[n] == p {
-			// Nodes at the current height can never be cut nodes: a cut
-			// through them would give height p, not p-1. They merge into
-			// the sink (cone inputs at height p make the cut infeasible).
-			return sink
-		}
-		if out {
-			if v, ok := outV[n]; ok {
-				return v
-			}
-		} else {
-			if v, ok := inV[n]; ok {
-				return v
-			}
-		}
-		vin, vout := addNode(), addNode()
-		inV[n], outV[n] = vin, vout
-		addArc(vin, vout, 1)
-		if !cone[n] { // cone input: unlimited supply from source
-			addArc(src, vin, k+1)
-		}
-		if out {
-			return vout
-		}
-		return vin
-	}
-	for n := range cone {
-		if label[n] == p {
-			// Collapsed into sink; its fanins feed the sink directly.
-			for _, f := range n.Fanin {
-				if label[f] == p {
-					continue
-				}
-				addArc(vertexOf(f, true), sink, k+1)
-			}
-			continue
-		}
-		nv := vertexOf(n, false)
-		for _, f := range n.Fanin {
-			// Labels are monotone along edges, so a fanin at height p of a
-			// node below p cannot occur; guard anyway.
-			if label[f] == p {
-				continue
-			}
-			addArc(vertexOf(f, true), nv, k+1)
-		}
-	}
-	_ = t
-
-	// BFS max-flow, stop once flow exceeds k.
-	flow := 0
-	for flow <= k {
-		parent := make([]int, len(adj))
-		parentArc := make([]int, len(adj))
-		for i := range parent {
-			parent[i] = -1
-		}
-		parent[src] = src
-		queue := []int{src}
-		for len(queue) > 0 && parent[sink] < 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for ai, a := range adj[u] {
-				if a.cap > 0 && parent[a.to] < 0 {
-					parent[a.to] = u
-					parentArc[a.to] = ai
-					queue = append(queue, a.to)
-				}
-			}
-		}
-		if parent[sink] < 0 {
-			break
-		}
-		// Unit augmentation (all bottleneck capacities along node-splitting
-		// arcs are 1; source/sink arcs are wide).
-		v := sink
-		for v != src {
-			u := parent[v]
-			a := &adj[u][parentArc[v]]
-			a.cap--
-			adj[v][a.rev].cap++
-			v = u
-		}
+	m.buildNetwork(p)
+	flow := int32(0)
+	for flow <= m.k && m.augment() {
 		flow++
 	}
-	if flow > k {
+	m.augmentations += int64(flow)
+	if flow > m.k {
 		return nil, false
 	}
-	// Min cut: nodes whose in-vertex is reachable from src in the residual
-	// graph but out-vertex is not.
-	reach := make([]bool, len(adj))
-	reach[src] = true
-	queue := []int{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, a := range adj[u] {
-			if a.cap > 0 && !reach[a.to] {
-				reach[a.to] = true
-				queue = append(queue, a.to)
-			}
+	// Min cut: the candidates whose in-vertex the failed search reached
+	// but whose out-vertex it did not. The search ran to exhaustion, so
+	// parent marks exactly the vertices reachable from the source in the
+	// residual graph — the same set for every maximum flow.
+	start := len(m.arena)
+	for _, c := range m.cands {
+		if v := m.vin[c]; m.parent[v] >= 0 && m.parent[v+1] < 0 {
+			m.arena = append(m.arena, m.nodes[c])
 		}
 	}
-	var cutNodes []*netlist.Node
-	for n, vin := range inV {
-		if reach[vin] && !reach[outV[n]] {
-			cutNodes = append(cutNodes, n)
-		}
-	}
-	sort.Slice(cutNodes, func(i, j int) bool { return cutNodes[i].Name < cutNodes[j].Name })
-	if len(cutNodes) > k {
+	cut := m.arena[start:len(m.arena):len(m.arena)]
+	if len(cut) > int(m.k) {
 		// Defensive: should not happen when flow <= k.
+		m.arena = m.arena[:start]
 		return nil, false
 	}
-	return cutNodes, true
+	slices.SortFunc(cut, byName)
+	return cut, true
 }
 
-// buildMapped constructs the LUT netlist from the chosen cuts.
-func buildMapped(nl *netlist.Netlist, k int, cut map[*netlist.Node][]*netlist.Node, label map[*netlist.Node]int) (*Result, error) {
-	out := netlist.New(nl.Name)
-	made := make(map[*netlist.Node]*netlist.Node, nl.NumNodes())
-
-	for _, in := range nl.Inputs {
-		n, err := out.AddInput(in.Name)
-		if err != nil {
-			return nil, err
-		}
-		made[in] = n
-	}
-	// Latches first (as placeholders) so feedback resolves; D fanin fixed later.
-	for _, n := range nl.Nodes() {
-		if n.Kind == netlist.KindLatch {
-			q, err := out.AddLatch(n.Name, nil, n.Init, n.Clock)
-			if err != nil {
-				return nil, err
+// collectCone gathers the combinational transitive fanin of t, t included,
+// into m.cone and stamps its members. Inputs and latches are not cone
+// members (they are cut candidates).
+func (m *flowMapper) collectCone(t int32) {
+	m.cone = append(m.cone[:0], t)
+	m.inCone[t] = m.stamp
+	for i := 0; i < len(m.cone); i++ {
+		for _, f := range m.fanin[m.cone[i]] {
+			if m.logic[f] && m.inCone[f] != m.stamp {
+				m.inCone[f] = m.stamp
+				m.cone = append(m.cone, f)
 			}
-			q.Fanin = nil
-			made[n] = q
 		}
 	}
-
-	var emit func(n *netlist.Node) (*netlist.Node, error)
-	emit = func(n *netlist.Node) (*netlist.Node, error) {
-		if m, ok := made[n]; ok {
-			return m, nil
-		}
-		if n.Kind != netlist.KindLogic {
-			return nil, fmt.Errorf("techmap: unexpected %s node %q during emission", n.Kind, n.Name)
-		}
-		inputs := cut[n]
-		mappedIn := make([]*netlist.Node, len(inputs))
-		for i, f := range inputs {
-			m, err := emit(f)
-			if err != nil {
-				return nil, err
-			}
-			mappedIn[i] = m
-		}
-		tt, err := coneTruthTable(n, inputs)
-		if err != nil {
-			return nil, err
-		}
-		cover := logic.MinimizeTruthTable(tt, len(inputs))
-		lut, err := out.AddLogic(n.Name, mappedIn, cover)
-		if err != nil {
-			return nil, err
-		}
-		made[n] = lut
-		return lut, nil
-	}
-
-	// Required roots: primary outputs and latch D inputs.
-	for _, o := range nl.Outputs {
-		n := nl.Node(o)
-		if n == nil {
-			return nil, fmt.Errorf("techmap: output %q missing", o)
-		}
-		if _, err := emit(n); err != nil {
-			return nil, err
-		}
-		out.MarkOutput(o)
-	}
-	for _, n := range nl.Nodes() {
-		if n.Kind != netlist.KindLatch {
-			continue
-		}
-		d, err := emit(n.Fanin[0])
-		if err != nil {
-			return nil, err
-		}
-		made[n].Fanin = []*netlist.Node{d}
-	}
-	out.Sweep()
-	// Area recovery: overlapping cuts duplicate cone logic; structurally
-	// identical LUTs merge back into one.
-	logic.MergeDuplicates(out)
-	if err := out.Check(); err != nil {
-		return nil, err
-	}
-	st := out.Stats()
-	return &Result{Netlist: out, Depth: st.Depth, LUTs: st.Logic}, nil
 }
 
-// coneTruthTable evaluates the function of node t over the given cut inputs
-// by simulating the cone for every input assignment.
-func coneTruthTable(t *netlist.Node, inputs []*netlist.Node) ([]bool, error) {
-	k := len(inputs)
-	if k > 16 {
-		return nil, fmt.Errorf("techmap: cut of %d inputs too wide", k)
-	}
-	isInput := make(map[*netlist.Node]int, k)
-	for i, in := range inputs {
-		isInput[in] = i
-	}
-	rows := 1 << uint(k)
-	tt := make([]bool, rows)
-	val := make(map[*netlist.Node]bool)
-	var eval func(n *netlist.Node) (bool, error)
-	eval = func(n *netlist.Node) (bool, error) {
-		if v, ok := val[n]; ok {
-			return v, nil
+// buildNetwork lays out the flow network of the current cone in the
+// reused adjacency lists: the source feeds each cone input, every cut
+// candidate (label < p) splits into in/out vertices joined by a unit arc,
+// and nodes at label p merge into the sink.
+func (m *flowMapper) buildNetwork(p int32) {
+	m.nverts = 0
+	m.newPair() // src, sink
+	m.cands = m.cands[:0]
+	for _, u := range m.cone {
+		to := int32(sink)
+		if m.label[u] != p {
+			to = m.vertex(u)
 		}
-		if n.Kind != netlist.KindLogic {
-			return false, fmt.Errorf("techmap: cone of %q escapes cut at %q", t.Name, n.Name)
-		}
-		in := make([]bool, len(n.Fanin))
-		for i, f := range n.Fanin {
-			v, err := eval(f)
-			if err != nil {
-				return false, err
+		for _, f := range m.fanin[u] {
+			// Labels are monotone along edges, so a fanin at height p of a
+			// node below p cannot occur; guard anyway.
+			if m.label[f] == p {
+				continue
 			}
-			in[i] = v
+			m.addArc(m.vertex(f)+1, to, m.k+1)
 		}
-		v := netlist.EvalCover(n.Cover, in)
-		val[n] = v
-		return v, nil
 	}
-	for m := 0; m < rows; m++ {
-		for n := range val {
-			delete(val, n)
-		}
-		for i, in := range inputs {
-			val[in] = m&(1<<uint(i)) != 0
-		}
-		v, err := eval(t)
-		if err != nil {
-			return nil, err
-		}
-		tt[m] = v
+}
+
+// vertex returns node n's in-vertex, creating its vertex pair on first use.
+func (m *flowMapper) vertex(n int32) int32 {
+	if m.hasVert[n] == m.stamp {
+		return m.vin[n]
 	}
-	return tt, nil
+	v := m.newPair()
+	m.hasVert[n], m.vin[n] = m.stamp, v
+	m.cands = append(m.cands, n)
+	m.addArc(v, v+1, 1)
+	if m.inCone[n] != m.stamp { // cone input: unlimited supply from source
+		m.addArc(src, v, m.k+1)
+	}
+	return v
+}
+
+// newPair adds two vertices with empty arc lists, reusing the lists'
+// backing arrays, and returns the first.
+func (m *flowMapper) newPair() int32 {
+	v := m.nverts
+	m.nverts += 2
+	for len(m.adj) < int(m.nverts) {
+		m.adj = append(m.adj, nil)
+	}
+	m.adj[v], m.adj[v+1] = m.adj[v][:0], m.adj[v+1][:0]
+	return v
+}
+
+func (m *flowMapper) addArc(u, v, c int32) {
+	m.adj[u] = append(m.adj[u], arc{to: v, cap: c, rev: int32(len(m.adj[v]))})
+	m.adj[v] = append(m.adj[v], arc{to: u, cap: 0, rev: int32(len(m.adj[u]) - 1)})
+}
+
+// augment finds one augmenting path by BFS and pushes one unit of flow
+// along it: every path leaves the source through a cone input's unit
+// node-splitting arc.
+// It reports false, leaving parent marking the source's residual
+// reachability, when no path exists.
+func (m *flowMapper) augment() bool {
+	n := int(m.nverts)
+	m.parent = resize(m.parent, n)
+	m.parentArc = resize(m.parentArc, n)
+	for i := range m.parent {
+		m.parent[i] = -1
+	}
+	m.parent[src] = src
+	q := append(m.queue[:0], src)
+	//fpga:hotloop
+	for h := 0; h < len(q) && m.parent[sink] < 0; h++ {
+		u := q[h]
+		for ai, a := range m.adj[u] {
+			if a.cap > 0 && m.parent[a.to] < 0 {
+				m.parent[a.to] = u
+				m.parentArc[a.to] = int32(ai)
+				q = append(q, a.to)
+			}
+		}
+	}
+	m.queue = q
+	if m.parent[sink] < 0 {
+		return false
+	}
+	for v := int32(sink); v != src; {
+		u := m.parent[v]
+		a := &m.adj[u][m.parentArc[v]]
+		a.cap--
+		m.adj[v][a.rev].cap++
+		v = u
+	}
+	return true
+}
+
+// resize returns s with length n, reusing its backing array when it fits.
+func resize(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n, 2*n)
+	}
+	return s[:n]
 }

@@ -2,6 +2,7 @@ package techmap
 
 import (
 	"fmt"
+	"slices"
 
 	"fpgaflow/internal/logic"
 	"fpgaflow/internal/netlist"
@@ -76,7 +77,9 @@ func MapGreedy(nl *netlist.Netlist, k int) (*Result, error) {
 				if shared {
 					delta += 1 // bias against duplication
 				}
-				if len(cutSet)+delta <= k && delta < bestDelta {
+				// Ties go to the first name, so the choice does not depend
+				// on map order.
+				if len(cutSet)+delta <= k && (delta < bestDelta || delta == bestDelta && c.Name < best.Name) {
 					best, bestDelta = c, delta
 				}
 			}
@@ -100,92 +103,14 @@ func MapGreedy(nl *netlist.Netlist, k int) (*Result, error) {
 		for c := range cutSet {
 			inputs = append(inputs, c)
 		}
-		sortByName(inputs)
+		slices.SortFunc(inputs, byName)
 		cut[root] = inputs
 		for _, in := range inputs {
 			addRoot(in)
 		}
 	}
-	return buildGreedy(nl, cut)
-}
-
-func sortByName(nodes []*netlist.Node) {
-	for i := 1; i < len(nodes); i++ {
-		for j := i; j > 0 && nodes[j].Name < nodes[j-1].Name; j-- {
-			nodes[j], nodes[j-1] = nodes[j-1], nodes[j]
-		}
-	}
-}
-
-func buildGreedy(nl *netlist.Netlist, cut map[*netlist.Node][]*netlist.Node) (*Result, error) {
-	out := netlist.New(nl.Name)
-	made := make(map[*netlist.Node]*netlist.Node, nl.NumNodes())
-	for _, in := range nl.Inputs {
-		n, err := out.AddInput(in.Name)
-		if err != nil {
-			return nil, err
-		}
-		made[in] = n
-	}
-	for _, n := range nl.Nodes() {
-		if n.Kind == netlist.KindLatch {
-			q, err := out.AddLatch(n.Name, nil, n.Init, n.Clock)
-			if err != nil {
-				return nil, err
-			}
-			q.Fanin = nil
-			made[n] = q
-		}
-	}
-	var emit func(n *netlist.Node) (*netlist.Node, error)
-	emit = func(n *netlist.Node) (*netlist.Node, error) {
-		if m, ok := made[n]; ok {
-			return m, nil
-		}
-		inputs, ok := cut[n]
-		if !ok {
-			return nil, fmt.Errorf("techmap: node %q required but not covered", n.Name)
-		}
-		mappedIn := make([]*netlist.Node, len(inputs))
-		for i, f := range inputs {
-			m, err := emit(f)
-			if err != nil {
-				return nil, err
-			}
-			mappedIn[i] = m
-		}
-		tt, err := coneTruthTable(n, inputs)
-		if err != nil {
-			return nil, err
-		}
-		lut, err := out.AddLogic(n.Name, mappedIn, logic.MinimizeTruthTable(tt, len(inputs)))
-		if err != nil {
-			return nil, err
-		}
-		made[n] = lut
-		return lut, nil
-	}
-	for _, o := range nl.Outputs {
-		if _, err := emit(nl.Node(o)); err != nil {
-			return nil, err
-		}
-		out.MarkOutput(o)
-	}
-	for _, n := range nl.Nodes() {
-		if n.Kind != netlist.KindLatch {
-			continue
-		}
-		d, err := emit(n.Fanin[0])
-		if err != nil {
-			return nil, err
-		}
-		made[n].Fanin = []*netlist.Node{d}
-	}
-	out.Sweep()
-	logic.MergeDuplicates(out)
-	if err := out.Check(); err != nil {
-		return nil, err
-	}
-	st := out.Stats()
-	return &Result{Netlist: out, Depth: st.Depth, LUTs: st.Logic}, nil
+	return buildMapped(nl, func(n *netlist.Node) ([]*netlist.Node, bool) {
+		c, ok := cut[n]
+		return c, ok
+	})
 }
