@@ -57,8 +57,9 @@ fuzz:
 
 # faultcheck runs the fault-injection and hardened-runner suites under the
 # race detector: defect-aware place/route, corruption handling, stage
-# timeouts/panics, the retry policy, and the cached-RR-graph defect-mask
-# isolation regression.
+# timeouts/panics, the retry policy, and the defect-overlay regressions
+# (each width trial masks its own overlay; the shared RR graph is never
+# modified).
 faultcheck:
 	$(GO) test -race -count=1 ./internal/fault/ ./internal/core/ ./internal/route/ -run 'Fault|Defect|Corrupt|Stuck|Stage|Retry|Escalat|Dead|Flip|Truncate|Garble'
 

@@ -276,12 +276,12 @@ func BenchmarkRRGraphBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkRRGraphCacheGet measures a cache hit (clone of the cached
-// pristine graph), the steady-state cost of every width trial after the
-// first in a min-channel-width search or hardened retry.
+// BenchmarkRRGraphCacheGet measures a cache hit (the architecture
+// fingerprint and a lookup; the shared graph is returned as is), the cost
+// of routing a width again in a hardened retry.
 func BenchmarkRRGraphCacheGet(b *testing.B) {
 	p, _ := placedRand64(b)
-	cache := rrgraph.NewCache(0)
+	cache := rrgraph.NewCache()
 	if _, err := cache.Get(p.Arch, nil); err != nil {
 		b.Fatal(err)
 	}

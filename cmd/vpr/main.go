@@ -72,7 +72,7 @@ func main() {
 	var r *route.Result
 	ropts := route.Options{Obs: tr, Workers: *jobs}
 	if *minW {
-		ropts.Cache = rrgraph.NewCache(0)
+		ropts.Cache = rrgraph.NewCache()
 		w, rr, err := route.MinChannelWidth(p, pl, 1, a.Routing.ChannelWidth, ropts)
 		if err != nil {
 			fatal(err)

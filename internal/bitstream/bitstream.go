@@ -55,7 +55,11 @@ type PadConfig struct {
 
 // Bitstream is the full device configuration.
 type Bitstream struct {
-	Arch      *arch.Arch
+	Arch *arch.Arch
+	// Graph is the routing-resource graph the routing frame enumerates:
+	// the routed design's graph after Generate, the decoding graph after
+	// Decode. Encode and Extract reuse it instead of rebuilding it.
+	Graph     *rrgraph.Graph
 	ModelName string
 	// CLBs is indexed [x-1][y-1] over logic tiles.
 	CLBs [][]*CLBConfig
@@ -70,9 +74,10 @@ type Bitstream struct {
 	IPinOn map[[2]int]bool
 }
 
-func newBitstream(a *arch.Arch, model string) *Bitstream {
+func newBitstream(a *arch.Arch, g *rrgraph.Graph, model string) *Bitstream {
 	bs := &Bitstream{
 		Arch:      a,
+		Graph:     g,
 		ModelName: model,
 		CLBs:      make([][]*CLBConfig, a.Cols),
 		Pads:      make(map[[3]int]*PadConfig),
@@ -119,7 +124,7 @@ func Generate(pk *pack.Packing, p *place.Problem, pl *place.Placement, r *route.
 	if err := r.Validate(p, pl); err != nil {
 		return nil, err
 	}
-	bs := newBitstream(a, pk.Netlist.Name)
+	bs := newBitstream(a, g, pk.Netlist.Name)
 
 	// Routing configuration and per-connection pin bookkeeping.
 	type connKey struct {

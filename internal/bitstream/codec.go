@@ -70,22 +70,24 @@ func Encode(bs *Bitstream) ([]byte, error) {
 	}
 
 	// Configuration bits.
-	g, err := rrgraph.Build(a)
-	if err != nil {
-		return nil, err
-	}
 	w := &bitWriter{}
 	encodeCLBs(w, bs)
-	encodeRouting(w, bs, g)
+	encodeRouting(w, bs, bs.Graph)
 	_ = binary.Write(&buf, binary.BigEndian, uint32(w.Len()))
 	buf.Write(w.Bytes())
 	return buf.Bytes(), nil
 }
 
-// Decode parses a bitstream produced by Encode. The technology section of
-// the architecture is restored from the defaults (the configuration itself
-// is technology independent, paper §4.1 feature i).
-func Decode(data []byte) (*Bitstream, error) {
+// Decode parses a bitstream produced by Encode, building the routing graph
+// its header describes. The technology section of the architecture is
+// restored from the defaults (the configuration itself is technology
+// independent, paper §4.1 feature i).
+func Decode(data []byte) (*Bitstream, error) { return DecodeOn(data, nil) }
+
+// DecodeOn is Decode over a caller's graph, such as the one the design was
+// routed on, so nothing is rebuilt: it rejects a header whose grid, CLB or
+// routing parameters differ from g.Arch. A nil g builds the header's graph.
+func DecodeOn(data []byte, g *rrgraph.Graph) (*Bitstream, error) {
 	buf := bytes.NewReader(data)
 	head := make([]byte, 5)
 	if _, err := io.ReadFull(buf, head); err != nil || string(head[:4]) != magic {
@@ -131,7 +133,14 @@ func Decode(data []byte) (*Bitstream, error) {
 	if need := clbFrameBits(a); int64(buf.Len())*8 < need {
 		return nil, fmt.Errorf("bitstream: header declares a fabric needing >= %d config bits, %d bytes remain", need, buf.Len())
 	}
-	bs := newBitstream(a, model)
+	if g == nil {
+		if g, err = rrgraph.Build(a); err != nil {
+			return nil, err
+		}
+	} else if err := archCompatible(a, g.Arch); err != nil {
+		return nil, err
+	}
+	bs := newBitstream(a, g, model)
 
 	var nPads uint32
 	if err := binary.Read(buf, binary.BigEndian, &nPads); err != nil {
@@ -188,10 +197,6 @@ func Decode(data []byte) (*Bitstream, error) {
 		return nil, fmt.Errorf("bitstream: %d config bits declared, %d available", nbits, len(rest)*8)
 	}
 	r := &bitReader{buf: rest}
-	g, err := rrgraph.Build(a)
-	if err != nil {
-		return nil, err
-	}
 	if err := decodeCLBs(r, bs); err != nil {
 		return nil, err
 	}
@@ -362,7 +367,7 @@ func NumConfigBits(a *arch.Arch) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	bs := newBitstream(a, "")
+	bs := newBitstream(a, g, "")
 	w := &bitWriter{}
 	encodeCLBs(w, bs)
 	encodeRouting(w, bs, g)

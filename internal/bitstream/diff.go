@@ -3,6 +3,8 @@ package bitstream
 import (
 	"fmt"
 	"reflect"
+
+	"fpgaflow/internal/arch"
 )
 
 // Partial reconfiguration support: Diff computes the configuration delta
@@ -36,8 +38,7 @@ func (d *Delta) Size() int {
 }
 
 // archCompatible checks the fields the configuration layout depends on.
-func archCompatible(a, b *Bitstream) error {
-	x, y := a.Arch, b.Arch
+func archCompatible(x, y *arch.Arch) error {
 	if x.Rows != y.Rows || x.Cols != y.Cols || x.IORate != y.IORate {
 		return fmt.Errorf("bitstream: grids differ: %dx%d vs %dx%d", x.Cols, x.Rows, y.Cols, y.Rows)
 	}
@@ -53,7 +54,7 @@ func archCompatible(a, b *Bitstream) error {
 // Diff returns the delta that turns configuration a into configuration b.
 // Both must target the same architecture.
 func Diff(a, b *Bitstream) (*Delta, error) {
-	if err := archCompatible(a, b); err != nil {
+	if err := archCompatible(a.Arch, b.Arch); err != nil {
 		return nil, err
 	}
 	d := &Delta{
@@ -138,7 +139,7 @@ func Apply(bs *Bitstream, d *Delta) error {
 
 // Clone deep-copies a bitstream.
 func (bs *Bitstream) Clone() *Bitstream {
-	out := newBitstream(bs.Arch, bs.ModelName)
+	out := newBitstream(bs.Arch, bs.Graph, bs.ModelName)
 	for x := range bs.CLBs {
 		for y := range bs.CLBs[x] {
 			out.CLBs[x][y] = cloneCLB(bs.CLBs[x][y])

@@ -16,11 +16,7 @@ import (
 // the bitstream was generated from (internal BLE signals get synthetic
 // names).
 func Extract(bs *Bitstream) (*netlist.Netlist, error) {
-	g, err := rrgraph.Build(bs.Arch)
-	if err != nil {
-		return nil, err
-	}
-	a := bs.Arch
+	g, a := bs.Graph, bs.Arch
 
 	// Electrical nets: union-find over wires joined by enabled switches.
 	parent := make([]int, len(g.Nodes))

@@ -57,12 +57,12 @@ func init() {
 	})
 }
 
-// decodeFor returns the decoded bitstream, decoding Encoded only on the
-// first call of a RunStage pass; every calling rule reports its own
-// diagnostic when the decode fails.
+// decodeFor returns the decoded bitstream, decoding Encoded on Graph (a
+// nil Graph builds the header's) only on the first call; every calling
+// rule reports its own diagnostic when the decode fails.
 func decodeFor(a *Artifacts, rep *reporter) *bitstream.Bitstream {
 	if a.decoded == nil && a.decodeErr == nil {
-		a.decoded, a.decodeErr = bitstream.Decode(a.Encoded)
+		a.decoded, a.decodeErr = bitstream.DecodeOn(a.Encoded, a.Graph)
 	}
 	if a.decodeErr != nil {
 		rep.add("", "decode failed: %v", a.decodeErr)

@@ -127,6 +127,11 @@ type Artifacts struct {
 	decodeErr error
 }
 
+// Decoded returns the bitstream the last RunStage pass decoded from
+// Encoded on Graph, or nil when no bitstream rule ran or the decode
+// failed, so a caller can reuse that one decode.
+func (a *Artifacts) Decoded() *bitstream.Bitstream { return a.decoded }
+
 func (a *Artifacts) disabled(id string) bool {
 	for _, d := range a.Disable {
 		if d == id {

@@ -6,9 +6,9 @@ import (
 	"fpgaflow/internal/place"
 )
 
-// Defect-aware rules: when a run carries a fault.DefectMap (or routes over
-// a masked RR graph), verify that no configured resource lands on a
-// defect. These are the flow's guarantee that "defect-aware" is not just a
+// Defect-aware rules: when a run carries a fault.DefectMap (or a routing
+// carries its fault.Overlay), verify that no configured resource lands on
+// a defect. These are the flow's guarantee that "defect-aware" is not just a
 // cost tweak: a placement on a bad site, a route through a dead wire or a
 // truth table fighting a stuck configuration bit all fail the stage.
 
@@ -27,11 +27,9 @@ func init() {
 		ID:       "route/dead-resource",
 		Stage:    StageRoute,
 		Severity: Error,
-		Doc:      "a net's route tree uses an RR node masked dead by the defect map",
-		Applies: func(a *Artifacts) bool {
-			return hasRouting(a) && a.Routing.Graph.DeadCount() > 0
-		},
-		Run: runDeadResource,
+		Doc:      "a net's route tree uses an RR node or a switch the defect map masks dead",
+		Applies:  func(a *Artifacts) bool { return hasRouting(a) && a.Routing.Defects != nil },
+		Run:      runDeadResource,
 	})
 	register(Rule{
 		ID:       "bitstream/stuck-bit",
@@ -62,7 +60,8 @@ func runDefectiveSite(a *Artifacts, rep *reporter) {
 
 func runDeadResource(a *Artifacts, rep *reporter) {
 	r, p := a.Routing, a.Problem
-	g := r.Graph
+	g, ov := r.Graph, r.Defects
+	valid := func(id int) bool { return id >= 0 && id < len(g.Nodes) }
 	for ni, nr := range r.Routes {
 		if nr == nil {
 			continue
@@ -71,9 +70,16 @@ func runDeadResource(a *Artifacts, rep *reporter) {
 		if ni < len(p.Nets) {
 			signal = p.Nets[ni].Signal
 		}
-		for id := range nr.Nodes() {
-			if id >= 0 && id < len(g.Nodes) && g.Dead(id) {
+		for _, id := range nr.NodeList() {
+			if valid(id) && ov.Dead(id) {
 				rep.add(signal, "route uses dead resource %s", rrNodeName(g.Nodes[id]))
+			}
+		}
+		for _, path := range nr.Paths {
+			for i := 0; i+1 < len(path); i++ {
+				if valid(path[i]) && valid(path[i+1]) && ov.Cut(path[i], path[i+1]) {
+					rep.add(signal, "route uses dead switch %s", edgeName(g, [2]int{path[i], path[i+1]}))
+				}
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"fpgaflow/internal/obs"
 	"fpgaflow/internal/place"
 	"fpgaflow/internal/route"
+	"fpgaflow/internal/rrgraph"
 )
 
 // The hardened-runner contract under fault injection: the flow either
@@ -76,6 +78,18 @@ func TestFlowRoutesAroundDeadSwitches(t *testing.T) {
 			t.Errorf("counter %s not materialized", name)
 		}
 	}
+	// Defects live in the routing's overlay: the run's shared graph, which
+	// DAGGER and Verify also read, stays edge-for-edge a fresh Build.
+	if ov := res.Routed.Defects; ov == nil || ov.EdgesRemoved == 0 {
+		t.Fatal("routing carries no defect overlay")
+	}
+	fresh, err := rrgraph.Build(res.Routed.Graph.Arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Routed.Graph.NumEdges() != fresh.NumEdges() || !reflect.DeepEqual(res.Routed.Graph.Nodes, fresh.Nodes) {
+		t.Error("defect-aware flow modified the shared RR graph")
+	}
 }
 
 // TestFlowAvoidsDefectiveSites checks every defect class end to end on a
@@ -124,7 +138,7 @@ func TestFlowAvoidsDefectiveSites(t *testing.T) {
 					continue
 				}
 				for id := range nr.Nodes() {
-					if res.Routed.Graph.Dead(id) {
+					if res.Routed.Defects.Dead(id) {
 						t.Errorf("route uses dead RR node %d", id)
 					}
 				}

@@ -88,12 +88,6 @@ type Options struct {
 	// routes serially. The routing result is identical for every value —
 	// see route.Options.Workers.
 	RouteWorkers int
-	// RRCache, when set, memoizes routing-resource graphs across channel
-	// width trials and flow attempts (keyed by the full architecture
-	// fingerprint; defect masks are re-applied to a private clone per
-	// trial). The hardened runner installs a shared cache automatically, so
-	// this only needs setting to share a cache across independent runs.
-	RRCache *rrgraph.Cache
 	// FixedPads pins primary input pads ("a") and output pads ("out:a") to
 	// grid locations, keeping the pinout stable across compilations.
 	FixedPads map[string]place.Location
@@ -114,8 +108,8 @@ type Options struct {
 	// (see docs/CHECKS.md for the rule list and suppression policy).
 	DisableChecks []string
 	// Defects injects an imperfect fabric (see internal/fault): placement
-	// avoids defective sites, routing masks dead wires and switches
-	// (re-applied at every channel-width escalation), and the stage-boundary
+	// avoids defective sites, routing avoids dead wires and switches
+	// (resolved on every channel-width trial), and the stage-boundary
 	// checks verify no configured resource lands on a defect. Injection
 	// totals are reported on fault.* counters.
 	Defects *fault.DefectMap
@@ -311,6 +305,13 @@ type flow struct {
 	working *netlist.Netlist // SIS output, the LUT mapper's input
 	width   int              // Arch's channel width before any route stage widened it
 
+	// rr holds the run's routing-resource graphs, one per architecture
+	// (channel width) routed, shared by every attempt and every stage.
+	rr *rrgraph.Cache
+	// decoded is Encoded decoded on the routed graph by the DAGGER checks;
+	// Verify reuses it (nil when those checks did not run).
+	decoded *bitstream.Bitstream
+
 	// saved[i] is the result as stage i last found it on entry; a retry
 	// resuming at stage i restores it, so re-run stages replace their
 	// records and artifacts instead of appending to them.
@@ -341,6 +342,7 @@ func (f *flow) attempt(ctx context.Context, o Options, from string) (*Result, er
 // parses the input.
 func (f *flow) start() error {
 	f.Result, f.saved = &Result{tr: f.opts.Obs}, make([]Result, len(stages))
+	f.rr = rrgraph.NewCache()
 	a := f.opts.Arch
 	if a == nil {
 		a = arch.Paper()
@@ -540,7 +542,7 @@ func (f *flow) vprPlace(sctx context.Context) (string, error) {
 func (f *flow) vprRoute(sctx context.Context) (string, error) {
 	opts, a := &f.opts, f.Arch
 	ropts := route.Options{MaxIters: opts.RouteMaxIters, Base: profiles[opts.Profile].routeBase, Obs: f.tr,
-		Ctx: sctx, Workers: opts.RouteWorkers, Cache: opts.RRCache}
+		Ctx: sctx, Workers: opts.RouteWorkers, Cache: f.rr, Defects: opts.Defects}
 	if profiles[opts.Profile].critRoute {
 		pk, p, pl := f.Packing, f.Problem, f.Placed
 		ropts.Criticality = func(g *rrgraph.Graph, routes []*route.NetRoute) []float64 {
@@ -556,16 +558,6 @@ func (f *flow) vprRoute(sctx context.Context) (string, error) {
 			return nc
 		}
 	}
-	if opts.Defects != nil {
-		// Re-applied at every channel-width trial: defects are keyed by
-		// structural coordinates, so they survive RR-graph rebuilds and
-		// any tracks added by escalation are defect-free.
-		ropts.Mask = func(g *rrgraph.Graph) {
-			st := opts.Defects.Apply(g)
-			f.tr.Add("fault.rr_dead_nodes", int64(st.DeadWires))
-			f.tr.Add("fault.rr_edges_removed", int64(st.EdgesRemoved))
-		}
-	}
 	if opts.MinChannelWidth {
 		w, r, err := route.MinChannelWidth(f.Problem, f.Placed, 1, a.Routing.ChannelWidth, ropts)
 		if err != nil {
@@ -574,12 +566,9 @@ func (f *flow) vprRoute(sctx context.Context) (string, error) {
 		a.Routing.ChannelWidth = w
 		f.Routed = r
 	} else {
-		g, err := opts.RRCache.Get(a, f.tr)
+		g, err := f.rr.Get(a, f.tr)
 		if err != nil {
 			return "", err
-		}
-		if ropts.Mask != nil {
-			ropts.Mask(g)
 		}
 		r, err := route.Route(f.Problem, f.Placed, g, ropts)
 		if err != nil {
@@ -665,21 +654,28 @@ func (f *flow) dagger(context.Context) (string, error) {
 	}
 	f.Metrics.BitstreamBits = len(f.Encoded) * 8
 	f.tr.Add("flow.bitstream_bits", int64(f.Metrics.BitstreamBits))
-	return fmt.Sprintf("%d bytes", len(f.Encoded)),
-		f.runChecks(check.StageBitstream, &check.Artifacts{
-			Encoded: f.Encoded, Arch: f.Arch, Packing: f.Packing,
-			Problem: f.Problem, Placement: f.Placed,
-			Graph: f.Routed.Graph, Routing: f.Routed,
-			Bitstream: bs,
-		})
+	arts := &check.Artifacts{
+		Encoded: f.Encoded, Arch: f.Arch, Packing: f.Packing,
+		Problem: f.Problem, Placement: f.Placed,
+		Graph: f.Routed.Graph, Routing: f.Routed,
+		Bitstream: bs,
+	}
+	err = f.runChecks(check.StageBitstream, arts)
+	f.decoded = arts.Decoded()
+	return fmt.Sprintf("%d bytes", len(f.Encoded)), err
 }
 
-// verify decodes the bitstream, extracts its netlist and checks it is
-// equivalent to the source.
+// verify decodes the bitstream (or reuses the DAGGER checks' decode),
+// extracts its netlist and checks it is equivalent to the source. The
+// routed graph is immutable, so the decode depends only on the encoded
+// bytes and the architecture, never on the routing.
 func (f *flow) verify(context.Context) (string, error) {
-	bs, err := bitstream.Decode(f.Encoded)
-	if err != nil {
-		return "", err
+	bs := f.decoded
+	if bs == nil {
+		var err error
+		if bs, err = bitstream.DecodeOn(f.Encoded, f.Routed.Graph); err != nil {
+			return "", err
+		}
 	}
 	extracted, err := bitstream.Extract(bs)
 	if err != nil {

@@ -2,11 +2,15 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"os"
 	"strings"
 	"testing"
 
+	"fpgaflow/internal/arch"
 	"fpgaflow/internal/circuits"
 	"fpgaflow/internal/obs"
+	"fpgaflow/internal/obs/events"
 )
 
 // TestFlowEmitsSpanPerStage runs the complete flow with an explicit trace
@@ -134,4 +138,62 @@ func TestFlowWithoutTraceStillTimesStages(t *testing.T) {
 			t.Errorf("stage %q Duration = %v without a trace, want > 0", st.Tool, st.Duration)
 		}
 	}
+}
+
+// TestOneRRGraphPerWidth pins the build-count contract: a compile builds
+// the routing-resource graph once per distinct architecture it routes,
+// through the run's cache, and DAGGER, the bitstream checks and Verify
+// reuse the routed graph, so rrgraph.cache_misses is the compile's build
+// count. A fixed-width compile builds once; pipe48 escalating from W=8
+// builds once per width routed.
+func TestOneRRGraphPerWidth(t *testing.T) {
+	compile := func(t *testing.T, design string, opts Options) (map[string]int64, map[int]bool) {
+		t.Helper()
+		blif, err := os.ReadFile("../../examples/netlists/" + design + ".blif")
+		if err != nil {
+			t.Fatal(err)
+		}
+		widths := map[int]bool{}
+		bus := events.NewBus(0)
+		bus.AddSink(func(ev events.Event) {
+			if ev.Kind == events.KindRouteCongestion {
+				widths[ev.RouteCongestion.Width] = true
+			}
+		})
+		opts.Obs = obs.New(design)
+		opts.Obs.SetEvents(bus)
+		f := &flow{blif: string(blif), entry: stageIndex("SIS")}
+		res, err := runRetry(context.Background(), opts, f.attempt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Verified {
+			t.Fatal("unverified bitstream")
+		}
+		// No stage after routing built a graph of its own.
+		if res.Bits.Graph != res.Routed.Graph {
+			t.Error("DAGGER generated on a graph other than the routed one")
+		}
+		if f.decoded == nil || f.decoded.Graph != res.Routed.Graph {
+			t.Error("the bitstream checks and Verify did not share one decode on the routed graph")
+		}
+		return opts.Obs.Counters(), widths
+	}
+	t.Run("rand64", func(t *testing.T) {
+		c, _ := compile(t, "rand64", Options{Seed: 1})
+		if c["rrgraph.cache_misses"] != 1 {
+			t.Errorf("rrgraph.cache_misses = %d, want 1", c["rrgraph.cache_misses"])
+		}
+	})
+	t.Run("pipe48-escalate", func(t *testing.T) {
+		a := arch.Paper()
+		a.Routing.ChannelWidth = 8
+		c, widths := compile(t, "pipe48", Options{Seed: 1, Arch: a, AutoSizeGrid: true, Retry: DefaultRetryPolicy()})
+		if c["flow.degraded"] != 1 {
+			t.Fatalf("flow.degraded = %d; pipe48 must escalate from W=8", c["flow.degraded"])
+		}
+		if c["rrgraph.cache_misses"] != int64(len(widths)) {
+			t.Errorf("rrgraph.cache_misses = %d for %d distinct widths routed", c["rrgraph.cache_misses"], len(widths))
+		}
+	})
 }

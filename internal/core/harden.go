@@ -9,7 +9,6 @@ import (
 	"fpgaflow/internal/obs/events"
 	"fpgaflow/internal/place"
 	"fpgaflow/internal/route"
-	"fpgaflow/internal/rrgraph"
 )
 
 // StageError is the structured failure of one flow stage: which tool
@@ -117,12 +116,6 @@ const reseedStep = 104729
 // metrics consumers can rely on them.
 func runRetry(ctx context.Context, opts Options, attempt func(ctx context.Context, o Options, from string) (*Result, error)) (*Result, error) {
 	opts.fill()
-	if opts.RRCache == nil {
-		// One cache per hardened run: re-seeded retries and channel-width
-		// escalation revisit the same (arch, W) graphs, and each trial gets a
-		// private clone so per-attempt defect masks never cross-contaminate.
-		opts.RRCache = rrgraph.NewCache(0)
-	}
 	tr := opts.Obs
 	tr.Counter("flow.attempts")
 	tr.Counter("flow.retries")

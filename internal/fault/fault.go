@@ -11,8 +11,9 @@
 // Generate) and is applied to concrete artifacts by the flow:
 //
 //   - place avoids sites in BadSiteSet (Options.Bad),
-//   - route masks dead wires and removes dead switch edges via Apply
-//     (re-applied at every channel-width escalation through route.Options.Mask),
+//   - route resolves the map to an Overlay of dead nodes and removed switch
+//     edges on every graph it routes (route.Options.Defects, once per
+//     channel-width trial); the shared graph itself is never modified,
 //   - check verifies no configured resource lands on a defect
 //     (place/defective-site, route/dead-resource, bitstream/stuck-bit).
 //
@@ -208,44 +209,66 @@ func (dm *DefectMap) Summary() string {
 		dm.Cols, dm.Rows, dm.ChannelWidth)
 }
 
-// ApplyStats reports what an Apply call actually masked on a concrete
-// graph (out-of-range references are skipped, so applied counts can be
-// lower than the map's totals).
-type ApplyStats struct {
-	DeadWires    int
-	DeadSwitches int
-	EdgesRemoved int
+// Overlay is a defect map resolved against one routing-resource graph:
+// the nodes it kills and the switch edges it removes. The graph itself is
+// never modified, so one graph per architecture serves defective and
+// pristine routings alike; a nil *Overlay is a pristine fabric. Dead
+// nodes keep their IDs, so the bitstream's bit enumeration is unchanged.
+type Overlay struct {
+	dead []bool
+	// cutFrom marks nodes with at least one removed out-edge, so only
+	// those pay the cut-set lookup.
+	cutFrom []bool
+	cut     map[[2]int]bool
+	// DeadNodes and EdgesRemoved count the distinct nodes and directed
+	// edges masked; out-of-range references are skipped, so they can be
+	// lower than the map's totals.
+	DeadNodes, EdgesRemoved int
 }
 
-// Apply masks the map onto a routing-resource graph: dead wires are marked
-// unusable and dead switch points lose every wire-wire edge among their
-// incident wires. Apply is idempotent and safe on a nil map.
-func (dm *DefectMap) Apply(g *rrgraph.Graph) ApplyStats {
-	var st ApplyStats
+// Overlay resolves the map on g: dead wires become dead nodes, and each
+// dead switch point removes every wire-wire edge among its incident
+// wires. Nil on a nil map.
+func (dm *DefectMap) Overlay(g *rrgraph.Graph) *Overlay {
 	if dm == nil {
-		return st
+		return nil
 	}
+	o := &Overlay{dead: make([]bool, len(g.Nodes)), cutFrom: make([]bool, len(g.Nodes)),
+		cut: make(map[[2]int]bool)}
 	for _, w := range dm.DeadWires {
-		if id, ok := g.WireID(w.Vertical, w.X, w.Y, w.Track); ok {
-			g.MarkDead(id)
-			st.DeadWires++
+		if id, ok := g.WireID(w.Vertical, w.X, w.Y, w.Track); ok && !o.dead[id] {
+			o.dead[id] = true
+			o.DeadNodes++
 		}
 	}
 	for _, sw := range dm.DeadSwitches {
 		ids := g.SwitchPointWires(sw.X, sw.Y, sw.Track)
-		if len(ids) < 2 {
-			continue
-		}
-		st.DeadSwitches++
-		for i := 0; i < len(ids); i++ {
-			for j := 0; j < len(ids); j++ {
-				if i != j && g.RemoveEdge(ids[i], ids[j]) {
-					st.EdgesRemoved++
+		for _, from := range ids {
+			for _, to := range ids {
+				k := [2]int{from, to}
+				if from != to && !o.cut[k] && g.HasEdge(from, to) {
+					o.cut[k], o.cutFrom[from] = true, true
+					o.EdgesRemoved++
 				}
 			}
 		}
 	}
-	return st
+	return o
+}
+
+// Dead reports whether node id is masked as defective.
+func (o *Overlay) Dead(id int) bool { return o != nil && o.dead[id] }
+
+// Cut reports whether the directed edge from -> to is a removed switch.
+func (o *Overlay) Cut(from, to int) bool {
+	return o != nil && o.cutFrom[from] && o.cut[[2]int{from, to}]
+}
+
+// Blocked reports whether a path may not step from -> to: the target is
+// dead or the switch between them is removed. A nil overlay costs one
+// nil check.
+func (o *Overlay) Blocked(from, to int) bool {
+	return o != nil && (o.dead[to] || o.Cut(from, to))
 }
 
 // BadSiteSet returns the placement exclusion set: every defective CLB and

@@ -57,28 +57,55 @@ func TestGenerateZeroRatesIsClean(t *testing.T) {
 }
 
 // TestEveryDefectClassApplies verifies, class by class, that an injected
-// defect lands where the flow will see it: wire/switch defects mask the RR
-// graph, site defects populate the placement exclusion set, and stuck bits
-// are retrievable per site.
+// defect lands where the flow will see it: wire/switch defects populate the
+// RR-graph overlay, site defects populate the placement exclusion set, and
+// stuck bits are retrievable per site.
 func TestEveryDefectClassApplies(t *testing.T) {
 	a := testArch()
 	cases := []struct {
 		name  string
 		rates Rates
-		check func(t *testing.T, dm *DefectMap, g *rrgraph.Graph, st ApplyStats)
+		check func(t *testing.T, dm *DefectMap, g *rrgraph.Graph, ov *Overlay)
 	}{
-		{"dead-wire", Rates{DeadWire: 0.1}, func(t *testing.T, dm *DefectMap, g *rrgraph.Graph, st ApplyStats) {
-			if st.DeadWires != len(dm.DeadWires) || g.DeadCount() != st.DeadWires {
-				t.Errorf("applied %d of %d dead wires (graph reports %d)",
-					st.DeadWires, len(dm.DeadWires), g.DeadCount())
+		{"dead-wire", Rates{DeadWire: 0.1}, func(t *testing.T, dm *DefectMap, g *rrgraph.Graph, ov *Overlay) {
+			if ov.DeadNodes != len(dm.DeadWires) {
+				t.Errorf("overlay kills %d nodes for %d dead wires", ov.DeadNodes, len(dm.DeadWires))
+			}
+			dead := 0
+			for id := range g.Nodes {
+				if ov.Dead(id) {
+					dead++
+				}
+			}
+			if dead != ov.DeadNodes {
+				t.Errorf("overlay reports %d dead nodes, marks %d", ov.DeadNodes, dead)
+			}
+			for _, w := range dm.DeadWires {
+				if id, ok := g.WireID(w.Vertical, w.X, w.Y, w.Track); !ok || !ov.Dead(id) {
+					t.Errorf("dead wire %+v not masked", w)
+				}
 			}
 		}},
-		{"dead-switch", Rates{DeadSwitch: 0.1}, func(t *testing.T, dm *DefectMap, g *rrgraph.Graph, st ApplyStats) {
-			if st.EdgesRemoved == 0 {
+		{"dead-switch", Rates{DeadSwitch: 0.1}, func(t *testing.T, dm *DefectMap, g *rrgraph.Graph, ov *Overlay) {
+			if ov.EdgesRemoved == 0 {
 				t.Errorf("%d dead switches removed no edges", len(dm.DeadSwitches))
 			}
+			cut := 0
+			for _, n := range g.Nodes {
+				for _, e := range n.Edges {
+					if ov.Cut(n.ID, e) {
+						if !ov.Blocked(n.ID, e) {
+							t.Errorf("removed edge %d->%d not blocked", n.ID, e)
+						}
+						cut++
+					}
+				}
+			}
+			if cut != ov.EdgesRemoved {
+				t.Errorf("overlay reports %d removed edges, cuts %d", ov.EdgesRemoved, cut)
+			}
 		}},
-		{"bad-clb", Rates{BadCLB: 0.3}, func(t *testing.T, dm *DefectMap, g *rrgraph.Graph, st ApplyStats) {
+		{"bad-clb", Rates{BadCLB: 0.3}, func(t *testing.T, dm *DefectMap, g *rrgraph.Graph, ov *Overlay) {
 			set := dm.BadSiteSet()
 			if len(set) != len(dm.BadCLBs) {
 				t.Errorf("BadSiteSet has %d entries for %d bad CLBs", len(set), len(dm.BadCLBs))
@@ -89,7 +116,7 @@ func TestEveryDefectClassApplies(t *testing.T) {
 				}
 			}
 		}},
-		{"bad-io", Rates{BadIO: 0.3}, func(t *testing.T, dm *DefectMap, g *rrgraph.Graph, st ApplyStats) {
+		{"bad-io", Rates{BadIO: 0.3}, func(t *testing.T, dm *DefectMap, g *rrgraph.Graph, ov *Overlay) {
 			set := dm.BadSiteSet()
 			for _, s := range dm.BadIOs {
 				if !set[[2]int{s.X, s.Y}] {
@@ -97,7 +124,7 @@ func TestEveryDefectClassApplies(t *testing.T) {
 				}
 			}
 		}},
-		{"stuck-bit", Rates{StuckBit: 0.01}, func(t *testing.T, dm *DefectMap, g *rrgraph.Graph, st ApplyStats) {
+		{"stuck-bit", Rates{StuckBit: 0.01}, func(t *testing.T, dm *DefectMap, g *rrgraph.Graph, ov *Overlay) {
 			if len(dm.StuckBits) == 0 {
 				t.Fatal("no stuck bits generated")
 			}
@@ -126,12 +153,14 @@ func TestEveryDefectClassApplies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st := dm.Apply(g)
-			tc.check(t, dm, g, st)
+			tc.check(t, dm, g, dm.Overlay(g))
 		})
 	}
 }
 
+// TestApplyIsIdempotent: resolving a map never modifies the graph, twice
+// gives the same overlay, and listing every defect twice masks nothing
+// more (no double counting).
 func TestApplyIsIdempotent(t *testing.T) {
 	a := testArch()
 	dm, err := Generate(a, 3, Rates{DeadWire: 0.1, DeadSwitch: 0.1})
@@ -142,17 +171,29 @@ func TestApplyIsIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := dm.Apply(g)
 	edges := g.NumEdges()
-	second := dm.Apply(g)
-	if second.EdgesRemoved != 0 {
-		t.Errorf("second Apply removed %d more edges", second.EdgesRemoved)
+	first := dm.Overlay(g)
+	if first.DeadNodes == 0 || first.EdgesRemoved == 0 {
+		t.Fatalf("map masked nothing: %+v", first)
+	}
+	if !reflect.DeepEqual(first, dm.Overlay(g)) {
+		t.Error("resolving the same map twice gave different overlays")
+	}
+	doubled := *dm
+	doubled.DeadWires = append(append([]WireRef(nil), dm.DeadWires...), dm.DeadWires...)
+	doubled.DeadSwitches = append(append([]SwitchRef(nil), dm.DeadSwitches...), dm.DeadSwitches...)
+	if !reflect.DeepEqual(first, doubled.Overlay(g)) {
+		t.Error("repeating every defect changed the overlay")
 	}
 	if g.NumEdges() != edges {
-		t.Errorf("edge count drifted %d -> %d on re-apply", edges, g.NumEdges())
+		t.Errorf("edge count drifted %d -> %d while resolving overlays", edges, g.NumEdges())
 	}
-	if g.DeadCount() != first.DeadWires {
-		t.Errorf("dead count %d != applied wires %d", g.DeadCount(), first.DeadWires)
+	fresh, err := rrgraph.Build(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(g.Nodes, fresh.Nodes) {
+		t.Error("resolving an overlay modified the graph")
 	}
 }
 
@@ -162,8 +203,12 @@ func TestApplyNilMapIsNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	var dm *DefectMap
-	if st := dm.Apply(g); st != (ApplyStats{}) {
-		t.Errorf("nil map applied defects: %+v", st)
+	ov := dm.Overlay(g)
+	if ov != nil {
+		t.Errorf("nil map resolved to an overlay: %+v", ov)
+	}
+	if ov.Dead(0) || ov.Cut(0, 1) || ov.Blocked(0, 1) {
+		t.Error("nil overlay masks resources")
 	}
 	if dm.Count() != 0 || dm.BadSiteSet() != nil || dm.StuckBitsAt(1, 1) != nil {
 		t.Error("nil map accessors not inert")

@@ -13,6 +13,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,6 +22,8 @@ import (
 	"fpgaflow/internal/check"
 	"fpgaflow/internal/fault"
 	"fpgaflow/internal/netlist"
+	"fpgaflow/internal/obs"
+	"fpgaflow/internal/obs/events"
 	"fpgaflow/internal/pack"
 	"fpgaflow/internal/place"
 	"fpgaflow/internal/route"
@@ -160,11 +164,26 @@ func TestPropertyRandomNetlistsRouteClean(t *testing.T) {
 	}
 }
 
+// routesPerWidth subscribes to tr's event stream and counts the Route
+// calls at each channel width (every call ends with one route_congestion
+// event carrying its graph's width).
+func routesPerWidth(tr *obs.Trace) map[int]int {
+	perW := map[int]int{}
+	bus := events.NewBus(0)
+	bus.AddSink(func(ev events.Event) {
+		if ev.Kind == events.KindRouteCongestion {
+			perW[ev.RouteCongestion.Width]++
+		}
+	})
+	tr.SetEvents(bus)
+	return perW
+}
+
 // TestDefectMaskReappliedAtEscalatedWidthFromCache is the regression test
-// for Options.Mask + Options.Cache: every channel-width trial of the binary
-// search must receive a private clone with the defect map re-applied, and
-// the mask of one trial (or one whole search) must never leak into graphs
-// the cache serves later.
+// for Options.Defects + Options.Cache: every channel-width trial of the
+// binary search must resolve the defect map on its own graph, and no
+// trial (or whole search) may change the shared graphs the cache serves
+// later.
 func TestDefectMaskReappliedAtEscalatedWidthFromCache(t *testing.T) {
 	p, pl := placeRandom(t, 3)
 	dm, err := fault.Generate(p.Arch, 7, fault.Rates{DeadWire: 0.08, DeadSwitch: 0.05})
@@ -174,24 +193,42 @@ func TestDefectMaskReappliedAtEscalatedWidthFromCache(t *testing.T) {
 	if dm.Count() == 0 {
 		t.Fatal("defect map empty; raise rates")
 	}
-	cache := rrgraph.NewCache(0)
-	maskApplied := 0
-	masked := route.Options{Cache: cache, Mask: func(g *rrgraph.Graph) {
-		st := dm.Apply(g)
-		if st.DeadWires == 0 {
-			t.Error("trial graph had no wire to mask")
-		}
-		maskApplied++
-	}}
-	w1, r1, err := route.MinChannelWidth(p, pl, 1, p.Arch.Routing.ChannelWidth, masked)
+	cache := rrgraph.NewCache()
+	tr := obs.New("masked")
+	perW := routesPerWidth(tr)
+	w1, r1, err := route.MinChannelWidth(p, pl, 1, p.Arch.Routing.ChannelWidth,
+		route.Options{Cache: cache, Defects: dm, Obs: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if maskApplied < 2 {
-		t.Fatalf("mask applied %d times; the binary search must re-mask every trial", maskApplied)
+	trials := 0
+	var wantDead, wantCut int64
+	for w, n := range perW {
+		trials += n
+		a := p.Arch.Clone()
+		a.Routing.ChannelWidth = w
+		g, err := rrgraph.Build(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ov := dm.Overlay(g)
+		if ov.DeadNodes == 0 {
+			t.Errorf("W=%d trial graph had no wire to mask", w)
+		}
+		wantDead += int64(n * ov.DeadNodes)
+		wantCut += int64(n * ov.EdgesRemoved)
 	}
-	if r1.Graph.DeadCount() == 0 {
-		t.Fatal("final trial graph lost its defect mask")
+	if trials < 2 {
+		t.Fatalf("%d trials; the binary search must re-mask every trial", trials)
+	}
+	// Every trial masked exactly its own width's overlay.
+	c := tr.Counters()
+	if c["fault.rr_dead_nodes"] != wantDead || c["fault.rr_edges_removed"] != wantCut {
+		t.Errorf("masked %d nodes / %d edges over %d trials, want %d / %d",
+			c["fault.rr_dead_nodes"], c["fault.rr_edges_removed"], trials, wantDead, wantCut)
+	}
+	if r1.Defects == nil || r1.Defects.DeadNodes == 0 {
+		t.Fatal("final trial routing lost its defect overlay")
 	}
 	// The routing must not use a defective resource (the flow's
 	// route/dead-resource rule, here on a defect-carrying artifact set).
@@ -204,23 +241,139 @@ func TestDefectMaskReappliedAtEscalatedWidthFromCache(t *testing.T) {
 		}
 	}
 
-	// A second search from the SAME cache without a mask must see pristine
+	// A second search from the SAME cache without defects must see pristine
 	// graphs at every width — including the widths the masked search
 	// already populated (cache hits).
-	pristine := route.Options{Cache: cache}
-	w2, r2, err := route.MinChannelWidth(p, pl, 1, p.Arch.Routing.ChannelWidth, pristine)
+	tr2 := obs.New("pristine")
+	w2, r2, err := route.MinChannelWidth(p, pl, 1, p.Arch.Routing.ChannelWidth,
+		route.Options{Cache: cache, Obs: tr2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.Graph.DeadCount() != 0 {
-		t.Fatalf("defect mask leaked through the cache: %d dead nodes in unmasked trial", r2.Graph.DeadCount())
+	if r2.Defects != nil {
+		t.Fatalf("defect overlay leaked into an unmasked search: %d dead nodes", r2.Defects.DeadNodes)
 	}
-	hits, misses := cache.Stats()
-	if hits == 0 {
-		t.Fatalf("second search never hit the cache (hits=%d misses=%d)", hits, misses)
+	if hits := tr2.Counters()["rrgraph.cache_hits"]; hits == 0 {
+		t.Fatal("second search never hit the cache")
+	}
+	fresh, err := rrgraph.Build(r1.Graph.Arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(r1.Graph.Nodes, fresh.Nodes) {
+		t.Error("the masked search modified the shared graph")
 	}
 	// Masking wires can only cost channel width, never gain it.
 	if w1 < w2 {
 		t.Errorf("masked min width %d < pristine min width %d", w1, w2)
+	}
+}
+
+// TestMinChannelWidthRoutesEachWidthOnce: routing is deterministic, so a
+// width the growth phase found unroutable must not be routed (or its graph
+// requested) again by the binary search.
+func TestMinChannelWidthRoutesEachWidthOnce(t *testing.T) {
+	p, pl := placeRandom(t, 3)
+	tr := obs.New("minw")
+	perW := routesPerWidth(tr)
+	w, _, err := route.MinChannelWidth(p, pl, 1, 1, route.Options{Cache: rrgraph.NewCache(), Obs: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perW[1] == 0 || w < 3 {
+		t.Fatalf("min width %d: the growth phase must fail at least twice for this test", w)
+	}
+	for width, n := range perW {
+		if n != 1 {
+			t.Errorf("W=%d routed %d times", width, n)
+		}
+	}
+	c := tr.Counters()
+	if c["rrgraph.cache_hits"] != 0 || c["rrgraph.cache_misses"] != int64(len(perW)) ||
+		c["route.width_trials"] != int64(len(perW)) {
+		t.Errorf("graph requests: %d hits, %d misses, %d trials for %d distinct widths",
+			c["rrgraph.cache_hits"], c["rrgraph.cache_misses"], c["route.width_trials"], len(perW))
+	}
+}
+
+// TestDefectiveRouteRejected: a route through a dead wire or a removed
+// switch must fail both Result.Validate and the route/dead-resource rule,
+// even though the pristine graph has the node and the edge.
+func TestDefectiveRouteRejected(t *testing.T) {
+	p, pl := placeRandom(t, 1)
+	g, err := rrgraph.Build(p.Arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := route.Route(p, pl, g, route.Options{})
+	if err != nil || !r.Success {
+		t.Fatalf("route failed: %v", err)
+	}
+	isWire := func(id int) bool { return g.Nodes[id].Type == rrgraph.ChanX || g.Nodes[id].Type == rrgraph.ChanY }
+	// The first wire and the first wire-wire switch any route uses.
+	wire, hop := -1, [2]int{-1, -1}
+	for _, nr := range r.Routes {
+		for _, path := range nr.Paths {
+			for i, id := range path {
+				if wire < 0 && isWire(id) {
+					wire = id
+				}
+				if hop[0] < 0 && i+1 < len(path) && isWire(id) && isWire(path[i+1]) {
+					hop = [2]int{id, path[i+1]}
+				}
+			}
+		}
+	}
+	if wire < 0 || hop[0] < 0 {
+		t.Fatal("routing uses no wire-wire switch")
+	}
+	n := g.Nodes[wire]
+	deadWire := &fault.DefectMap{DeadWires: []fault.WireRef{
+		{Vertical: n.Type == rrgraph.ChanY, X: n.X, Y: n.Y, Track: n.Track}}}
+	deadSwitch := &fault.DefectMap{}
+	for x := 0; x <= p.Arch.Cols && len(deadSwitch.DeadSwitches) == 0; x++ {
+		for y := 0; y <= p.Arch.Rows; y++ {
+			track := g.Nodes[hop[0]].Track
+			ids := g.SwitchPointWires(x, y, track)
+			if slices.Contains(ids, hop[0]) && slices.Contains(ids, hop[1]) {
+				deadSwitch.DeadSwitches = []fault.SwitchRef{{X: x, Y: y, Track: track}}
+				break
+			}
+		}
+	}
+	if len(deadSwitch.DeadSwitches) == 0 {
+		t.Fatalf("no switch point joins wires %d and %d", hop[0], hop[1])
+	}
+	for _, tc := range []struct {
+		name string
+		dm   *fault.DefectMap
+		want string
+	}{
+		{"dead-wire", deadWire, "defective node"},
+		{"dead-switch", deadSwitch, "defective switch"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r.Defects = tc.dm.Overlay(g)
+			defer func() { r.Defects = nil }()
+			if tc.name == "dead-switch" && r.Defects.DeadNodes != 0 {
+				t.Fatal("a dead switch must not kill nodes")
+			}
+			if err := r.Validate(p, pl); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Validate = %v, want a %q error", err, tc.want)
+			}
+			rep := check.RunStage(check.StageRoute, &check.Artifacts{
+				Graph: g, Routing: r, Problem: p, Placement: pl, Defects: tc.dm,
+			})
+			fired := false
+			for _, d := range rep.Diags {
+				fired = fired || d.Rule == "route/dead-resource"
+			}
+			if !fired {
+				t.Error("route/dead-resource did not fire")
+			}
+		})
+	}
+	if err := r.Validate(p, pl); err != nil {
+		t.Errorf("pristine routing rejected: %v", err)
 	}
 }

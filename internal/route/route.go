@@ -18,6 +18,7 @@ import (
 	"runtime"
 	"sync"
 
+	"fpgaflow/internal/fault"
 	"fpgaflow/internal/obs"
 	"fpgaflow/internal/obs/events"
 	"fpgaflow/internal/place"
@@ -85,21 +86,23 @@ type Options struct {
 	// rip-up-and-reroute iteration and returns the context's error. nil
 	// means no cancellation.
 	Ctx context.Context
-	// Mask is applied to every routing graph the router builds itself
-	// (MinChannelWidth builds one per width trial). Fault injection uses it
-	// to carry a defect map across channel-width escalation; nil is a no-op.
-	Mask func(*rrgraph.Graph)
+	// Defects is the defective fabric to route around: every Route call
+	// resolves it to a fault.Overlay on its graph, so the map follows the
+	// design across channel-width trials (tracks added by a wider trial
+	// are defect-free). nil routes the pristine fabric.
+	Defects *fault.DefectMap
 	// Workers is the number of concurrent net-routing workers per batch
 	// (the CLI -j knob): 0 uses GOMAXPROCS, 1 routes serially. The routing
 	// result is identical for every value; Workers trades only wall time.
 	Workers int
 	// Cache, when set, supplies routing-resource graphs to MinChannelWidth
-	// width trials instead of rebuilding them. Every trial receives a
-	// private clone of the cached pristine graph, and Mask is re-applied to
-	// that clone, so defect masks never leak between trials or runs.
+	// width trials instead of rebuilding them. Graphs are shared and never
+	// modified; defects live in each Result's overlay.
 	Cache *rrgraph.Cache
 	// Obs receives PathFinder counters (route.iterations, route.nets_routed,
-	// route.overuse_sum, route.heap_pops); nil disables reporting. Its
+	// route.overuse_sum, route.heap_pops; with Defects, what each call's
+	// overlay masked on fault.rr_dead_nodes and fault.rr_edges_removed);
+	// nil disables reporting. Its
 	// event bus (Trace.Events) receives one route_iter event per PathFinder
 	// iteration and a final route_congestion map keyed by structural wire
 	// coordinates; without an enabled bus that costs one nil check and an
@@ -151,8 +154,11 @@ func (nr *NetRoute) Nodes() map[int]bool {
 
 // Result is a complete routing.
 type Result struct {
-	Graph  *rrgraph.Graph
-	Routes []*NetRoute // parallel to Problem.Nets
+	Graph *rrgraph.Graph
+	// Defects is Options.Defects resolved on Graph (nil on a pristine
+	// fabric): the dead nodes and removed switches no route may use.
+	Defects *fault.Overlay
+	Routes  []*NetRoute // parallel to Problem.Nets
 	// Success is true when no resource is overused.
 	Success    bool
 	Iterations int
@@ -187,6 +193,12 @@ func Route(p *place.Problem, pl *place.Placement, g *rrgraph.Graph, opts Options
 			c.sinks = append(c.sinks, snk)
 		}
 		conns[i] = c
+	}
+
+	ov := opts.Defects.Overlay(g)
+	if ov != nil {
+		opts.Obs.Add("fault.rr_dead_nodes", int64(ov.DeadNodes))
+		opts.Obs.Add("fault.rr_edges_removed", int64(ov.EdgesRemoved))
 	}
 
 	nNodes := len(g.Nodes)
@@ -309,7 +321,7 @@ func Route(p *place.Problem, pl *place.Placement, g *rrgraph.Graph, opts Options
 		workers = n
 	}
 
-	res := &Result{Graph: g, Routes: routes}
+	res := &Result{Graph: g, Defects: ov, Routes: routes}
 	scratches := make([]*scratch, workers)
 	for i := range scratches {
 		scratches[i] = newScratch(nNodes)
@@ -414,7 +426,7 @@ func Route(p *place.Problem, pl *place.Placement, g *rrgraph.Graph, opts Options
 					ni := dirty[bi]
 					sc.setOwn(routes[ni])
 					batchRoutes[bi-lo], batchErrs[bi-lo] = routeNet(
-						g, conns[ni].source, conns[ni].sinks, reusePrev(routes[ni]), overused, costFor(sc, ni), hr, sc)
+						g, ov, conns[ni].source, conns[ni].sinks, reusePrev(routes[ni]), overused, costFor(sc, ni), hr, sc)
 				}
 			} else {
 				var wg sync.WaitGroup
@@ -427,7 +439,7 @@ func Route(p *place.Problem, pl *place.Placement, g *rrgraph.Graph, opts Options
 							ni := dirty[bi]
 							sc.setOwn(routes[ni])
 							batchRoutes[bi-lo], batchErrs[bi-lo] = routeNet(
-								g, conns[ni].source, conns[ni].sinks, reusePrev(routes[ni]), overused, costFor(sc, ni), hr, sc)
+								g, ov, conns[ni].source, conns[ni].sinks, reusePrev(routes[ni]), overused, costFor(sc, ni), hr, sc)
 						}
 					}(k)
 				}
@@ -473,7 +485,7 @@ func Route(p *place.Problem, pl *place.Placement, g *rrgraph.Graph, opts Options
 			sc := scratches[0]
 			sc.setOwn(nil)
 			wouldOveruse := func(n int) bool { return usage[n]+1 > g.Nodes[n].Capacity }
-			nr, err := routeNet(g, conns[ni].source, conns[ni].sinks, reusePrev(routes[ni]), wouldOveruse, costFor(sc, ni), hr, sc)
+			nr, err := routeNet(g, ov, conns[ni].source, conns[ni].sinks, reusePrev(routes[ni]), wouldOveruse, costFor(sc, ni), hr, sc)
 			if err != nil {
 				return nil, fmt.Errorf("route: net %s: %w", p.Nets[ni].Signal, err)
 			}
@@ -634,7 +646,7 @@ func (r *Result) Validate(p *place.Problem, pl *place.Placement) error {
 					p.Nets[ni].Signal, path[0], wantSrc)
 			}
 			for _, n := range path {
-				if r.Graph.Dead(n) {
+				if r.Defects.Dead(n) {
 					return fmt.Errorf("route: net %s uses defective node %d (%s at %d,%d)",
 						p.Nets[ni].Signal, n, r.Graph.Nodes[n].Type, r.Graph.Nodes[n].X, r.Graph.Nodes[n].Y)
 				}
@@ -642,6 +654,10 @@ func (r *Result) Validate(p *place.Problem, pl *place.Placement) error {
 			for i := 0; i+1 < len(path); i++ {
 				if !r.Graph.HasEdge(path[i], path[i+1]) {
 					return fmt.Errorf("route: net %s uses missing edge %d->%d",
+						p.Nets[ni].Signal, path[i], path[i+1])
+				}
+				if r.Defects.Cut(path[i], path[i+1]) {
+					return fmt.Errorf("route: net %s uses defective switch %d->%d",
 						p.Nets[ni].Signal, path[i], path[i+1])
 				}
 			}
@@ -691,21 +707,19 @@ func MinChannelWidth(p *place.Problem, pl *place.Placement, lo, hi int, opts Opt
 	build := func(w int) (*Result, error) {
 		a := p.Arch.Clone()
 		a.Routing.ChannelWidth = w
-		// A nil cache falls back to a plain Build; a real cache serves a
-		// private clone, so the Mask below never contaminates other trials.
 		g, err := opts.Cache.Get(a, opts.Obs)
 		if err != nil {
 			return nil, err
 		}
-		if opts.Mask != nil {
-			opts.Mask(g)
-		}
 		return Route(p, pl, g, opts)
 	}
-	// Ensure hi is routable, growing if needed.
+	// Ensure hi is routable, growing if needed. Routing is deterministic,
+	// so a width that failed here fails again: the binary search below
+	// skips it instead of routing it a second time.
 	var best *Result
 	bestW := -1
 	trials := 0
+	failed := map[int]bool{}
 	defer func() { opts.Obs.Add("route.width_trials", int64(trials)) }()
 	for {
 		if err := opts.ctxErr(); err != nil {
@@ -726,6 +740,7 @@ func MinChannelWidth(p *place.Problem, pl *place.Placement, lo, hi int, opts Opt
 		if hi > 512 {
 			return 0, nil, fmt.Errorf("route: %w even at W=%d", ErrUnroutable, hi)
 		}
+		failed[hi] = true
 		hi *= 2
 	}
 	for lo < bestW {
@@ -733,6 +748,10 @@ func MinChannelWidth(p *place.Problem, pl *place.Placement, lo, hi int, opts Opt
 			return 0, nil, fmt.Errorf("route: %w", err)
 		}
 		mid := (lo + bestW) / 2
+		if failed[mid] {
+			lo = mid + 1
+			continue
+		}
 		trials++
 		r, err := build(mid)
 		if err == nil && r.Success {

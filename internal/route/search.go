@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sort"
 
+	"fpgaflow/internal/fault"
 	"fpgaflow/internal/rrgraph"
 )
 
@@ -331,7 +332,7 @@ func minInt(a, b int) int {
 // than by how the heap happens to order equal keys. That keeps the routed
 // tree identical whether the frontier is ordered by g (Dijkstra) or by
 // g + h (A*), which is what the lookahead equivalence test asserts.
-func (sc *scratch) search(g *rrgraph.Graph, target, source int, sourceLocked bool, nodeCost func(int) float64, hf func(int) float64) ([]int, error) {
+func (sc *scratch) search(g *rrgraph.Graph, ov *fault.Overlay, target, source int, sourceLocked bool, nodeCost func(int) float64, hf func(int) float64) ([]int, error) {
 	const unseen = -1
 	sc.reset()
 	sc.q = sc.q[:0]
@@ -352,7 +353,7 @@ func (sc *scratch) search(g *rrgraph.Graph, target, source int, sourceLocked boo
 			continue
 		}
 		for _, e := range g.Nodes[n].Edges {
-			if g.Dead(e) || sc.seen(e) {
+			if ov.Blocked(n, e) || sc.seen(e) {
 				continue
 			}
 			c := nodeCost(e)
@@ -378,7 +379,7 @@ func (sc *scratch) search(g *rrgraph.Graph, target, source int, sourceLocked boo
 			break
 		}
 		for _, e := range g.Nodes[id].Edges {
-			if g.Dead(e) {
+			if ov.Blocked(id, e) {
 				continue // defective resource: route around it
 			}
 			c := it.g + nodeCost(e)
@@ -428,7 +429,7 @@ const reuseMinFanout = 4
 // starts inside the tree of the paths before it. The keep decision
 // depends only on prev and the overused predicate — both frozen per
 // batch — so reuse is deterministic at every worker count.
-func routeNet(g *rrgraph.Graph, source int, sinks []int, prev *NetRoute, overused func(int) bool,
+func routeNet(g *rrgraph.Graph, ov *fault.Overlay, source int, sinks []int, prev *NetRoute, overused func(int) bool,
 	nodeCost func(int) float64, hr *heur, sc *scratch) (*NetRoute, error) {
 	nr := &NetRoute{Paths: make([][]int, len(sinks))}
 	sc.resetTree()
@@ -441,7 +442,7 @@ func routeNet(g *rrgraph.Graph, source int, sinks []int, prev *NetRoute, overuse
 			keep := len(path) > 0 && sc.inTree(path[0])
 			if keep {
 				for _, n := range path {
-					if overused(n) || g.Dead(n) {
+					if overused(n) || ov.Dead(n) {
 						keep = false
 						break
 					}
@@ -457,7 +458,7 @@ func routeNet(g *rrgraph.Graph, source int, sinks []int, prev *NetRoute, overuse
 				continue
 			}
 		}
-		path, err := sc.search(g, sink, source, sourceLocked, nodeCost, hr.to(sink))
+		path, err := sc.search(g, ov, sink, source, sourceLocked, nodeCost, hr.to(sink))
 		if err != nil {
 			return nil, err
 		}

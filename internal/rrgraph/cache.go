@@ -8,57 +8,18 @@ import (
 	"fpgaflow/internal/obs"
 )
 
-// Clone returns a graph that can be mutated freely — masked dead
-// (MarkDead) or stripped of defective switch edges (RemoveEdge) — without
-// touching the receiver. Node structs and their edge lists are copied;
-// the immutable site lookup tables (kind, source/sink/pin indices, wire
-// coordinate maps) and the cost lookahead summary are shared with the
-// receiver, since nothing mutates them after Build (the lookahead's
-// values are lower bounds, so they remain valid for a clone whose fabric
-// is only ever shrunk by defect masking). Defect masks are NOT carried
-// over: a clone always starts with a pristine fabric.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		Arch:    g.Arch,
-		W:       g.W,
-		kind:    g.kind,
-		source:  g.source,
-		sink:    g.sink,
-		opins:   g.opins,
-		ipins:   g.ipins,
-		chanxID: g.chanxID,
-		chanyID: g.chanyID,
-		edges:   g.edges,
-		look:    g.look,
-	}
-	c.Nodes = make([]*Node, len(g.Nodes))
-	for i, n := range g.Nodes {
-		cp := *n
-		cp.Edges = append([]int(nil), n.Edges...)
-		c.Nodes[i] = &cp
-	}
-	return c
-}
-
 // Cache memoizes built routing-resource graphs keyed by the complete
 // architecture fingerprint (arch.Format covers the grid, CLB geometry,
 // routing parameters including channel width, and the technology constants
-// that set node R/C values). The min-channel-width binary search and the
-// hardened runner's retry/escalation path request the same (arch, W)
-// graphs over and over; Build is by far the most expensive part of a
-// routing trial, so reuse converts repeated trials into O(clone) work.
-//
-// Get always returns a Clone of the cached pristine graph: callers apply
-// per-trial defect masks (fault.DefectMap.Apply) to their copy, and the
-// cached original never sees a MarkDead or RemoveEdge. All methods are
-// safe for concurrent use.
+// that set node R/C values). A graph is immutable, so Get hands every
+// caller the same instance: the hardened runner keeps one cache per run,
+// and a width routed again by a later attempt (re-seeded retry, or the
+// escalation re-trying the width that failed) reuses its graph instead of
+// rebuilding it. All methods are safe for concurrent use.
 type Cache struct {
 	mu      sync.Mutex
-	max     int
 	entries map[string]*cacheEntry
 	tick    uint64
-	hits    int64
-	misses  int64
 }
 
 type cacheEntry struct {
@@ -66,27 +27,23 @@ type cacheEntry struct {
 	used uint64 // LRU stamp
 }
 
-// DefaultCacheSize bounds a NewCache(0) cache. A graph for a mid-size
-// fabric is a few MB; a handful covers a min-W binary search plus the
-// escalation widths the hardened runner revisits.
-const DefaultCacheSize = 16
+// cacheSize bounds a cache. A graph for a mid-size fabric is a few MB;
+// a handful covers the widths one run's min-channel-width search routes.
+const cacheSize = 16
 
-// NewCache creates a graph cache holding at most max graphs (0 or
-// negative selects DefaultCacheSize). When full, the least recently used
-// entry is evicted.
-func NewCache(max int) *Cache {
-	if max <= 0 {
-		max = DefaultCacheSize
-	}
-	return &Cache{max: max, entries: make(map[string]*cacheEntry)}
+// NewCache creates a graph cache holding at most cacheSize graphs. When
+// full, the least recently used entry is evicted.
+func NewCache() *Cache {
+	return &Cache{entries: make(map[string]*cacheEntry)}
 }
 
-// Get returns a mutable clone of the graph for the architecture, building
-// and caching the pristine original on first use. The hit/miss is counted
+// Get returns the shared graph for the architecture, building and caching
+// it on first use; callers must not modify it. The hit/miss is counted
 // on tr as rrgraph.cache_hits / rrgraph.cache_misses (tr may be nil).
 // Safe on a nil cache: falls back to a plain Build (counted as a miss).
 func (c *Cache) Get(a *arch.Arch, tr *obs.Trace) (*Graph, error) {
 	if c == nil {
+		tr.Add("rrgraph.cache_misses", 1)
 		return Build(a)
 	}
 	key := arch.Format(a)
@@ -94,11 +51,10 @@ func (c *Cache) Get(a *arch.Arch, tr *obs.Trace) (*Graph, error) {
 	if e, ok := c.entries[key]; ok {
 		c.tick++
 		e.used = c.tick
-		c.hits++
 		g := e.g
 		c.mu.Unlock()
 		tr.Add("rrgraph.cache_hits", 1)
-		return g.Clone(), nil
+		return g, nil
 	}
 	c.mu.Unlock()
 
@@ -110,7 +66,6 @@ func (c *Cache) Get(a *arch.Arch, tr *obs.Trace) (*Graph, error) {
 		return nil, err
 	}
 	c.mu.Lock()
-	c.misses++
 	if _, ok := c.entries[key]; !ok {
 		c.evictLocked()
 		c.tick++
@@ -118,14 +73,14 @@ func (c *Cache) Get(a *arch.Arch, tr *obs.Trace) (*Graph, error) {
 	}
 	c.mu.Unlock()
 	tr.Add("rrgraph.cache_misses", 1)
-	return g.Clone(), nil
+	return g, nil
 }
 
 // evictLocked removes the least recently used entry once the cache is at
 // capacity. Caller holds c.mu. The scan walks keys in sorted order so the
 // victim is deterministic even if use ticks ever tie.
 func (c *Cache) evictLocked() {
-	if len(c.entries) < c.max {
+	if len(c.entries) < cacheSize {
 		return
 	}
 	keys := make([]string, 0, len(c.entries))
@@ -140,24 +95,4 @@ func (c *Cache) evictLocked() {
 		}
 	}
 	delete(c.entries, oldestKey)
-}
-
-// Stats returns lifetime hit and miss counts.
-func (c *Cache) Stats() (hits, misses int64) {
-	if c == nil {
-		return 0, 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
-// Len returns the number of cached graphs.
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }

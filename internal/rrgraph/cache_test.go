@@ -14,52 +14,8 @@ func testArch(w int) *arch.Arch {
 	return a
 }
 
-func TestCloneIndependence(t *testing.T) {
-	g, err := Build(testArch(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := g.Clone()
-	if len(c.Nodes) != len(g.Nodes) || c.NumEdges() != g.NumEdges() {
-		t.Fatalf("clone shape mismatch: %d/%d nodes, %d/%d edges",
-			len(c.Nodes), len(g.Nodes), c.NumEdges(), g.NumEdges())
-	}
-	// Masking and edge removal on the clone must not leak back.
-	var wire int = -1
-	for _, n := range c.Nodes {
-		if n.Type == ChanX && len(n.Edges) > 0 {
-			wire = n.ID
-			break
-		}
-	}
-	if wire < 0 {
-		t.Fatal("no ChanX wire with edges")
-	}
-	c.MarkDead(wire)
-	peer := c.Nodes[wire].Edges[0]
-	if !c.RemoveEdge(wire, peer) {
-		t.Fatal("RemoveEdge failed on clone")
-	}
-	if g.Dead(wire) {
-		t.Error("MarkDead on clone leaked into original")
-	}
-	if !g.HasEdge(wire, peer) {
-		t.Error("RemoveEdge on clone leaked into original")
-	}
-	if g.DeadCount() != 0 {
-		t.Errorf("original DeadCount = %d, want 0", g.DeadCount())
-	}
-	if c.NumEdges() != g.NumEdges()-1 {
-		t.Errorf("clone edges = %d, want %d", c.NumEdges(), g.NumEdges()-1)
-	}
-	// Shared lookup tables still agree.
-	if cs, gs := c.SourceAt(1, 1), g.SourceAt(1, 1); cs != gs {
-		t.Errorf("SourceAt differs: %d vs %d", cs, gs)
-	}
-}
-
 func TestCacheHitsAndIsolation(t *testing.T) {
-	cache := NewCache(4)
+	cache := NewCache()
 	tr := obs.New("test")
 	g1, err := cache.Get(testArch(4), tr)
 	if err != nil {
@@ -69,93 +25,64 @@ func TestCacheHitsAndIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g1 == g2 {
-		t.Fatal("cache returned the same graph object twice; clones required")
-	}
-	hits, misses := cache.Stats()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("hits/misses = %d/%d, want 1/1", hits, misses)
+	if g1 != g2 {
+		t.Fatal("cache rebuilt a graph it already holds; the immutable graph must be shared")
 	}
 	cnt := tr.Counters()
 	if cnt["rrgraph.cache_hits"] != 1 || cnt["rrgraph.cache_misses"] != 1 {
 		t.Fatalf("obs counters = %v", cnt)
-	}
-	// A mask applied to one served graph must not show up in the next.
-	g1.MarkDead(0)
-	g3, err := cache.Get(testArch(4), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g3.Dead(0) || g3.DeadCount() != 0 {
-		t.Fatal("defect mask leaked through the cache between trials")
 	}
 	// Different channel width is a different key.
 	g4, err := cache.Get(testArch(6), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g4.W != 6 {
-		t.Fatalf("W = %d, want 6", g4.W)
+	if g4.W != 6 || g4 == g1 {
+		t.Fatalf("W = %d (shared with W=4: %v), want a separate W=6 graph", g4.W, g4 == g1)
 	}
-	if cache.Len() != 2 {
-		t.Fatalf("cache holds %d graphs, want 2", cache.Len())
+	if cnt := tr.Counters(); cnt["rrgraph.cache_misses"] != 2 {
+		t.Fatalf("cache_misses = %d after two distinct widths, want 2", cnt["rrgraph.cache_misses"])
 	}
 }
 
 func TestCacheEviction(t *testing.T) {
-	cache := NewCache(2)
-	for w := 2; w <= 5; w++ {
-		if _, err := cache.Get(testArch(w), nil); err != nil {
+	cache := NewCache()
+	tr := obs.New("test")
+	for w := 1; w <= cacheSize+1; w++ {
+		if _, err := cache.Get(testArch(w), tr); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if cache.Len() != 2 {
-		t.Fatalf("cache holds %d graphs, want cap 2", cache.Len())
+	if len(cache.entries) != cacheSize {
+		t.Fatalf("cache holds %d graphs, want cap %d", len(cache.entries), cacheSize)
 	}
-	// Most recent widths are retained: W=5 must hit.
-	if _, err := cache.Get(testArch(5), nil); err != nil {
+	// Most recent widths are retained: the newest must hit, the oldest
+	// (W=1) was evicted and must be rebuilt.
+	if _, err := cache.Get(testArch(cacheSize+1), tr); err != nil {
 		t.Fatal(err)
 	}
-	hits, _ := cache.Stats()
-	if hits != 1 {
+	if hits := tr.Counters()["rrgraph.cache_hits"]; hits != 1 {
 		t.Fatalf("hits = %d, want 1 (LRU should keep the newest entries)", hits)
+	}
+	if _, err := cache.Get(testArch(1), tr); err != nil {
+		t.Fatal(err)
+	}
+	if misses := tr.Counters()["rrgraph.cache_misses"]; misses != cacheSize+2 {
+		t.Fatalf("misses = %d, want %d (the oldest width must have been evicted)", misses, cacheSize+2)
 	}
 }
 
 func TestNilCacheFallsBackToBuild(t *testing.T) {
 	var c *Cache
-	g, err := c.Get(testArch(3), nil)
+	tr := obs.New("test")
+	g, err := c.Get(testArch(3), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g == nil || g.W != 3 {
 		t.Fatal("nil cache Get did not build")
 	}
-}
-
-func TestCloneBuildEquivalence(t *testing.T) {
-	// A clone must be structurally identical to a fresh Build: same node
-	// records, same edge lists in the same order (bitstream enumeration
-	// depends on this).
-	a := testArch(5)
-	g1, err := Build(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2 := g1.Clone()
-	for i, n1 := range g1.Nodes {
-		n2 := g2.Nodes[i]
-		if n1.ID != n2.ID || n1.Type != n2.Type || n1.X != n2.X || n1.Y != n2.Y ||
-			n1.Track != n2.Track || n1.Span != n2.Span || n1.Capacity != n2.Capacity {
-			t.Fatalf("node %d differs after clone", i)
-		}
-		if len(n1.Edges) != len(n2.Edges) {
-			t.Fatalf("node %d edge count differs", i)
-		}
-		for j := range n1.Edges {
-			if n1.Edges[j] != n2.Edges[j] {
-				t.Fatalf("node %d edge %d differs", i, j)
-			}
-		}
+	if misses := tr.Counters()["rrgraph.cache_misses"]; misses != 1 {
+		t.Fatalf("nil-cache build counted %d misses, want 1", misses)
 	}
 }

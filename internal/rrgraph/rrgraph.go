@@ -83,7 +83,10 @@ type Node struct {
 	Edges []int
 }
 
-// Graph is the complete routing-resource graph plus site metadata.
+// Graph is the complete routing-resource graph plus site metadata. It is
+// immutable once Build returns, so one graph per architecture is shared by
+// routing, timing, power, bitstream generation and verification;
+// defective fabric is a caller-owned overlay (internal/fault.Overlay).
 type Graph struct {
 	Arch  *arch.Arch
 	Nodes []*Node
@@ -100,28 +103,20 @@ type Graph struct {
 	chanyID map[chanKey]int
 	edges   int
 
-	// dead marks nodes masked out as defective fabric (fault injection /
-	// known-bad dies); nil when the fabric is pristine. Dead nodes stay in
-	// the graph so node IDs and the bitstream's canonical bit enumeration
-	// are unchanged, but the router must not use them.
-	dead []bool
-	// deadCount caches the number of marked nodes.
-	deadCount int
-
 	// look is the per-segment-type cost lookahead summary built once per
-	// graph (immutable, shared by clones — see Lookahead).
+	// graph (see Lookahead).
 	look *Lookahead
 }
 
 // Lookahead is the per-segment-type delay/cost summary the router's A*
 // search derives its admissible cost-to-target lower bounds from. It is
-// built once per routing-resource graph during Build and shared by every
-// Clone, so graphs served from a Cache carry it for free: a cache hit
-// hands the router both the fabric and its precomputed lookahead.
+// built once per routing-resource graph during Build, so graphs served
+// from a Cache carry it for free: a cache hit hands the router both the
+// fabric and its precomputed lookahead.
 //
 // All values are lower bounds over the pristine fabric. Masking nodes
-// dead or removing switch edges only shrinks the graph, so the bounds
-// stay admissible for defective fabrics; congestion (present/history
+// dead or removing switch edges only shrinks the usable graph, so the
+// bounds stay admissible for defective fabrics; congestion (present/history
 // factors) only raises node costs above their base, so they stay
 // admissible across PathFinder iterations.
 type Lookahead struct {
@@ -208,7 +203,7 @@ func (lk *Lookahead) BlockHops(dx, dy int) (int, bool) {
 }
 
 // Lookahead returns the graph's cost-lookahead summary (never nil for a
-// graph produced by Build or Clone).
+// graph produced by Build).
 func (g *Graph) Lookahead() *Lookahead { return g.look }
 
 // buildLookahead scans the wire nodes once and fills g.look.
@@ -341,47 +336,6 @@ func (g *Graph) IPins(x, y int) []int { return g.ipins[x][y] }
 
 // NumEdges returns the total directed edge count.
 func (g *Graph) NumEdges() int { return g.edges }
-
-// MarkDead masks node id as defective. The node keeps its ID (bitstream
-// enumeration is unchanged) but the router refuses to expand through it and
-// route validation rejects paths that touch it.
-func (g *Graph) MarkDead(id int) {
-	if id < 0 || id >= len(g.Nodes) {
-		return
-	}
-	if g.dead == nil {
-		g.dead = make([]bool, len(g.Nodes))
-	}
-	if !g.dead[id] {
-		g.dead[id] = true
-		g.deadCount++
-	}
-}
-
-// Dead reports whether node id is masked as defective.
-func (g *Graph) Dead(id int) bool {
-	return g.dead != nil && id >= 0 && id < len(g.dead) && g.dead[id]
-}
-
-// DeadCount returns the number of nodes masked as defective.
-func (g *Graph) DeadCount() int { return g.deadCount }
-
-// RemoveEdge deletes the directed edge from -> to (a defective programmable
-// switch), reporting whether it existed.
-func (g *Graph) RemoveEdge(from, to int) bool {
-	if from < 0 || from >= len(g.Nodes) {
-		return false
-	}
-	edges := g.Nodes[from].Edges
-	for i, e := range edges {
-		if e == to {
-			g.Nodes[from].Edges = append(edges[:i], edges[i+1:]...)
-			g.edges--
-			return true
-		}
-	}
-	return false
-}
 
 // WireID returns the node ID of the channel wire covering tile (x, y) on
 // the given track: a ChanY wire when vertical, ChanX otherwise. The second
