@@ -15,12 +15,12 @@ import (
 )
 
 func main() {
-	vectors := flag.Int("vectors", 1000, "random vectors/cycles for large or sequential designs")
-	exhaustive := flag.Int("exhaustive", 14, "exhaustive check up to this many inputs")
+	vectors := flag.Int("vectors", 1000, "random vectors/cycles for large or sequential designs (at least 1)")
+	exhaustive := flag.Int("exhaustive", 14, "exhaustive check up to this many inputs (0 to 63)")
 	seed := flag.Int64("seed", 1, "random seed")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, `usage: equiv a.blif b.blif
-Exit codes: 0 equivalent, 1 not equivalent or load failure,
+Exit codes: 0 equivalent, 1 not equivalent or load failure, 2 usage error,
 3 port lists differ (the designs are not even comparable).
 `)
 	}
@@ -32,6 +32,11 @@ Exit codes: 0 equivalent, 1 not equivalent or load failure,
 	}
 	if flag.NArg() != 2 {
 		flag.Usage()
+		os.Exit(2)
+	}
+	// A check that applies no vector would report any pair equivalent.
+	if *vectors < 1 || *exhaustive < 0 || *exhaustive > 63 {
+		fmt.Fprintf(os.Stderr, "equiv: -vectors %d must be at least 1 and -exhaustive %d within 0..63\n", *vectors, *exhaustive)
 		os.Exit(2)
 	}
 	a, err := load(flag.Arg(0))

@@ -1,0 +1,65 @@
+package main
+
+import (
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// wideBLIF is a 64-input gate: the AND of all inputs, or their OR.
+func wideBLIF(and bool) string {
+	var ins []string
+	for i := 0; i < 64; i++ {
+		ins = append(ins, "i"+strings.Repeat("x", i/10)+string(rune('0'+i%10)))
+	}
+	cube := strings.Repeat("1", 64) + " 1"
+	if !and {
+		cube = strings.Repeat("0", 64) + " 0"
+	}
+	return ".model wide\n.inputs " + strings.Join(ins, " ") + "\n.outputs o\n.names " +
+		strings.Join(ins, " ") + " o\n" + cube + "\n.end\n"
+}
+
+// TestOutOfRangeEffortIsUsageError checks that AND64 against OR64 is
+// never reported equivalent: a zero vector budget and an exhaustive limit
+// of 64 inputs are usage errors (exit 2), and the default check finds the
+// difference (exit 1).
+func TestOutOfRangeEffortIsUsageError(t *testing.T) {
+	dir := t.TempDir()
+	tool := filepath.Join(dir, "equiv")
+	if out, err := exec.Command("go", "build", "-o", tool, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building equiv: %v\n%s", err, out)
+	}
+	and, or := filepath.Join(dir, "and.blif"), filepath.Join(dir, "or.blif")
+	if err := os.WriteFile(and, []byte(wideBLIF(true)), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(or, []byte(wideBLIF(false)), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		args []string
+		code int
+	}{
+		{[]string{"-vectors", "0"}, 2},
+		{[]string{"-vectors", "-5"}, 2},
+		{[]string{"-exhaustive", "64"}, 2},
+		{[]string{"-exhaustive", "-1"}, 2},
+		{nil, 1},
+	} {
+		out, err := exec.Command(tool, append(c.args, and, or)...).CombinedOutput()
+		code := 0
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			code = exit.ExitCode()
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if code != c.code {
+			t.Errorf("equiv %v: exit %d, want %d\n%s", c.args, code, c.code, out)
+		}
+	}
+}

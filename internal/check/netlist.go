@@ -137,7 +137,7 @@ func runUndriven(a *Artifacts, rep *reporter) {
 	}
 	for _, n := range nl.Nodes() {
 		for _, f := range n.Fanin {
-			if nl.Node(f.Name) != f {
+			if !nl.Contains(f) {
 				rep.add(n.Name, "fanin %q is not driven in this network", f.Name)
 			}
 		}
@@ -150,14 +150,15 @@ func runUndriven(a *Artifacts, rep *reporter) {
 // runCombLoop finds combinational cycles with Tarjan's SCC algorithm over
 // the logic nodes (latches break cycles by construction). Unlike a plain
 // topological sort it reports every loop, each once, with its full member
-// list.
+// list. Foreign fanins are left to the undriven rule.
 func runCombLoop(a *Artifacts, rep *reporter) {
 	nl := a.Netlist
-	index := map[*netlist.Node]int{}
-	low := map[*netlist.Node]int{}
-	onStack := map[*netlist.Node]bool{}
+	// index is a node's visit number plus one (0: unvisited), by ID.
+	index := make([]int, nl.NumNodes())
+	low := make([]int, nl.NumNodes())
+	onStack := make([]bool, nl.NumNodes())
 	var stack []*netlist.Node
-	next := 0
+	next := 1
 
 	// Iterative Tarjan: frame tracks the fanin cursor per node.
 	type frame struct {
@@ -167,36 +168,36 @@ func runCombLoop(a *Artifacts, rep *reporter) {
 	var visit func(root *netlist.Node)
 	visit = func(root *netlist.Node) {
 		frames := []frame{{n: root}}
-		index[root], low[root] = next, next
+		index[root.ID()], low[root.ID()] = next, next
 		next++
 		stack = append(stack, root)
-		onStack[root] = true
+		onStack[root.ID()] = true
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
 			if f.n.Kind == netlist.KindLogic && f.i < len(f.n.Fanin) {
 				w := f.n.Fanin[f.i]
 				f.i++
-				if w.Kind != netlist.KindLogic {
+				if w.Kind != netlist.KindLogic || !nl.Contains(w) {
 					continue
 				}
-				if _, seen := index[w]; !seen {
-					index[w], low[w] = next, next
+				if index[w.ID()] == 0 {
+					index[w.ID()], low[w.ID()] = next, next
 					next++
 					stack = append(stack, w)
-					onStack[w] = true
+					onStack[w.ID()] = true
 					frames = append(frames, frame{n: w})
-				} else if onStack[w] && index[w] < low[f.n] {
-					low[f.n] = index[w]
+				} else if onStack[w.ID()] && index[w.ID()] < low[f.n.ID()] {
+					low[f.n.ID()] = index[w.ID()]
 				}
 				continue
 			}
 			// All fanins done: pop an SCC if f.n is a root.
-			if low[f.n] == index[f.n] {
+			if low[f.n.ID()] == index[f.n.ID()] {
 				var scc []string
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
-					onStack[w] = false
+					onStack[w.ID()] = false
 					scc = append(scc, w.Name)
 					if w == f.n {
 						break
@@ -210,9 +211,7 @@ func runCombLoop(a *Artifacts, rep *reporter) {
 			frames = frames[:len(frames)-1]
 			if len(frames) > 0 {
 				p := frames[len(frames)-1].n
-				if low[f.n] < low[p] {
-					low[p] = low[f.n]
-				}
+				low[p.ID()] = min(low[p.ID()], low[f.n.ID()])
 			}
 		}
 	}
@@ -220,7 +219,7 @@ func runCombLoop(a *Artifacts, rep *reporter) {
 		if n.Kind != netlist.KindLogic {
 			continue
 		}
-		if _, seen := index[n]; !seen {
+		if index[n.ID()] == 0 {
 			visit(n)
 		}
 	}

@@ -549,7 +549,7 @@ func (f *flow) vprRoute(sctx context.Context) (string, error) {
 			if routes == nil {
 				// First iteration: no routed delays yet; seed with the
 				// combinational-depth estimate.
-				return timing.StaticNetCriticalities(pk, p)
+				return place.StaticCriticalities(pk, p)
 			}
 			nc, err := timing.AnalyzeNetCriticalities(pk, p, pl, &route.Result{Routes: routes, Graph: g})
 			if err != nil {

@@ -24,12 +24,12 @@ func IsBLIF(text string) bool {
 	return false
 }
 
-// ReadBLIF parses the first model of a BLIF stream into a Netlist.
+// readBLIF parses the first model of a BLIF stream into a Netlist.
 // The supported subset covers what the flow produces and consumes:
 // .model, .inputs, .outputs, .names, .latch, .end, comments and
 // backslash line continuation. Latches accept the optional
 // "re <clock>" trigger/clock pair of full BLIF.
-func ReadBLIF(r io.Reader) (*Netlist, error) {
+func readBLIF(r io.Reader) (*Netlist, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 
@@ -241,11 +241,11 @@ func ReadBLIF(r io.Reader) (*Netlist, error) {
 
 // ParseBLIF parses BLIF text.
 func ParseBLIF(text string) (*Netlist, error) {
-	return ReadBLIF(strings.NewReader(text))
+	return readBLIF(strings.NewReader(text))
 }
 
-// WriteBLIF emits the netlist as BLIF.
-func WriteBLIF(w io.Writer, nl *Netlist) error {
+// writeBLIF emits the netlist as BLIF.
+func writeBLIF(w io.Writer, nl *Netlist) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, ".model %s\n", nl.Name)
 	fmt.Fprint(bw, ".inputs")
@@ -292,6 +292,6 @@ func WriteBLIF(w io.Writer, nl *Netlist) error {
 // FormatBLIF renders the netlist as a BLIF string.
 func FormatBLIF(nl *Netlist) string {
 	var sb strings.Builder
-	_ = WriteBLIF(&sb, nl)
+	_ = writeBLIF(&sb, nl)
 	return sb.String()
 }

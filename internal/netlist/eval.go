@@ -2,8 +2,8 @@ package netlist
 
 import "fmt"
 
-// EvalCube reports whether the cube covers the given input assignment.
-func EvalCube(cube Cube, in []bool) bool {
+// evalCube reports whether the cube covers the given input assignment.
+func evalCube(cube Cube, in []bool) bool {
 	for i, lit := range cube {
 		switch lit {
 		case LitOne:
@@ -23,7 +23,7 @@ func EvalCube(cube Cube, in []bool) bool {
 func EvalCover(c Cover, in []bool) bool {
 	hit := false
 	for _, cube := range c.Cubes {
-		if EvalCube(cube, in) {
+		if evalCube(cube, in) {
 			hit = true
 			break
 		}
@@ -55,25 +55,6 @@ func TruthTable(n *Node) ([]bool, error) {
 		tt[m] = EvalCover(n.Cover, in)
 	}
 	return tt, nil
-}
-
-// TruthTable64 returns the function of a logic node with at most 6 fanins
-// packed into a uint64, bit m = f(assignment m).
-func TruthTable64(n *Node) (uint64, error) {
-	if len(n.Fanin) > 6 {
-		return 0, fmt.Errorf("node %q: %d fanins exceeds 6", n.Name, len(n.Fanin))
-	}
-	tt, err := TruthTable(n)
-	if err != nil {
-		return 0, err
-	}
-	var v uint64
-	for m, b := range tt {
-		if b {
-			v |= 1 << uint(m)
-		}
-	}
-	return v, nil
 }
 
 // CoverFromTruthTable builds an on-set cover (one cube per minterm) for a

@@ -99,12 +99,14 @@ type Node struct {
 
 	// fanout is maintained lazily by Netlist.BuildFanout.
 	fanout []*Node
-	// flag is scratch space for traversals.
-	flag int
+	// id is the node's position in its netlist's Nodes().
+	id int
 }
 
-// NumFanin returns the fanin count.
-func (n *Node) NumFanin() int { return len(n.Fanin) }
+// ID returns the node's dense number: its position in the owning
+// netlist's Nodes(), so nl.Nodes()[n.ID()] == n. Passes index per-node
+// slices by it. Sweep renumbers the survivors.
+func (n *Node) ID() int { return n.id }
 
 // Fanout returns the fanout list computed by the last BuildFanout call.
 func (n *Node) Fanout() []*Node { return n.fanout }
@@ -173,8 +175,14 @@ func (nl *Netlist) add(n *Node) (*Node, error) {
 		return nil, fmt.Errorf("netlist %s: duplicate driver for signal %q", nl.Name, n.Name)
 	}
 	nl.nodes[n.Name] = n
+	n.id = len(nl.order)
 	nl.order = append(nl.order, n)
 	return n, nil
+}
+
+// Contains reports whether n is a node of this netlist.
+func (nl *Netlist) Contains(n *Node) bool {
+	return n.id < len(nl.order) && nl.order[n.id] == n
 }
 
 // AddInput declares a primary input.
@@ -223,17 +231,21 @@ func (nl *Netlist) IsOutput(name string) bool {
 }
 
 // Check validates structural invariants: every output and fanin resolves,
-// fanins precede nothing circularly (combinational cycles are rejected;
-// cycles through latches are fine), and cube widths match fanin counts.
+// every node sits at its ID, fanins precede nothing circularly
+// (combinational cycles are rejected; cycles through latches are fine),
+// and cube widths match fanin counts.
 func (nl *Netlist) Check() error {
 	for _, o := range nl.Outputs {
 		if nl.nodes[o] == nil {
 			return fmt.Errorf("netlist %s: output %q has no driver", nl.Name, o)
 		}
 	}
-	for _, n := range nl.order {
+	for i, n := range nl.order {
+		if n.id != i {
+			return fmt.Errorf("netlist %s: node %q numbered %d at position %d", nl.Name, n.Name, n.id, i)
+		}
 		for _, f := range n.Fanin {
-			if nl.nodes[f.Name] != f {
+			if !nl.Contains(f) {
 				return fmt.Errorf("netlist %s: node %q has foreign fanin %q", nl.Name, n.Name, f.Name)
 			}
 		}
@@ -253,34 +265,36 @@ func (nl *Netlist) Check() error {
 }
 
 // TopoSort returns the combinational nodes in topological order (inputs and
-// latch outputs are sources). It fails on a combinational cycle.
+// latch outputs are sources). It fails on a combinational cycle or a
+// foreign fanin. It writes no node state, so concurrent calls are safe.
 func (nl *Netlist) TopoSort() ([]*Node, error) {
 	const (
-		white = 0
-		gray  = 1
-		black = 2
+		white = iota
+		gray
+		black
 	)
-	for _, n := range nl.order {
-		n.flag = white
-	}
-	var out []*Node
+	mark := make([]uint8, len(nl.order))
+	out := make([]*Node, 0, len(nl.order))
 	var visit func(n *Node) error
 	visit = func(n *Node) error {
-		if n.flag == black {
+		switch mark[n.id] {
+		case black:
 			return nil
-		}
-		if n.flag == gray {
+		case gray:
 			return fmt.Errorf("netlist %s: combinational cycle through %q", nl.Name, n.Name)
 		}
-		n.flag = gray
+		mark[n.id] = gray
 		if n.Kind == KindLogic {
 			for _, f := range n.Fanin {
+				if !nl.Contains(f) {
+					return fmt.Errorf("netlist %s: node %q has foreign fanin %q", nl.Name, n.Name, f.Name)
+				}
 				if err := visit(f); err != nil {
 					return err
 				}
 			}
 		}
-		n.flag = black
+		mark[n.id] = black
 		out = append(out, n)
 		return nil
 	}
@@ -305,18 +319,17 @@ func (nl *Netlist) BuildFanout() {
 	}
 }
 
-// Sweep removes nodes not reachable from any primary output or latch,
-// returning the number of removed nodes. Primary inputs are never removed.
+// Sweep removes nodes not reachable from any primary output, through logic
+// and latches alike, returning the number of removed nodes. Primary inputs
+// are never removed. The survivors are renumbered in order.
 func (nl *Netlist) Sweep() int {
-	for _, n := range nl.order {
-		n.flag = 0
-	}
+	live := make([]bool, len(nl.order))
 	var mark func(n *Node)
 	mark = func(n *Node) {
-		if n.flag == 1 {
+		if !nl.Contains(n) || live[n.id] {
 			return
 		}
-		n.flag = 1
+		live[n.id] = true
 		for _, f := range n.Fanin {
 			mark(f)
 		}
@@ -326,31 +339,17 @@ func (nl *Netlist) Sweep() int {
 			mark(n)
 		}
 	}
-	// Latches are state: keep any latch reachable from outputs, then keep
-	// everything those latches depend on, iterating until stable (a latch
-	// kept only because another kept latch reads it must keep its cone).
-	for {
-		changed := false
-		for _, n := range nl.order {
-			if n.Kind == KindLatch && n.flag == 1 && n.Fanin[0].flag == 0 {
-				mark(n.Fanin[0])
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	removed := 0
 	keep := nl.order[:0]
 	for _, n := range nl.order {
-		if n.flag == 1 || n.Kind == KindInput {
+		if live[n.id] || n.Kind == KindInput {
+			n.id = len(keep)
 			keep = append(keep, n)
 		} else {
 			delete(nl.nodes, n.Name)
-			removed++
 		}
 	}
+	removed := len(nl.order) - len(keep)
+	clear(nl.order[len(keep):])
 	nl.order = keep
 	return removed
 }
@@ -367,28 +366,13 @@ type Stats struct {
 // Stats computes summary statistics.
 func (nl *Netlist) Stats() Stats {
 	s := Stats{Inputs: len(nl.Inputs), Outputs: len(nl.Outputs)}
-	depth := make(map[*Node]int, len(nl.order))
-	topo, err := nl.TopoSort()
-	if err != nil {
-		topo = nl.order
-	}
-	for _, n := range topo {
+	depth, _ := nl.Levels()
+	for _, n := range nl.order {
 		switch n.Kind {
 		case KindLogic:
 			s.Logic++
-			if len(n.Fanin) > s.MaxFanin {
-				s.MaxFanin = len(n.Fanin)
-			}
-			d := 0
-			for _, f := range n.Fanin {
-				if depth[f] > d {
-					d = depth[f]
-				}
-			}
-			depth[n] = d + 1
-			if d+1 > s.Depth {
-				s.Depth = d + 1
-			}
+			s.MaxFanin = max(s.MaxFanin, len(n.Fanin))
+			s.Depth = max(s.Depth, depth[n.id])
 		case KindLatch:
 			s.Latches++
 		}
@@ -396,12 +380,50 @@ func (nl *Netlist) Stats() Stats {
 	return s
 }
 
+// Levels returns, indexed by node ID, each node's depth (the logic nodes on
+// the longest combinational path ending at it, itself included; 0 for
+// inputs and latches) and height (the logic nodes on the longest
+// combinational path leaving it, itself excluded). A network that fails
+// TopoSort is levelled in insertion order, ignoring foreign fanins.
+func (nl *Netlist) Levels() (depth, height []int) {
+	topo, err := nl.TopoSort()
+	if err != nil {
+		topo = nl.order
+	}
+	depth = make([]int, len(nl.order))
+	height = make([]int, len(nl.order))
+	for _, n := range topo {
+		if n.Kind != KindLogic {
+			continue
+		}
+		d := 0
+		for _, f := range n.Fanin {
+			if nl.Contains(f) {
+				d = max(d, depth[f.id])
+			}
+		}
+		depth[n.id] = d + 1
+	}
+	for i := len(topo) - 1; i >= 0; i-- {
+		n := topo[i]
+		if n.Kind != KindLogic {
+			continue
+		}
+		for _, f := range n.Fanin {
+			if nl.Contains(f) {
+				height[f.id] = max(height[f.id], height[n.id]+1)
+			}
+		}
+	}
+	return depth, height
+}
+
 // Clone returns a deep copy of the netlist.
 func (nl *Netlist) Clone() *Netlist {
 	c := New(nl.Name)
 	c.Outputs = append([]string(nil), nl.Outputs...)
 	for _, n := range nl.order {
-		cn := &Node{Name: n.Name, Kind: n.Kind, Cover: n.Cover.Clone(), Init: n.Init, Clock: n.Clock}
+		cn := &Node{Name: n.Name, Kind: n.Kind, Cover: n.Cover.Clone(), Init: n.Init, Clock: n.Clock, id: n.id}
 		c.nodes[cn.Name] = cn
 		c.order = append(c.order, cn)
 		if n.Kind == KindInput {

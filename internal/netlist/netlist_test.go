@@ -358,17 +358,6 @@ func TestOffsetCover(t *testing.T) {
 	}
 }
 
-func TestTruthTable64(t *testing.T) {
-	nl := buildAndOr(t)
-	v, err := TruthTable64(nl.Node("and_ab"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 0x8 { // AND of 2 inputs: only minterm 3
-		t.Errorf("and tt = %#x, want 0x8", v)
-	}
-}
-
 func TestCoverFromTruthTable(t *testing.T) {
 	tt := []bool{false, true, true, false} // XOR
 	c := CoverFromTruthTable(tt, 2)

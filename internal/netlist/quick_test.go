@@ -2,7 +2,9 @@ package netlist
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -137,4 +139,102 @@ func TestBLIFParserNeverPanics(t *testing.T) {
 			src = strings.Join(lines, "\n")
 		}
 	}
+}
+
+// numbered reports whether every node of nl sits at its ID and the
+// netlist passes Check.
+func numbered(t *testing.T, nl *Netlist, step string) bool {
+	for i, n := range nl.Nodes() {
+		if n.ID() != i || !nl.Contains(n) {
+			t.Logf("after %s: %s has ID %d at position %d", step, n.Name, n.ID(), i)
+			return false
+		}
+	}
+	if err := nl.Check(); err != nil {
+		t.Logf("after %s: %v", step, err)
+		return false
+	}
+	return true
+}
+
+// TestNodeIDInvariantProperty: nl.Nodes()[n.ID()] == n holds after every
+// mutation that keeps the network valid (Add*, Clone, Rename, ReplaceUses,
+// Sweep), and Contains rejects a clone's nodes and swept nodes.
+func TestNodeIDInvariantProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		nl := randomNetlist(rng)
+		if !numbered(t, nl, "Add*") {
+			return false
+		}
+		c := nl.Clone()
+		if !numbered(t, c, "Clone") {
+			return false
+		}
+		for i, n := range nl.Nodes() {
+			if c.Contains(n) || c.Nodes()[i].ID() != n.ID() {
+				return false
+			}
+		}
+		victim := nl.Nodes()[rng.Intn(nl.NumNodes())]
+		if err := nl.Rename(victim, "renamed"); err != nil || !numbered(t, nl, "Rename") {
+			return false
+		}
+		// Redirect a logic node's uses to an input: inputs have no fanin,
+		// so the network stays acyclic.
+		for _, n := range nl.Nodes() {
+			if n.Kind == KindLogic {
+				nl.ReplaceUses(n, nl.Inputs[rng.Intn(len(nl.Inputs))])
+				break
+			}
+		}
+		if !numbered(t, nl, "ReplaceUses") {
+			return false
+		}
+		late, err := nl.AddInput("late")
+		if err != nil || late.ID() != nl.NumNodes()-1 || !numbered(t, nl, "AddInput") {
+			return false
+		}
+		before := slices.Clone(nl.Nodes())
+		removed := nl.Sweep()
+		if len(before)-removed != nl.NumNodes() || !numbered(t, nl, "Sweep") {
+			return false
+		}
+		for _, n := range before {
+			if nl.Contains(n) != (nl.Node(n.Name) == n) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTopoSortConcurrent runs TopoSort and Stats on one netlist from
+// several goroutines: they read the network only, so under -race they
+// must neither race nor disagree.
+func TestTopoSortConcurrent(t *testing.T) {
+	nl := randomNetlist(rand.New(rand.NewSource(11)))
+	want, err := nl.TopoSort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantStats := nl.Stats()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				got, err := nl.TopoSort()
+				if err != nil || !slices.Equal(got, want) || nl.Stats() != wantStats {
+					t.Errorf("concurrent TopoSort/Stats disagree: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

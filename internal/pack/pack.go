@@ -179,25 +179,23 @@ func Pack(nl *netlist.Netlist, params Params) (*Packing, error) {
 // is the latch; otherwise latch and LUT become separate BLEs.
 func formBLEs(nl *netlist.Netlist) ([]*BLE, error) {
 	nl.BuildFanout()
-	used := make(map[*netlist.Node]bool)
+	used := make([]bool, nl.NumNodes()) // LUTs paired with a latch, by ID
 	var bles []*BLE
 	for _, n := range nl.Nodes() {
 		if n.Kind != netlist.KindLatch {
 			continue
 		}
 		d := n.Fanin[0]
-		if d.Kind == netlist.KindLogic && len(d.Fanout()) == 1 && !nl.IsOutput(d.Name) && !used[d] {
+		if d.Kind == netlist.KindLogic && len(d.Fanout()) == 1 && !nl.IsOutput(d.Name) && !used[d.ID()] {
 			bles = append(bles, &BLE{LUT: d, FF: n})
-			used[d] = true
+			used[d.ID()] = true
 		} else {
 			bles = append(bles, &BLE{FF: n}) // route-through register
 		}
-		used[n] = true
 	}
 	for _, n := range nl.Nodes() {
-		if n.Kind == netlist.KindLogic && !used[n] {
+		if n.Kind == netlist.KindLogic && !used[n.ID()] {
 			bles = append(bles, &BLE{LUT: n})
-			used[n] = true
 		}
 	}
 	return bles, nil

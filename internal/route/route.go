@@ -255,10 +255,11 @@ func Route(p *place.Problem, pl *place.Placement, g *rrgraph.Graph, opts Options
 		setCrit(opts.Criticality(g, nil))
 	}
 	// The A* lookahead: admissible cost-to-sink lower bounds derived from
-	// the graph's per-segment-type summary (built once per RR-graph and
-	// shared by every cache clone). See search.go for the admissibility
-	// argument; NoLookahead degrades to plain Dijkstra, and energy-driven
-	// bases (no RC floor in the tables) always search undirected.
+	// the graph's per-segment-type summary, built once per RR-graph and
+	// read by every stage that shares the graph. See search.go for the
+	// admissibility argument; NoLookahead degrades to plain Dijkstra, and
+	// energy-driven bases (no RC floor in the tables) always search
+	// undirected.
 	hr := newHeur(g, opts.Base == BaseDelay, norm, !opts.NoLookahead && opts.Base != BaseEnergy)
 	// costFor is the node-cost function net ni searches with. usage and
 	// history are frozen while a batch is in flight, so concurrent reads

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"fpgaflow/internal/check"
+	"fpgaflow/internal/place"
 	"fpgaflow/internal/route"
 	"fpgaflow/internal/rrgraph"
 	"fpgaflow/internal/timing"
@@ -28,7 +29,7 @@ func TestPropertyTimingDrivenRouteLegalAndDeterministic(t *testing.T) {
 				calls++
 				var nc []float64
 				if routes == nil {
-					nc = timing.StaticNetCriticalities(pk, p)
+					nc = place.StaticCriticalities(pk, p)
 				} else {
 					var err error
 					nc, err = timing.AnalyzeNetCriticalities(pk, p, pl, &route.Result{Routes: routes, Graph: g})

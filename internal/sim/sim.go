@@ -12,16 +12,23 @@ import (
 )
 
 // Simulator evaluates a netlist cycle by cycle. Latches follow BLIF
-// semantics: on every Step, combinational logic settles from the current
+// semantics: on every step, combinational logic settles from the current
 // latch outputs and primary inputs, then all latches load their D values
-// simultaneously.
+// simultaneously. Its state is indexed by node ID, inputs and outputs by
+// their position in nl.Inputs and nl.Outputs.
 type Simulator struct {
-	nl    *netlist.Netlist
-	topo  []*netlist.Node
-	value map[*netlist.Node]bool
-	next  map[*netlist.Node]bool
-	// Transitions counts value changes per node since Reset.
-	Transitions map[string]int
+	nl      *netlist.Netlist
+	logic   []*netlist.Node // logic nodes in topological order
+	latches []*netlist.Node
+	outs    []int // node ID of each primary output
+	value   []bool
+	next    []bool // latch D values, by latch position
+	out     []bool // primary outputs captured by the last step
+	fin     []bool // fanin values of the node being evaluated
+	// transitions counts value changes per node. A node's first
+	// assignment is not a change: inputs and logic are first assigned by
+	// the first step, latches by New.
+	transitions []int
 	cycles      int
 }
 
@@ -33,109 +40,110 @@ func New(nl *netlist.Netlist) (*Simulator, error) {
 	}
 	s := &Simulator{
 		nl:          nl,
-		topo:        topo,
-		value:       make(map[*netlist.Node]bool, nl.NumNodes()),
-		next:        make(map[*netlist.Node]bool),
-		Transitions: make(map[string]int, nl.NumNodes()),
+		outs:        make([]int, len(nl.Outputs)),
+		value:       make([]bool, nl.NumNodes()),
+		out:         make([]bool, len(nl.Outputs)),
+		transitions: make([]int, nl.NumNodes()),
 	}
-	s.Reset()
+	for _, n := range topo {
+		if n.Kind == netlist.KindLogic {
+			s.logic = append(s.logic, n)
+		}
+	}
+	// Latches power up at their initial value ('2'/'3' start at 0).
+	for _, n := range nl.Nodes() {
+		if n.Kind == netlist.KindLatch {
+			s.latches = append(s.latches, n)
+			s.value[n.ID()] = n.Init == '1'
+		}
+	}
+	s.next = make([]bool, len(s.latches))
+	for i, o := range nl.Outputs {
+		n := nl.Node(o)
+		if n == nil {
+			return nil, fmt.Errorf("sim: output %q has no driver", o)
+		}
+		s.outs[i] = n.ID()
+	}
 	return s, nil
 }
 
-// Reset sets latches to their initial values ('2'/'3' reset to 0) and
-// clears activity counters.
-func (s *Simulator) Reset() {
-	for n := range s.value {
-		delete(s.value, n)
-	}
-	for _, n := range s.nl.Nodes() {
-		if n.Kind == netlist.KindLatch {
-			s.value[n] = n.Init == '1'
-		}
-	}
-	s.Transitions = make(map[string]int, s.nl.NumNodes())
-	s.cycles = 0
-}
-
-// Cycles returns the number of Step calls since Reset.
+// Cycles returns the number of steps taken.
 func (s *Simulator) Cycles() int { return s.cycles }
 
 // Step applies one input vector (keyed by primary-input name), settles the
 // combinational logic, captures primary outputs, then clocks all latches.
 func (s *Simulator) Step(inputs map[string]bool) (map[string]bool, error) {
-	for _, in := range s.nl.Inputs {
+	vec := make([]bool, len(s.nl.Inputs))
+	for i, in := range s.nl.Inputs {
 		v, ok := inputs[in.Name]
 		if !ok {
 			return nil, fmt.Errorf("sim: missing value for input %q", in.Name)
 		}
-		s.set(in, v)
+		vec[i] = v
 	}
-	faninVals := make([]bool, 0, 8)
-	for _, n := range s.topo {
-		if n.Kind != netlist.KindLogic {
-			continue
-		}
-		faninVals = faninVals[:0]
-		for _, f := range n.Fanin {
-			faninVals = append(faninVals, s.value[f])
-		}
-		s.set(n, netlist.EvalCover(n.Cover, faninVals))
+	s.step(vec)
+	out := make(map[string]bool, len(s.outs))
+	for i, o := range s.nl.Outputs {
+		out[o] = s.out[i]
 	}
-	out := make(map[string]bool, len(s.nl.Outputs))
-	for _, o := range s.nl.Outputs {
-		out[o] = s.value[s.nl.Node(o)]
-	}
-	for n := range s.next {
-		delete(s.next, n)
-	}
-	for _, n := range s.nl.Nodes() {
-		if n.Kind == netlist.KindLatch {
-			s.next[n] = s.value[n.Fanin[0]]
-		}
-	}
-	for n, v := range s.next {
-		s.set(n, v)
-	}
-	s.cycles++
 	return out, nil
 }
 
-func (s *Simulator) set(n *netlist.Node, v bool) {
-	if old, seen := s.value[n]; seen && old != v {
-		s.Transitions[n.Name]++
+// step is Step by position: in[i] drives nl.Inputs[i], and s.out[i]
+// receives nl.Outputs[i].
+func (s *Simulator) step(in []bool) {
+	settled := s.cycles > 0 // inputs and logic hold last step's values
+	for i, n := range s.nl.Inputs {
+		s.set(n.ID(), in[i], settled)
 	}
-	s.value[n] = v
+	for _, n := range s.logic {
+		s.fin = s.fin[:0]
+		for _, f := range n.Fanin {
+			s.fin = append(s.fin, s.value[f.ID()])
+		}
+		s.set(n.ID(), netlist.EvalCover(n.Cover, s.fin), settled)
+	}
+	for i, id := range s.outs {
+		s.out[i] = s.value[id]
+	}
+	for i, n := range s.latches {
+		s.next[i] = s.value[n.Fanin[0].ID()]
+	}
+	for i, n := range s.latches {
+		s.set(n.ID(), s.next[i], true)
+	}
+	s.cycles++
 }
 
-// Value returns the current value of the named signal.
+// set assigns node id, counting a change when the node held a value.
+func (s *Simulator) set(id int, v, assigned bool) {
+	if assigned && s.value[id] != v {
+		s.transitions[id]++
+	}
+	s.value[id] = v
+}
+
+// Value returns the current value of the named signal, and whether it has
+// been assigned yet.
 func (s *Simulator) Value(name string) (bool, bool) {
 	n := s.nl.Node(name)
-	if n == nil {
+	if n == nil || n.Kind != netlist.KindLatch && s.cycles == 0 {
 		return false, false
 	}
-	v, ok := s.value[n]
-	return v, ok
+	return s.value[n.ID()], true
 }
 
 // Eval evaluates a purely combinational netlist on one input vector.
 func Eval(nl *netlist.Netlist, inputs map[string]bool) (map[string]bool, error) {
-	if nl.Stats().Latches != 0 {
-		return nil, fmt.Errorf("sim: Eval on sequential netlist %s", nl.Name)
-	}
 	s, err := New(nl)
 	if err != nil {
 		return nil, err
 	}
-	return s.Step(inputs)
-}
-
-// inputVector builds the input map for minterm m over the named inputs.
-func inputVector(names []string, m uint64) map[string]bool {
-	in := make(map[string]bool, len(names))
-	for i, name := range names {
-		in[name] = m&(1<<uint(i)) != 0
+	if len(s.latches) != 0 {
+		return nil, fmt.Errorf("sim: Eval on sequential netlist %s", nl.Name)
 	}
-	return in
+	return s.Step(inputs)
 }
 
 // InputNames returns the primary-input names in declaration order.
@@ -164,13 +172,16 @@ func (e *NotEquivalentError) Error() string {
 // CheckEquivalent verifies that two netlists with identical input/output
 // names compute the same function. Combinational pairs with at most
 // exhaustiveLimit inputs are checked exhaustively; otherwise (and for
-// sequential pairs) nVectors random vectors/cycles are applied.
+// sequential pairs) nVectors random vectors/cycles are applied. A check
+// that would apply no vector, or enumerate 2^64 or more, is an error.
 func CheckEquivalent(a, b *netlist.Netlist, exhaustiveLimit, nVectors int, seed int64) error {
-	an, bn := InputNames(a), InputNames(b)
-	if err := sameNameSet(an, bn); err != nil {
+	an := InputNames(a)
+	inPerm, err := positions(an, InputNames(b))
+	if err != nil {
 		return fmt.Errorf("sim: input mismatch: %w", err)
 	}
-	if err := sameNameSet(a.Outputs, b.Outputs); err != nil {
+	outPerm, err := positions(a.Outputs, b.Outputs)
+	if err != nil {
 		return fmt.Errorf("sim: output mismatch: %w", err)
 	}
 	sa, err := New(a)
@@ -184,69 +195,77 @@ func CheckEquivalent(a, b *netlist.Netlist, exhaustiveLimit, nVectors int, seed 
 	// One simulator per side steps every vector. A combinational netlist
 	// settles from its inputs alone, so reusing it is the same as a fresh
 	// Eval per vector; a sequential one carries its latch state on.
-	seq := a.Stats().Latches > 0 || b.Stats().Latches > 0
+	ina, inb := make([]bool, len(an)), make([]bool, len(an))
+	compare := func(cycle int) error {
+		for i, j := range inPerm {
+			inb[j] = ina[i]
+		}
+		sa.step(ina)
+		sb.step(inb)
+		for i, j := range outPerm {
+			if sa.out[i] != sb.out[j] {
+				in := make(map[string]bool, len(an))
+				for k, name := range an {
+					in[name] = ina[k]
+				}
+				return &NotEquivalentError{Output: a.Outputs[i], Inputs: in, Cycle: cycle, A: sa.out[i], B: sb.out[j]}
+			}
+		}
+		return nil
+	}
+	seq := len(sa.latches) > 0 || len(sb.latches) > 0
 	if !seq && len(an) <= exhaustiveLimit {
+		if len(an) >= 64 {
+			return fmt.Errorf("sim: exhaustive check over %d inputs is infeasible", len(an))
+		}
 		for m := uint64(0); m < 1<<uint(len(an)); m++ {
-			if err := compareOnce(sa, sb, inputVector(an, m), 0); err != nil {
+			for i := range ina {
+				ina[i] = m&(1<<uint(i)) != 0
+			}
+			if err := compare(0); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
+	if nVectors <= 0 {
+		return fmt.Errorf("sim: %d random vectors check nothing", nVectors)
+	}
 	rng := rand.New(rand.NewSource(seed))
 	for v := 0; v < nVectors; v++ {
+		for i := range ina {
+			ina[i] = rng.Intn(2) == 1
+		}
 		cycle := 0
 		if seq {
 			cycle = v
 		}
-		if err := compareOnce(sa, sb, randomVector(an, rng), cycle); err != nil {
+		if err := compare(cycle); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// compareOnce steps both simulators on one input vector and reports the
-// first output, in a's declaration order, on which they disagree.
-func compareOnce(sa, sb *Simulator, in map[string]bool, cycle int) error {
-	oa, err := sa.Step(in)
-	if err != nil {
-		return err
+// positions returns, for each name in from, its index in to. It fails
+// unless both lists have the same length and every name in from is in to.
+func positions(from, to []string) ([]int, error) {
+	if len(from) != len(to) {
+		return nil, fmt.Errorf("count %d vs %d", len(from), len(to))
 	}
-	ob, err := sb.Step(in)
-	if err != nil {
-		return err
+	index := make(map[string]int, len(to))
+	for i, n := range to {
+		index[n] = i
 	}
-	for _, o := range sa.nl.Outputs {
-		if oa[o] != ob[o] {
-			return &NotEquivalentError{Output: o, Inputs: in, Cycle: cycle, A: oa[o], B: ob[o]}
+	perm := make([]int, len(from))
+	for i, n := range from {
+		j, ok := index[n]
+		if !ok {
+			return nil, fmt.Errorf("name %q only on one side", n)
 		}
+		perm[i] = j
 	}
-	return nil
-}
-
-func randomVector(names []string, rng *rand.Rand) map[string]bool {
-	in := make(map[string]bool, len(names))
-	for _, n := range names {
-		in[n] = rng.Intn(2) == 1
-	}
-	return in
-}
-
-func sameNameSet(a, b []string) error {
-	if len(a) != len(b) {
-		return fmt.Errorf("count %d vs %d", len(a), len(b))
-	}
-	set := make(map[string]bool, len(a))
-	for _, n := range a {
-		set[n] = true
-	}
-	for _, n := range b {
-		if !set[n] {
-			return fmt.Errorf("name %q only on one side", n)
-		}
-	}
-	return nil
+	return perm, nil
 }
 
 // Activity holds per-signal switching statistics from a random simulation.
@@ -269,21 +288,21 @@ func EstimateActivity(nl *netlist.Netlist, nCycles int, inputToggle float64, see
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed))
-	names := InputNames(nl)
-	in := randomVector(names, rng)
-	ones := make(map[string]int, nl.NumNodes())
+	in := make([]bool, len(nl.Inputs))
+	for i := range in {
+		in[i] = rng.Intn(2) == 1
+	}
+	ones := make([]int, nl.NumNodes())
 	for c := 0; c < nCycles; c++ {
-		for _, n := range names {
+		for i := range in {
 			if rng.Float64() < inputToggle {
-				in[n] = !in[n]
+				in[i] = !in[i]
 			}
 		}
-		if _, err := s.Step(in); err != nil {
-			return nil, err
-		}
-		for _, n := range nl.Nodes() {
-			if v, _ := s.Value(n.Name); v {
-				ones[n.Name]++
+		s.step(in)
+		for id, v := range s.value {
+			if v {
+				ones[id]++
 			}
 		}
 	}
@@ -294,9 +313,10 @@ func EstimateActivity(nl *netlist.Netlist, nCycles int, inputToggle float64, see
 	}
 	var transitions int64
 	for _, n := range nl.Nodes() {
-		act.Density[n.Name] = float64(s.Transitions[n.Name]) / float64(nCycles)
-		act.StaticProb[n.Name] = float64(ones[n.Name]) / float64(nCycles)
-		transitions += int64(s.Transitions[n.Name])
+		t := s.transitions[n.ID()]
+		act.Density[n.Name] = float64(t) / float64(nCycles)
+		act.StaticProb[n.Name] = float64(ones[n.ID()]) / float64(nCycles)
+		transitions += int64(t)
 	}
 	tr.Add("sim.cycles", int64(nCycles))
 	tr.Add("sim.transitions", transitions)

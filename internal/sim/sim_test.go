@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -258,12 +260,20 @@ func evalLoopReference(t *testing.T, a, b *netlist.Netlist, exhaustiveLimit, nVe
 	var vectors []map[string]bool
 	if len(names) <= exhaustiveLimit {
 		for m := uint64(0); m < 1<<uint(len(names)); m++ {
-			vectors = append(vectors, inputVector(names, m))
+			in := make(map[string]bool, len(names))
+			for i, name := range names {
+				in[name] = m&(1<<uint(i)) != 0
+			}
+			vectors = append(vectors, in)
 		}
 	} else {
 		rng := rand.New(rand.NewSource(seed))
 		for v := 0; v < nVectors; v++ {
-			vectors = append(vectors, randomVector(names, rng))
+			in := make(map[string]bool, len(names))
+			for _, name := range names {
+				in[name] = rng.Intn(2) == 1
+			}
+			vectors = append(vectors, in)
 		}
 	}
 	for _, in := range vectors {
@@ -332,5 +342,59 @@ func TestCheckEquivalentMatchesEvalLoop(t *testing.T) {
 	}
 	if flips == 0 {
 		t.Fatal("no flipped cover bit changed the function")
+	}
+}
+
+// wideGate returns a 64-input netlist computing the AND (or the OR) of
+// all its inputs on output "o".
+func wideGate(t *testing.T, and bool) *netlist.Netlist {
+	t.Helper()
+	nl := netlist.New("wide")
+	var ins []*netlist.Node
+	for i := 0; i < 64; i++ {
+		in, _ := nl.AddInput(fmt.Sprintf("i%d", i))
+		ins = append(ins, in)
+	}
+	cover := netlist.Cover{Value: netlist.LitOne}
+	if and {
+		cover.Cubes = []netlist.Cube{netlist.Cube(strings.Repeat("1", 64))}
+	} else {
+		// OR as the complement of the all-zero cube.
+		cover = netlist.Cover{Value: netlist.LitZero, Cubes: []netlist.Cube{netlist.Cube(strings.Repeat("0", 64))}}
+	}
+	if _, err := nl.AddLogic("o", ins, cover); err != nil {
+		t.Fatal(err)
+	}
+	nl.MarkOutput("o")
+	return nl
+}
+
+// TestCheckEquivalentNeverVacuous requires a check that would apply no
+// vector to fail instead of passing: zero random vectors on a
+// combinational pair over the exhaustive limit or on a sequential pair,
+// and an exhaustive limit that admits 64 inputs (2^64 wraps to zero).
+func TestCheckEquivalentNeverVacuous(t *testing.T) {
+	and, or := wideGate(t, true), wideGate(t, false)
+	for _, c := range []struct {
+		name                      string
+		exhaustiveLimit, nVectors int
+	}{
+		{"exhaustive over 64 inputs", 64, 100},
+		{"zero vectors over the limit", 14, 0},
+		{"negative vectors", 14, -1},
+	} {
+		if err := CheckEquivalent(and, or, c.exhaustiveLimit, c.nVectors, 1); err == nil {
+			t.Errorf("%s: AND64 and OR64 reported equivalent", c.name)
+		}
+	}
+	if err := CheckEquivalent(and, and.Clone(), 64, 100, 1); err == nil {
+		t.Error("exhaustive check over 64 inputs accepted")
+	}
+	seq, _ := netlist.ParseBLIF(counterBLIF)
+	if err := CheckEquivalent(seq, seq.Clone(), 16, 0, 1); err == nil {
+		t.Error("sequential check with zero vectors accepted")
+	}
+	if err := CheckEquivalent(and, or, 14, 100, 1); err == nil {
+		t.Error("AND64 and OR64 reported equivalent on 100 random vectors")
 	}
 }

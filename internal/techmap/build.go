@@ -15,14 +15,14 @@ func byName(a, b *netlist.Node) int { return strings.Compare(a.Name, b.Name) }
 // returns the LUT inputs of a logic node, or false when no cut covers it.
 func buildMapped(nl *netlist.Netlist, cutOf func(*netlist.Node) ([]*netlist.Node, bool)) (*Result, error) {
 	out := netlist.New(nl.Name)
-	made := make(map[*netlist.Node]*netlist.Node, nl.NumNodes())
+	made := make([]*netlist.Node, nl.NumNodes()) // by ID of the source node
 
 	for _, in := range nl.Inputs {
 		n, err := out.AddInput(in.Name)
 		if err != nil {
 			return nil, err
 		}
-		made[in] = n
+		made[in.ID()] = n
 	}
 	// Latches first (as placeholders) so feedback resolves; D fanin fixed later.
 	for _, n := range nl.Nodes() {
@@ -32,14 +32,14 @@ func buildMapped(nl *netlist.Netlist, cutOf func(*netlist.Node) ([]*netlist.Node
 				return nil, err
 			}
 			q.Fanin = nil
-			made[n] = q
+			made[n.ID()] = q
 		}
 	}
 
 	var ce coneEval
 	var emit func(n *netlist.Node) (*netlist.Node, error)
 	emit = func(n *netlist.Node) (*netlist.Node, error) {
-		if m, ok := made[n]; ok {
+		if m := made[n.ID()]; m != nil {
 			return m, nil
 		}
 		if n.Kind != netlist.KindLogic {
@@ -65,7 +65,7 @@ func buildMapped(nl *netlist.Netlist, cutOf func(*netlist.Node) ([]*netlist.Node
 		if err != nil {
 			return nil, err
 		}
-		made[n] = lut
+		made[n.ID()] = lut
 		return lut, nil
 	}
 
@@ -88,7 +88,7 @@ func buildMapped(nl *netlist.Netlist, cutOf func(*netlist.Node) ([]*netlist.Node
 		if err != nil {
 			return nil, err
 		}
-		made[n].Fanin = []*netlist.Node{d}
+		made[n.ID()].Fanin = []*netlist.Node{d}
 	}
 	out.Sweep()
 	// Area recovery: overlapping cuts duplicate cone logic; structurally
@@ -111,9 +111,25 @@ var inputPattern = [6]uint64{
 // coneEval evaluates cone functions bit-parallel, reusing its buffers
 // from one cone to the next.
 type coneEval struct {
-	val   map[*netlist.Node]int // offset of a node's rows in words
+	stamp uint32     // identifies the current cone
+	val   []coneSlot // by node ID
 	words []uint64
 	fin   []int
+}
+
+// coneSlot holds the offset of a node's rows in words, valid while stamp
+// is the current cone's.
+type coneSlot struct {
+	stamp uint32
+	off   int
+}
+
+// slot returns node n's slot, growing the table to cover its ID.
+func (e *coneEval) slot(n *netlist.Node) *coneSlot {
+	if id := n.ID(); id >= len(e.val) {
+		e.val = append(e.val, make([]coneSlot, id+1-len(e.val))...)
+	}
+	return &e.val[n.ID()]
 }
 
 // truthTable returns the function of node t over the given cut inputs
@@ -126,13 +142,10 @@ func (e *coneEval) truthTable(t *netlist.Node, inputs []*netlist.Node) ([]bool, 
 	}
 	rows := 1 << uint(k)
 	nw := (rows + 63) / 64
-	if e.val == nil {
-		e.val = make(map[*netlist.Node]int)
-	}
-	clear(e.val)
+	e.stamp++
 	e.words, e.fin = e.words[:0], e.fin[:0]
 	for i, in := range inputs {
-		e.val[in] = len(e.words)
+		*e.slot(in) = coneSlot{e.stamp, len(e.words)}
 		for w := 0; w < nw; w++ {
 			var x uint64
 			switch {
@@ -146,8 +159,8 @@ func (e *coneEval) truthTable(t *netlist.Node, inputs []*netlist.Node) ([]bool, 
 	}
 	var eval func(n *netlist.Node) (int, error)
 	eval = func(n *netlist.Node) (int, error) {
-		if off, ok := e.val[n]; ok {
-			return off, nil
+		if s := e.slot(n); s.stamp == e.stamp {
+			return s.off, nil
 		}
 		if n.Kind != netlist.KindLogic {
 			return 0, fmt.Errorf("techmap: cone of %q escapes cut at %q", t.Name, n.Name)
@@ -182,7 +195,7 @@ func (e *coneEval) truthTable(t *netlist.Node, inputs []*netlist.Node) ([]bool, 
 			e.words = append(e.words, hit)
 		}
 		e.fin = e.fin[:base]
-		e.val[n] = off
+		*e.slot(n) = coneSlot{e.stamp, off}
 		return off, nil
 	}
 	off, err := eval(t)

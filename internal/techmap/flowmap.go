@@ -41,8 +41,8 @@ func FlowMap(nl *netlist.Netlist, k int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := range m.nodes {
-		m.labelNode(int32(i))
+	for _, id := range m.topo {
+		m.labelNode(id)
 	}
 	res, err := buildMapped(nl, m.cutOf)
 	if err != nil {
@@ -64,14 +64,13 @@ type arc struct {
 	to, cap, rev int32
 }
 
-// flowMapper is the state of one FlowMap call. Nodes are numbered once in
-// topological order, and every per-node and per-vertex buffer is a slice
-// reused by each node's cut test, so a test allocates nothing once the
-// buffers have grown.
+// flowMapper is the state of one FlowMap call. Per-node slices are indexed
+// by node ID, and every per-node and per-vertex buffer is reused by each
+// node's cut test, so a test allocates nothing once the buffers have grown.
 type flowMapper struct {
 	k     int32
-	nodes []*netlist.Node // topological order
-	index map[*netlist.Node]int32
+	nodes []*netlist.Node // nl.Nodes(), by ID
+	topo  []int32         // node IDs in topological order
 	fanin [][]int32
 	logic []bool
 	label []int32
@@ -96,16 +95,18 @@ type flowMapper struct {
 	cutTests, augmentations int64
 }
 
+// newFlowMapper numbers nl's fanins by ID. TopoSort rejects a foreign
+// fanin, so every fanin ID addresses a node of nl.
 func newFlowMapper(nl *netlist.Netlist, k int) (*flowMapper, error) {
 	topo, err := nl.TopoSort()
 	if err != nil {
 		return nil, err
 	}
-	n := len(topo)
+	n := nl.NumNodes()
 	m := &flowMapper{
 		k:       int32(k),
-		nodes:   topo,
-		index:   make(map[*netlist.Node]int32, n),
+		nodes:   nl.Nodes(),
+		topo:    make([]int32, len(topo)),
 		fanin:   make([][]int32, n),
 		logic:   make([]bool, n),
 		label:   make([]int32, n),
@@ -116,24 +117,20 @@ func newFlowMapper(nl *netlist.Netlist, k int) (*flowMapper, error) {
 	}
 	edges := 0
 	for i, nd := range topo {
-		m.index[nd] = int32(i)
+		m.topo[i] = int32(nd.ID())
 		if nd.Kind == netlist.KindLogic {
-			m.logic[i] = true
+			m.logic[nd.ID()] = true
 			edges += len(nd.Fanin)
 		}
 	}
 	flat := make([]int32, 0, edges)
-	for i, nd := range topo {
+	for i, nd := range m.nodes {
 		if !m.logic[i] {
 			continue
 		}
 		start := len(flat)
 		for _, f := range nd.Fanin {
-			j, ok := m.index[f]
-			if !ok {
-				return nil, fmt.Errorf("techmap: fanin %q of %q is not in the netlist", f.Name, nd.Name)
-			}
-			flat = append(flat, j)
+			flat = append(flat, int32(f.ID()))
 		}
 		m.fanin[i] = flat[start:len(flat):len(flat)]
 	}
@@ -142,15 +139,14 @@ func newFlowMapper(nl *netlist.Netlist, k int) (*flowMapper, error) {
 
 // cutOf returns the LUT inputs chosen for a logic node.
 func (m *flowMapper) cutOf(n *netlist.Node) ([]*netlist.Node, bool) {
-	i, ok := m.index[n]
-	if !ok || !m.logic[i] {
+	if !m.logic[n.ID()] {
 		return nil, false
 	}
-	return m.cut[i], true
+	return m.cut[n.ID()], true
 }
 
-// labelNode computes node i's FlowMap label and cut; every earlier node in
-// topological order must already be labelled.
+// labelNode computes node i's FlowMap label and cut; every node before i
+// in topological order must already be labelled.
 func (m *flowMapper) labelNode(i int32) {
 	if !m.logic[i] || len(m.fanin[i]) == 0 {
 		// Inputs, latches and constants (zero-input LUTs) sit at depth 0.

@@ -351,10 +351,11 @@ func checkAgainstReference(t *testing.T, nl *netlist.Netlist, k int) {
 		t.Fatal(err)
 	}
 	var ce coneEval
-	for i, n := range m.nodes {
+	for _, id := range m.topo {
+		n := m.nodes[id]
 		before := m.augmentations
-		m.labelNode(int32(i))
-		if got, want := int(m.label[i]), refLabel[n]; got != want {
+		m.labelNode(id)
+		if got, want := int(m.label[id]), refLabel[n]; got != want {
 			t.Fatalf("%s label %d, reference %d", n.Name, got, want)
 		}
 		if got, want := int(m.augmentations-before), refAug[n]; got != want {

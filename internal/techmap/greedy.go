@@ -24,12 +24,12 @@ func MapGreedy(nl *netlist.Netlist, k int) (*Result, error) {
 	}
 	nl.BuildFanout()
 
-	// required marks nodes that must become LUT roots.
-	required := make(map[*netlist.Node]bool)
+	// required marks nodes that must become LUT roots, by ID.
+	required := make([]bool, nl.NumNodes())
 	var queue []*netlist.Node
 	addRoot := func(n *netlist.Node) {
-		if n.Kind == netlist.KindLogic && !required[n] {
-			required[n] = true
+		if n.Kind == netlist.KindLogic && !required[n.ID()] {
+			required[n.ID()] = true
 			queue = append(queue, n)
 		}
 	}
@@ -42,20 +42,28 @@ func MapGreedy(nl *netlist.Netlist, k int) (*Result, error) {
 		}
 	}
 
-	cut := make(map[*netlist.Node][]*netlist.Node)
-	for len(queue) > 0 {
+	cut := make([][]*netlist.Node, nl.NumNodes())
+	// inCone and inCut mark, by ID, the current root's cone and cut: a
+	// node belongs when its mark equals the root's stamp.
+	inCone, inCut := make([]int, nl.NumNodes()), make([]int, nl.NumNodes())
+	for stamp := 1; len(queue) > 0; stamp++ {
 		root := queue[0]
 		queue = queue[1:]
-		inCone := map[*netlist.Node]bool{root: root.Kind == netlist.KindLogic}
-		cutSet := make(map[*netlist.Node]bool)
+		inCone[root.ID()] = stamp
+		var cutSet []*netlist.Node
+		grow := func(f *netlist.Node) {
+			if inCone[f.ID()] != stamp && inCut[f.ID()] != stamp {
+				inCut[f.ID()] = stamp
+				cutSet = append(cutSet, f)
+			}
+		}
 		for _, f := range root.Fanin {
-			cutSet[f] = true
+			grow(f)
 		}
 		// Greedily absorb cut nodes while the cut stays K-feasible.
 		for {
-			var best *netlist.Node
-			bestDelta := 1 << 30
-			for c := range cutSet {
+			best, bestDelta := -1, 1<<30
+			for ci, c := range cutSet {
 				if c.Kind != netlist.KindLogic || len(c.Fanin) == 0 {
 					continue
 				}
@@ -63,13 +71,13 @@ func MapGreedy(nl *netlist.Netlist, k int) (*Result, error) {
 				// logic; allow it only when it frees cut capacity anyway.
 				delta := -1 // removing c from the cut
 				for _, f := range c.Fanin {
-					if !cutSet[f] && !inCone[f] {
+					if inCut[f.ID()] != stamp && inCone[f.ID()] != stamp {
 						delta++
 					}
 				}
 				shared := false
 				for _, fo := range c.Fanout() {
-					if !inCone[fo] {
+					if inCone[fo.ID()] != stamp {
 						shared = true
 						break
 					}
@@ -78,20 +86,20 @@ func MapGreedy(nl *netlist.Netlist, k int) (*Result, error) {
 					delta += 1 // bias against duplication
 				}
 				// Ties go to the first name, so the choice does not depend
-				// on map order.
-				if len(cutSet)+delta <= k && (delta < bestDelta || delta == bestDelta && c.Name < best.Name) {
-					best, bestDelta = c, delta
+				// on the cut's order.
+				if len(cutSet)+delta <= k && (delta < bestDelta || delta == bestDelta && c.Name < cutSet[best].Name) {
+					best, bestDelta = ci, delta
 				}
 			}
-			if best == nil {
+			if best < 0 {
 				break
 			}
-			delete(cutSet, best)
-			inCone[best] = true
-			for _, f := range best.Fanin {
-				if !inCone[f] {
-					cutSet[f] = true
-				}
+			b := cutSet[best]
+			cutSet[best] = cutSet[len(cutSet)-1]
+			cutSet = cutSet[:len(cutSet)-1]
+			inCut[b.ID()], inCone[b.ID()] = 0, stamp
+			for _, f := range b.Fanin {
+				grow(f)
 			}
 			if len(cutSet) > k {
 				// Revert is messy; stop absorbing (can only happen with
@@ -99,18 +107,13 @@ func MapGreedy(nl *netlist.Netlist, k int) (*Result, error) {
 				break
 			}
 		}
-		inputs := make([]*netlist.Node, 0, len(cutSet))
-		for c := range cutSet {
-			inputs = append(inputs, c)
-		}
-		slices.SortFunc(inputs, byName)
-		cut[root] = inputs
-		for _, in := range inputs {
+		slices.SortFunc(cutSet, byName)
+		cut[root.ID()] = cutSet
+		for _, in := range cutSet {
 			addRoot(in)
 		}
 	}
 	return buildMapped(nl, func(n *netlist.Node) ([]*netlist.Node, bool) {
-		c, ok := cut[n]
-		return c, ok
+		return cut[n.ID()], required[n.ID()]
 	})
 }

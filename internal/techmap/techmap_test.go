@@ -115,6 +115,24 @@ func TestFlowMapSingleGate(t *testing.T) {
 	checkMapped(t, ref, res, 4, 2)
 }
 
+// TestMappersRejectForeignFanin gives a node a fanin from a clone of its
+// netlist: same name and same ID as the netlist's own node, but another
+// network's. Both mappers must refuse it.
+func TestMappersRejectForeignFanin(t *testing.T) {
+	nl := netlist.New("f")
+	a, _ := nl.AddInput("a")
+	nl.AddInput("b")
+	foreign := nl.Clone().Node("b")
+	nl.AddLogic("o", []*netlist.Node{a, foreign}, xor2())
+	nl.MarkOutput("o")
+	if _, err := FlowMap(nl, 4); err == nil {
+		t.Error("FlowMap accepted a foreign fanin")
+	}
+	if _, err := MapGreedy(nl, 4); err == nil {
+		t.Error("MapGreedy accepted a foreign fanin")
+	}
+}
+
 func TestFlowMapRejectsWideNodes(t *testing.T) {
 	nl := netlist.New("w")
 	var fanin []*netlist.Node

@@ -1,7 +1,6 @@
 package timing
 
 import (
-	"fpgaflow/internal/netlist"
 	"fpgaflow/internal/pack"
 	"fpgaflow/internal/place"
 	"fpgaflow/internal/route"
@@ -51,61 +50,4 @@ func AnalyzeNetCriticalities(pk *pack.Packing, p *place.Problem, pl *place.Place
 		return nil, err
 	}
 	return NetCriticalities(an, p), nil
-}
-
-// StaticNetCriticalities estimates per-net criticality before any routing
-// exists, from combinational depth through the mapped netlist alone: a
-// net's driver on the deepest input-to-output path gets criticality 1,
-// off-path drivers proportionally less. It seeds the router's first
-// iteration (which has no routed delays to analyze yet) and mirrors the
-// depth estimate place.CriticalityWeights builds its annealer weights
-// from.
-func StaticNetCriticalities(pk *pack.Packing, p *place.Problem) []float64 {
-	nl := pk.Netlist
-	depth := make(map[*netlist.Node]int, nl.NumNodes())
-	topo, err := nl.TopoSort()
-	if err != nil {
-		topo = nl.Nodes()
-	}
-	for _, n := range topo {
-		if n.Kind != netlist.KindLogic {
-			continue
-		}
-		d := 0
-		for _, f := range n.Fanin {
-			if depth[f] > d {
-				d = depth[f]
-			}
-		}
-		depth[n] = d + 1
-	}
-	// Height: longest remaining combinational path (walk topo backwards).
-	height := make(map[*netlist.Node]int, nl.NumNodes())
-	for i := len(topo) - 1; i >= 0; i-- {
-		n := topo[i]
-		if n.Kind != netlist.KindLogic {
-			continue
-		}
-		for _, f := range n.Fanin {
-			if h := height[n] + 1; h > height[f] {
-				height[f] = h
-			}
-		}
-	}
-	dmax := 0
-	for _, n := range topo {
-		if t := depth[n] + height[n]; t > dmax {
-			dmax = t
-		}
-	}
-	out := make([]float64, len(p.Nets))
-	for i, net := range p.Nets {
-		if dmax == 0 {
-			continue
-		}
-		if n := nl.Node(net.Signal); n != nil {
-			out[i] = float64(depth[n]+height[n]) / float64(dmax)
-		}
-	}
-	return out
 }

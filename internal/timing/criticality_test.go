@@ -139,7 +139,7 @@ func TestNetCriticalitiesProperties(t *testing.T) {
 			}
 		}
 		// Static estimate obeys the same range contract.
-		for i, c := range StaticNetCriticalities(pk, p) {
+		for i, c := range place.StaticCriticalities(pk, p) {
 			if c < 0 || c > 1 {
 				t.Errorf("seed %d: static criticality[%d] = %v out of [0,1]", seed, i, c)
 			}
