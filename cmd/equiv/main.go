@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 
 	"fpgaflow/internal/netlist"
@@ -78,7 +79,10 @@ func portMismatch(a, b *netlist.Netlist) string {
 	return setDiff("output", a.Outputs, b.Outputs)
 }
 
+// setDiff sorts copies of a and b, so the callers' port lists keep their
+// declaration order (a counterexample names outputs in that order).
 func setDiff(kind string, a, b []string) string {
+	a, b = slices.Clone(a), slices.Clone(b)
 	sort.Strings(a)
 	sort.Strings(b)
 	in := func(xs []string, s string) bool {

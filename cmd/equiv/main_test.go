@@ -5,8 +5,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"fpgaflow/internal/netlist"
 )
 
 // wideBLIF is a 64-input gate: the AND of all inputs, or their OR.
@@ -60,6 +63,29 @@ func TestOutOfRangeEffortIsUsageError(t *testing.T) {
 		}
 		if code != c.code {
 			t.Errorf("equiv %v: exit %d, want %d\n%s", c.args, code, c.code, out)
+		}
+	}
+}
+
+// TestPortMismatchKeepsDeclarationOrder checks that the port comparison
+// leaves both designs' output lists in declaration order: the equivalence
+// check that follows names the first differing output in that order.
+func TestPortMismatchKeepsDeclarationOrder(t *testing.T) {
+	const src = ".model m\n.inputs b a\n.outputs z y\n.names a b z\n11 1\n.names a b y\n01 1\n.end\n"
+	a, err := netlist.ParseBLIF(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := netlist.ParseBLIF(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg := portMismatch(a, b); msg != "" {
+		t.Fatalf("identical ports reported as mismatched: %s", msg)
+	}
+	for _, nl := range []*netlist.Netlist{a, b} {
+		if want := []string{"z", "y"}; !reflect.DeepEqual(nl.Outputs, want) {
+			t.Errorf("outputs reordered to %v, want %v", nl.Outputs, want)
 		}
 	}
 }

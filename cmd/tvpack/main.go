@@ -9,6 +9,7 @@ import (
 	"os"
 	"strings"
 
+	"fpgaflow/internal/check"
 	"fpgaflow/internal/netlist"
 	"fpgaflow/internal/obs"
 	"fpgaflow/internal/pack"
@@ -41,6 +42,9 @@ func main() {
 	}
 	pk, err := pack.Pack(nl, pack.Params{N: *n, K: *k, I: inputs})
 	if err != nil {
+		fatal(err)
+	}
+	if err := check.RunStage(check.StagePack, &check.Artifacts{Packing: pk}).Err(); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("# tvpack: %d BLEs in %d clusters (N=%d K=%d I=%d), %.1f%% utilization\n",

@@ -9,6 +9,7 @@ import (
 	"os"
 
 	"fpgaflow/internal/arch"
+	"fpgaflow/internal/check"
 	"fpgaflow/internal/netlist"
 	"fpgaflow/internal/obs"
 	"fpgaflow/internal/pack"
@@ -59,6 +60,7 @@ func main() {
 		fatal(err)
 	}
 	pk.Record(tr)
+	runChecks(tr, check.StagePack, &check.Artifacts{Packing: pk})
 	p, err := place.NewProblem(a, pk)
 	if err != nil {
 		fatal(err)
@@ -68,6 +70,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	runChecks(tr, check.StagePlace, &check.Artifacts{Problem: p, Placement: pl})
 	fmt.Printf("placed %d blocks on %dx%d grid, bb cost %.2f\n", len(p.Blocks), a.Cols, a.Rows, pl.Cost)
 	var r *route.Result
 	ropts := route.Options{Obs: tr, Workers: *jobs}
@@ -91,6 +94,7 @@ func main() {
 			fatal(fmt.Errorf("unroutable at W=%d (%d nodes overused)", a.Routing.ChannelWidth, r.Overused))
 		}
 	}
+	runChecks(tr, check.StageRoute, &check.Artifacts{Graph: r.Graph, Routing: r, Problem: p, Placement: pl})
 	an, err := timing.Analyze(pk, p, pl, r)
 	if err != nil {
 		fatal(err)
@@ -107,6 +111,16 @@ func main() {
 	}
 	tr.SetGauge("timing.critical_path_ns", an.CriticalPath*1e9)
 	if err := finishObs(); err != nil {
+		fatal(err)
+	}
+}
+
+// runChecks runs one stage's boundary rules (the flow's legality check),
+// records their counts on tr and exits on an error-severity diagnostic.
+func runChecks(tr *obs.Trace, stage check.Stage, arts *check.Artifacts) {
+	rep := check.RunStage(stage, arts)
+	rep.Record(tr)
+	if err := rep.Err(); err != nil {
 		fatal(err)
 	}
 }

@@ -121,9 +121,6 @@ func Generate(pk *pack.Packing, p *place.Problem, pl *place.Placement, r *route.
 	if !r.Success {
 		return nil, fmt.Errorf("bitstream: routing was not successful")
 	}
-	if err := r.Validate(p, pl); err != nil {
-		return nil, err
-	}
 	bs := newBitstream(a, g, pk.Netlist.Name)
 
 	// Routing configuration and per-connection pin bookkeeping.

@@ -9,9 +9,8 @@ import (
 
 // Pack-stage rules: legality of the T-VPack clustering against the CLB
 // architecture (N BLEs, I distinct inputs, one clock) and coverage of the
-// mapped netlist. These overlap pack.Packing.Validate deliberately: the
-// producer's self-check can rot with the producer, the checker recomputes
-// everything from the raw cluster contents.
+// mapped netlist. They are the only legality check of a packing: the
+// checker recomputes everything from the raw cluster contents.
 
 func hasPacking(a *Artifacts) bool { return a.Packing != nil }
 
@@ -36,7 +35,7 @@ func init() {
 		ID:       "pack/coverage",
 		Stage:    StagePack,
 		Severity: Error,
-		Doc:      "a BLE appears in two clusters, or a netlist LUT/latch is not covered by any BLE",
+		Doc:      "a BLE appears in two clusters or in none, a cluster holds a BLE foreign to the packing, or a netlist LUT/latch is not covered by any BLE",
 		Applies:  hasPacking,
 		Run:      runCoverage,
 	})
@@ -44,7 +43,7 @@ func init() {
 		ID:       "pack/clock",
 		Stage:    StagePack,
 		Severity: Error,
-		Doc:      "a cluster mixes two clock domains (one clock net per CLB)",
+		Doc:      "a cluster mixes two clock domains (one clock net per CLB), or its stored clock disagrees with its BLEs'",
 		Applies:  hasPacking,
 		Run:      runClock,
 	})
@@ -74,6 +73,10 @@ func runClusterInputs(a *Artifacts, rep *reporter) {
 
 func runCoverage(a *Artifacts, rep *reporter) {
 	p := a.Packing
+	own := make(map[*pack.BLE]bool, len(p.BLEs))
+	for _, b := range p.BLEs {
+		own[b] = true
+	}
 	seen := map[*pack.BLE]*pack.Cluster{}
 	for _, c := range p.Clusters {
 		for _, b := range c.BLEs {
@@ -82,6 +85,9 @@ func runCoverage(a *Artifacts, rep *reporter) {
 				continue
 			}
 			seen[b] = c
+			if !own[b] {
+				rep.add(b.Name(), "BLE in cluster %s is not one of the packing's BLEs", clusterName(c))
+			}
 		}
 	}
 	covered := map[string]bool{}
@@ -107,18 +113,18 @@ func runClock(a *Artifacts, rep *reporter) {
 	for _, c := range a.Packing.Clusters {
 		clock := ""
 		for _, b := range c.BLEs {
-			if b.FF == nil {
-				continue
-			}
-			ck := b.FF.Clock
+			ck := b.Clock()
 			if ck == "" {
-				ck = "clk"
+				continue
 			}
 			if clock == "" {
 				clock = ck
 			} else if clock != ck {
 				rep.add(clusterName(c), "mixes clocks %q and %q", clock, ck)
 			}
+		}
+		if clock != c.Clock {
+			rep.add(clusterName(c), "stored clock %q disagrees with its BLEs' clock %q", c.Clock, clock)
 		}
 	}
 }

@@ -7,99 +7,114 @@ import (
 	"fpgaflow/internal/rrgraph"
 )
 
-// TestRRGraphAudit feeds deliberately corrupted routing-resource graphs
-// through the RR audit rules and checks each corruption is caught by the
-// right rule (satellite: ISSUE.md item 3).
-func TestRRGraphAudit(t *testing.T) {
-	cases := []struct {
-		name    string
-		corrupt func(g *rrgraph.Graph)
-		rule    string
-	}{
-		{
-			name: "dangling-edge",
-			corrupt: func(g *rrgraph.Graph) {
-				g.Nodes[0].Edges = append(g.Nodes[0].Edges, len(g.Nodes)+7)
-			},
-			rule: "route/rr-dangling",
+// rrGraphCorruption breaks a clean routing-resource graph so that rule
+// must fire.
+type rrGraphCorruption struct {
+	name    string
+	corrupt func(g *rrgraph.Graph)
+	rule    string
+}
+
+// rrGraphCorruptions are the RR-graph audit fixtures; the rule-coverage
+// walk (TestEveryRuleHasFiringFixture) reuses them.
+var rrGraphCorruptions = []rrGraphCorruption{
+	{
+		name: "dangling-edge",
+		corrupt: func(g *rrgraph.Graph) {
+			g.Nodes[0].Edges = append(g.Nodes[0].Edges, len(g.Nodes)+7)
 		},
-		{
-			name: "negative-edge",
-			corrupt: func(g *rrgraph.Graph) {
-				g.Nodes[0].Edges = append(g.Nodes[0].Edges, -1)
-			},
-			rule: "route/rr-dangling",
+		rule: "route/rr-dangling",
+	},
+	{
+		name: "negative-edge",
+		corrupt: func(g *rrgraph.Graph) {
+			g.Nodes[0].Edges = append(g.Nodes[0].Edges, -1)
 		},
-		{
-			name: "self-loop",
-			corrupt: func(g *rrgraph.Graph) {
-				n := g.Nodes[3]
-				n.Edges = append(n.Edges, n.ID)
-			},
-			rule: "route/rr-self-loop",
+		rule: "route/rr-dangling",
+	},
+	{
+		name: "self-loop",
+		corrupt: func(g *rrgraph.Graph) {
+			n := g.Nodes[3]
+			n.Edges = append(n.Edges, n.ID)
 		},
-		{
-			name: "zero-capacity",
-			corrupt: func(g *rrgraph.Graph) {
-				g.Nodes[5].Capacity = 0
-			},
-			rule: "route/rr-capacity",
+		rule: "route/rr-self-loop",
+	},
+	{
+		name: "zero-capacity",
+		corrupt: func(g *rrgraph.Graph) {
+			g.Nodes[5].Capacity = 0
 		},
-		{
-			name: "wire-without-span",
-			corrupt: func(g *rrgraph.Graph) {
-				for _, n := range g.Nodes {
-					if n.Type == rrgraph.ChanX {
-						n.Span = 0
-						return
-					}
+		rule: "route/rr-capacity",
+	},
+	{
+		name: "wire-without-span",
+		corrupt: func(g *rrgraph.Graph) {
+			for _, n := range g.Nodes {
+				if n.Type == rrgraph.ChanX {
+					n.Span = 0
+					return
 				}
-				panic("no ChanX node")
-			},
-			rule: "route/rr-capacity",
+			}
+			panic("no ChanX node")
 		},
-		{
-			name: "track-off-channel",
-			corrupt: func(g *rrgraph.Graph) {
-				for _, n := range g.Nodes {
-					if n.Type == rrgraph.ChanY {
-						n.Track = g.W + 3
-						return
-					}
+		rule: "route/rr-capacity",
+	},
+	{
+		name: "track-off-channel",
+		corrupt: func(g *rrgraph.Graph) {
+			for _, n := range g.Nodes {
+				if n.Type == rrgraph.ChanY {
+					n.Track = g.W + 3
+					return
 				}
-				panic("no ChanY node")
-			},
-			rule: "route/rr-capacity",
+			}
+			panic("no ChanY node")
 		},
-		{
-			name: "isolated-opin",
-			corrupt: func(g *rrgraph.Graph) {
-				for _, n := range g.Nodes {
-					if n.Type == rrgraph.OPin {
-						kept := n.Edges[:0]
-						for _, e := range n.Edges {
-							t := g.Nodes[e].Type
-							if t != rrgraph.ChanX && t != rrgraph.ChanY {
-								kept = append(kept, e)
-							}
+		rule: "route/rr-capacity",
+	},
+	{
+		name: "isolated-opin",
+		corrupt: func(g *rrgraph.Graph) {
+			for _, n := range g.Nodes {
+				if n.Type == rrgraph.OPin {
+					kept := n.Edges[:0]
+					for _, e := range n.Edges {
+						t := g.Nodes[e].Type
+						if t != rrgraph.ChanX && t != rrgraph.ChanY {
+							kept = append(kept, e)
 						}
-						n.Edges = kept
-						return
 					}
+					n.Edges = kept
+					return
 				}
-				panic("no OPin node")
-			},
-			rule: "route/rr-isolated-pin",
+			}
+			panic("no OPin node")
 		},
-	}
+		rule: "route/rr-isolated-pin",
+	},
+}
+
+// rrAuditGraph builds the clean 3x3 paper-fabric graph the RR-graph
+// fixtures corrupt.
+func rrAuditGraph(t *testing.T) *rrgraph.Graph {
+	t.Helper()
 	a := arch.Paper()
 	a.Rows, a.Cols = 3, 3
-	for _, tc := range cases {
+	g, err := rrgraph.Build(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestRRGraphAudit feeds deliberately corrupted routing-resource graphs
+// through the RR audit rules and checks each corruption is caught by the
+// right rule.
+func TestRRGraphAudit(t *testing.T) {
+	for _, tc := range rrGraphCorruptions {
 		t.Run(tc.name, func(t *testing.T) {
-			g, err := rrgraph.Build(a)
-			if err != nil {
-				t.Fatal(err)
-			}
+			g := rrAuditGraph(t)
 			wantClean(t, RunStage(StageRoute, &Artifacts{Graph: g}))
 			tc.corrupt(g)
 			rep := RunStage(StageRoute, &Artifacts{Graph: g})

@@ -66,8 +66,6 @@ type Options struct {
 	// PlaceEffort scales annealing moves (VPR inner_num; default 1 for
 	// speed, 10 for quality).
 	PlaceEffort float64
-	// RouteMaxIters bounds PathFinder iterations.
-	RouteMaxIters int
 	// MinChannelWidth binary-searches the smallest routable W instead of
 	// using the architecture's fixed width (ProfileMinArea implies it).
 	MinChannelWidth bool
@@ -100,10 +98,6 @@ type Options struct {
 	// SkipVerify disables the closing bitstream-extraction equivalence
 	// check (it is the most expensive step on large designs).
 	SkipVerify bool
-	// SkipChecks disables the stage-boundary static verification
-	// (internal/check) that otherwise runs after every stage and fails
-	// fast on error-severity diagnostics.
-	SkipChecks bool
 	// DisableChecks suppresses individual check rules by ID
 	// (see docs/CHECKS.md for the rule list and suppression policy).
 	DisableChecks []string
@@ -541,7 +535,7 @@ func (f *flow) vprPlace(sctx context.Context) (string, error) {
 
 func (f *flow) vprRoute(sctx context.Context) (string, error) {
 	opts, a := &f.opts, f.Arch
-	ropts := route.Options{MaxIters: opts.RouteMaxIters, Base: profiles[opts.Profile].routeBase, Obs: f.tr,
+	ropts := route.Options{Base: profiles[opts.Profile].routeBase, Obs: f.tr,
 		Ctx: sctx, Workers: opts.RouteWorkers, Cache: f.rr, Defects: opts.Defects}
 	if profiles[opts.Profile].critRoute {
 		pk, p, pl := f.Packing, f.Problem, f.Placed
@@ -578,9 +572,6 @@ func (f *flow) vprRoute(sctx context.Context) (string, error) {
 			return "", fmt.Errorf("core: %w at W=%d (%d overused)", route.ErrUnroutable, a.Routing.ChannelWidth, r.Overused)
 		}
 		f.Routed = r
-	}
-	if err := f.Routed.Validate(f.Problem, f.Placed); err != nil {
-		return "", err
 	}
 	f.Metrics.ChannelWidth, f.Metrics.WirelengthUsed = f.Routed.Graph.W, f.Routed.WirelengthUsed()
 	f.tr.Add("flow.channel_width", int64(f.Routed.Graph.W))
@@ -694,9 +685,6 @@ func (f *flow) verify(context.Context) (string, error) {
 // error-severity diagnostic fired. It runs inside the stage so the
 // returned error carries the stage tag.
 func (f *flow) runChecks(stage check.Stage, arts *check.Artifacts) error {
-	if f.opts.SkipChecks {
-		return nil
-	}
 	arts.Disable, arts.Defects = f.opts.DisableChecks, f.opts.Defects
 	rep := check.RunStage(stage, arts)
 	rep.Record(f.tr)

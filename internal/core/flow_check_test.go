@@ -31,18 +31,6 @@ func TestFlowRejectsMultiDrivenNet(t *testing.T) {
 	}
 }
 
-func TestFlowSkipChecks(t *testing.T) {
-	// With checks disabled the multi-driven BLIF reaches the parser, which
-	// has its own (rule-less) duplicate-driver error.
-	_, err := RunBLIF(multiDrivenBLIF, Options{SkipChecks: true})
-	if err == nil {
-		t.Fatal("parser accepted a multi-driven net")
-	}
-	if strings.Contains(err.Error(), "net/multi-driven") {
-		t.Fatalf("SkipChecks still ran the checker: %v", err)
-	}
-}
-
 func TestFlowDisableChecks(t *testing.T) {
 	_, err := RunBLIF(multiDrivenBLIF, Options{
 		DisableChecks: []string{"net/multi-driven"},

@@ -252,7 +252,7 @@ func TestFlowErrorPaths(t *testing.T) {
 	// Unroutably narrow fixed channel: routing must fail honestly.
 	n := arch.Paper()
 	n.Routing.ChannelWidth = 1
-	_, err = RunVHDL(circuits.RippleAdder(8).VHDL, Options{Seed: 1, Arch: n, RouteMaxIters: 5})
+	_, err = RunVHDL(circuits.RippleAdder(8).VHDL, Options{Seed: 1, Arch: n})
 	if err == nil {
 		t.Skip("W=1 routed this design; nothing to assert")
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"fpgaflow/internal/arch"
+	"fpgaflow/internal/check"
 	"fpgaflow/internal/circuits"
 	"fpgaflow/internal/core"
 	"fpgaflow/internal/logic"
@@ -180,6 +181,9 @@ func ExploreClusterInputs(w io.Writer, suite []circuits.Benchmark) ([]Utilizatio
 			}
 			pk, err := pack.Pack(mapped.Netlist, pack.Params{N: 5, K: 4, I: i})
 			if err != nil {
+				return nil, err
+			}
+			if err := check.RunStage(check.StagePack, &check.Artifacts{Packing: pk}).Err(); err != nil {
 				return nil, err
 			}
 			totalUtil += pk.Utilization()

@@ -46,6 +46,19 @@ func (b *BLE) InputSignals() []string {
 // Registered reports whether the BLE output comes from the flip-flop.
 func (b *BLE) Registered() bool { return b.FF != nil }
 
+// Clock returns the BLE's clock domain: "" for a combinational BLE, else
+// the latch's clock, with an unnamed clock meaning the single implicit
+// global clock "clk".
+func (b *BLE) Clock() string {
+	if b.FF == nil {
+		return ""
+	}
+	if b.FF.Clock == "" {
+		return "clk"
+	}
+	return b.FF.Clock
+}
+
 // Cluster is one CLB: up to N BLEs sharing I external inputs and one clock.
 type Cluster struct {
 	ID   int
@@ -169,9 +182,6 @@ func Pack(nl *netlist.Netlist, params Params) (*Packing, error) {
 	if err := p.cluster(); err != nil {
 		return nil, err
 	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
 	return p, nil
 }
 
@@ -293,7 +303,7 @@ func (p *Packing) fits(c *Cluster, cand *BLE) bool {
 	if len(c.BLEs) >= p.Params.N {
 		return false
 	}
-	if cand.FF != nil && c.Clock != "" && clockOf(cand) != c.Clock {
+	if cand.FF != nil && c.Clock != "" && cand.Clock() != c.Clock {
 		return false
 	}
 	return len(p.externalInputs(append(c.BLEs[:len(c.BLEs):len(c.BLEs)], cand))) <= p.Params.I
@@ -306,20 +316,10 @@ func (p *Packing) tryAdd(c *Cluster, b *BLE) error {
 	}
 	c.BLEs = append(c.BLEs, b)
 	if b.FF != nil && c.Clock == "" {
-		c.Clock = clockOf(b)
+		c.Clock = b.Clock()
 	}
 	c.Inputs = p.externalInputs(c.BLEs)
 	return nil
-}
-
-func clockOf(b *BLE) string {
-	if b.FF == nil {
-		return ""
-	}
-	if b.FF.Clock == "" {
-		return "clk" // single implicit global clock
-	}
-	return b.FF.Clock
 }
 
 // ExternalInputsOf returns the sorted distinct signals the BLE set consumes
@@ -348,61 +348,6 @@ func (p *Packing) externalInputs(bles []*BLE) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Validate checks every packing invariant: each BLE in exactly one cluster,
-// cluster sizes <= N, inputs <= I, single clock per cluster, and the union
-// of BLEs covering exactly the netlist's LUTs and latches.
-func (p *Packing) Validate() error {
-	seen := make(map[*BLE]*Cluster)
-	for _, c := range p.Clusters {
-		if len(c.BLEs) > p.Params.N {
-			return fmt.Errorf("pack: cluster %d has %d > N=%d BLEs", c.ID, len(c.BLEs), p.Params.N)
-		}
-		if len(c.Inputs) > p.Params.I {
-			return fmt.Errorf("pack: cluster %d has %d > I=%d inputs", c.ID, len(c.Inputs), p.Params.I)
-		}
-		want := p.externalInputs(c.BLEs)
-		if len(want) != len(c.Inputs) {
-			return fmt.Errorf("pack: cluster %d input list stale", c.ID)
-		}
-		clock := ""
-		for _, b := range c.BLEs {
-			if prev, dup := seen[b]; dup {
-				return fmt.Errorf("pack: BLE %q in clusters %d and %d", b.Name(), prev.ID, c.ID)
-			}
-			seen[b] = c
-			if b.FF != nil {
-				ck := clockOf(b)
-				if clock == "" {
-					clock = ck
-				} else if clock != ck {
-					return fmt.Errorf("pack: cluster %d mixes clocks %q and %q", c.ID, clock, ck)
-				}
-			}
-		}
-	}
-	if len(seen) != len(p.BLEs) {
-		return fmt.Errorf("pack: %d of %d BLEs clustered", len(seen), len(p.BLEs))
-	}
-	covered := make(map[string]bool)
-	for _, b := range p.BLEs {
-		if b.LUT != nil {
-			covered[b.LUT.Name] = true
-		}
-		if b.FF != nil {
-			covered[b.FF.Name] = true
-		}
-	}
-	for _, n := range p.Netlist.Nodes() {
-		if n.Kind == netlist.KindInput {
-			continue
-		}
-		if !covered[n.Name] {
-			return fmt.Errorf("pack: node %q not covered by any BLE", n.Name)
-		}
-	}
-	return nil
 }
 
 // Net is an inter-cluster (or I/O) net: one source signal and the clusters

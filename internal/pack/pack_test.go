@@ -1,11 +1,13 @@
-package pack
+package pack_test
 
 import (
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"fpgaflow/internal/check"
 	"fpgaflow/internal/netlist"
+	"fpgaflow/internal/pack"
 )
 
 const mappedBLIF = `
@@ -28,6 +30,11 @@ const mappedBLIF = `
 .end
 `
 
+// legal runs the pack-stage rules, the only legality check of a packing.
+func legal(p *pack.Packing) error {
+	return check.RunStage(check.StagePack, &check.Artifacts{Packing: p}).Err()
+}
+
 func parse(t *testing.T, text string) *netlist.Netlist {
 	t.Helper()
 	nl, err := netlist.ParseBLIF(text)
@@ -39,12 +46,12 @@ func parse(t *testing.T, text string) *netlist.Netlist {
 
 func TestFormBLEsPairsLUTWithFF(t *testing.T) {
 	nl := parse(t, mappedBLIF)
-	bles, err := formBLEs(nl)
+	bles, err := pack.FormBLEs(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// dq feeds only latch q -> one merged BLE named q.
-	var merged *BLE
+	var merged *pack.BLE
 	for _, b := range bles {
 		if b.Name() == "q" {
 			merged = b
@@ -70,7 +77,7 @@ func TestFormBLEsKeepsSharedLUTSeparate(t *testing.T) {
 10 1
 .latch d q re clk 0
 .end`)
-	bles, err := formBLEs(nl)
+	bles, err := pack.FormBLEs(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +101,7 @@ func TestFormBLEsKeepsOutputLUTSeparate(t *testing.T) {
 11 1
 .latch d q re clk 0
 .end`)
-	bles, err := formBLEs(nl)
+	bles, err := pack.FormBLEs(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +113,11 @@ func TestFormBLEsKeepsOutputLUTSeparate(t *testing.T) {
 
 func TestPackRespectsConstraints(t *testing.T) {
 	nl := parse(t, mappedBLIF)
-	p, err := Pack(nl, PaperParams())
+	p, err := pack.Pack(nl, pack.PaperParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Validate(); err != nil {
+	if err := legal(p); err != nil {
 		t.Fatal(err)
 	}
 	total := 0
@@ -127,7 +134,7 @@ func TestPackRespectsConstraints(t *testing.T) {
 
 func TestPackTinyClusterForcesSplit(t *testing.T) {
 	nl := parse(t, mappedBLIF)
-	p, err := Pack(nl, Params{N: 1, K: 4, I: 4})
+	p, err := pack.Pack(nl, pack.Params{N: 1, K: 4, I: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,15 +151,15 @@ func TestPackRejectsWideLUT(t *testing.T) {
 .names a b c d e o
 11111 1
 .end`)
-	if _, err := Pack(nl, PaperParams()); err == nil {
+	if _, err := pack.Pack(nl, pack.PaperParams()); err == nil {
 		t.Fatal("5-input LUT accepted at K=4")
 	}
 }
 
 func TestPackRejectsBadParams(t *testing.T) {
 	nl := parse(t, mappedBLIF)
-	for _, bad := range []Params{{N: 0, K: 4, I: 12}, {N: 5, K: 1, I: 12}, {N: 5, K: 4, I: 2}} {
-		if _, err := Pack(nl, bad); err == nil {
+	for _, bad := range []pack.Params{{N: 0, K: 4, I: 12}, {N: 5, K: 1, I: 12}, {N: 5, K: 4, I: 2}} {
+		if _, err := pack.Pack(nl, bad); err == nil {
 			t.Errorf("params %+v accepted", bad)
 		}
 	}
@@ -160,22 +167,22 @@ func TestPackRejectsBadParams(t *testing.T) {
 
 func TestInputsForUtilization(t *testing.T) {
 	// Paper Eq. (1): K=4, N=5 -> I=12.
-	if got := InputsForUtilization(4, 5); got != 12 {
+	if got := pack.InputsForUtilization(4, 5); got != 12 {
 		t.Errorf("I(4,5) = %d, want 12", got)
 	}
-	if got := InputsForUtilization(4, 7); got != 16 {
+	if got := pack.InputsForUtilization(4, 7); got != 16 {
 		t.Errorf("I(4,7) = %d, want 16", got)
 	}
 }
 
 func TestExternalNets(t *testing.T) {
 	nl := parse(t, mappedBLIF)
-	p, err := Pack(nl, PaperParams())
+	p, err := pack.Pack(nl, pack.PaperParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	nets := p.ExternalNets()
-	bySignal := make(map[string]*Net)
+	bySignal := make(map[string]*pack.Net)
 	for _, n := range nets {
 		bySignal[n.Signal] = n
 	}
@@ -207,11 +214,11 @@ func TestPackPropertyRandom(t *testing.T) {
 		k := 4
 		i := k + int(iRaw)%(k*(n+1)/2+1)
 		nl := randomLUTNetlist(seed, 8, 30, k)
-		p, err := Pack(nl, Params{N: n, K: k, I: i})
+		p, err := pack.Pack(nl, pack.Params{N: n, K: k, I: i})
 		if err != nil {
 			return false
 		}
-		return p.Validate() == nil && p.Utilization() > 0 && p.Utilization() <= 1
+		return legal(p) == nil && p.Utilization() > 0 && p.Utilization() <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(5))}); err != nil {
 		t.Fatal(err)
@@ -269,11 +276,11 @@ func TestUtilizationEquationGives98Percent(t *testing.T) {
 	runs := 0
 	for seed := int64(0); seed < 5; seed++ {
 		nl := randomLUTNetlist(seed, 10, 60, 4)
-		pEq, err := Pack(nl.Clone(), Params{N: 5, K: 4, I: 12})
+		pEq, err := pack.Pack(nl.Clone(), pack.Params{N: 5, K: 4, I: 12})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pSmall, err := Pack(nl.Clone(), Params{N: 5, K: 4, I: 5})
+		pSmall, err := pack.Pack(nl.Clone(), pack.Params{N: 5, K: 4, I: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,15 +308,15 @@ func TestGroupGatedConcentratesRegisters(t *testing.T) {
 	improved := false
 	for seed := int64(0); seed < 8; seed++ {
 		nl := randomLUTNetlist(seed, 10, 60, 4)
-		base, err := Pack(nl.Clone(), Params{N: 5, K: 4, I: 12})
+		base, err := pack.Pack(nl.Clone(), pack.Params{N: 5, K: 4, I: 12})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gated, err := Pack(nl.Clone(), Params{N: 5, K: 4, I: 12, GroupGated: true})
+		gated, err := pack.Pack(nl.Clone(), pack.Params{N: 5, K: 4, I: 12, GroupGated: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := gated.Validate(); err != nil {
+		if err := legal(gated); err != nil {
 			t.Fatalf("seed %d: gated packing invalid: %v", seed, err)
 		}
 		b, g := base.ClockedClusters(), gated.ClockedClusters()
@@ -321,7 +328,7 @@ func TestGroupGatedConcentratesRegisters(t *testing.T) {
 		}
 		// Registered BLEs must be conserved: grouping moves FFs, never
 		// drops or duplicates them.
-		count := func(p *Packing) int {
+		count := func(p *pack.Packing) int {
 			n := 0
 			for _, ble := range p.BLEs {
 				if ble.Registered() {
@@ -343,11 +350,11 @@ func TestGroupGatedConcentratesRegisters(t *testing.T) {
 // and requires identical cluster assignments.
 func TestGroupGatedDeterministic(t *testing.T) {
 	nl := randomLUTNetlist(3, 10, 60, 4)
-	a, err := Pack(nl.Clone(), Params{N: 5, K: 4, I: 12, GroupGated: true})
+	a, err := pack.Pack(nl.Clone(), pack.Params{N: 5, K: 4, I: 12, GroupGated: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Pack(nl.Clone(), Params{N: 5, K: 4, I: 12, GroupGated: true})
+	b, err := pack.Pack(nl.Clone(), pack.Params{N: 5, K: 4, I: 12, GroupGated: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,8 +20,7 @@ type Location struct {
 
 // Placement assigns every block a location.
 type Placement struct {
-	Problem *Problem
-	Loc     []Location
+	Loc []Location
 	// Cost is the final (possibly criticality-weighted) bounding-box cost.
 	Cost float64
 	// Moves and Accepted count annealing statistics.
@@ -77,7 +76,8 @@ type Options struct {
 // site is an indexable placement site.
 type site struct{ x, y, sub int }
 
-// Place runs the annealer and returns a legal placement.
+// Place runs the annealer and returns the placement. The place/* rules of
+// internal/check are its legality check.
 func Place(p *Problem, opts Options) (*Placement, error) {
 	if opts.InnerNum == 0 {
 		opts.InnerNum = 10
@@ -121,7 +121,7 @@ func Place(p *Problem, opts Options) (*Placement, error) {
 	if opts.Weights != nil && len(opts.Weights) != len(p.Nets) {
 		return nil, fmt.Errorf("place: %d weights for %d nets", len(opts.Weights), len(p.Nets))
 	}
-	pl := &Placement{Problem: p, Loc: make([]Location, len(p.Blocks)), weights: opts.Weights}
+	pl := &Placement{Loc: make([]Location, len(p.Blocks)), weights: opts.Weights}
 	// occupant maps a site to the block there (-1 empty), separate per class.
 	occ := make(map[site]int, len(clbSites)+len(ioSites))
 	for _, s := range clbSites {
@@ -496,7 +496,7 @@ func Place(p *Problem, opts Options) (*Placement, error) {
 	}
 	pl.Cost = cost
 	publishPlaceMap(p, pl, opts)
-	return pl, pl.Validate()
+	return pl, nil
 }
 
 // publishPlaceMap emits the final occupancy map of a placement as a
@@ -690,34 +690,6 @@ func crossingCount(terminals int) float64 {
 		return table[terminals]
 	}
 	return 1.4493 + 0.02616*float64(terminals-10)
-}
-
-// Validate checks placement legality: every block on a compatible site, no
-// two blocks sharing a site/sub-slot, coordinates in range.
-func (pl *Placement) Validate() error {
-	p := pl.Problem
-	a := p.Arch
-	used := make(map[Location]int)
-	for _, b := range p.Blocks {
-		l := pl.Loc[b.ID]
-		if prev, dup := used[l]; dup {
-			return fmt.Errorf("place: blocks %q and %q share %v", p.Blocks[prev].Name, b.Name, l)
-		}
-		used[l] = b.ID
-		onX := l.X == 0 || l.X == a.Cols+1
-		onY := l.Y == 0 || l.Y == a.Rows+1
-		switch b.Kind {
-		case BlockCLB:
-			if l.X < 1 || l.X > a.Cols || l.Y < 1 || l.Y > a.Rows || l.Sub != 0 {
-				return fmt.Errorf("place: CLB %q at illegal %v", b.Name, l)
-			}
-		default:
-			if onX == onY || l.Sub < 0 || l.Sub >= a.IORate {
-				return fmt.Errorf("place: pad %q at illegal %v", b.Name, l)
-			}
-		}
-	}
-	return nil
 }
 
 func abs(x int) int {

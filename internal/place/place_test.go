@@ -1,11 +1,14 @@
-package place
+package place_test
 
 import (
+	"errors"
 	"testing"
 
 	"fpgaflow/internal/arch"
+	"fpgaflow/internal/check"
 	"fpgaflow/internal/netlist"
 	"fpgaflow/internal/pack"
+	"fpgaflow/internal/place"
 )
 
 const testBLIF = `
@@ -25,7 +28,17 @@ const testBLIF = `
 .end
 `
 
-func buildProblem(t *testing.T, params pack.Params) *Problem {
+// legal runs the place-stage rules, the only legality check of a
+// placement.
+func legal(p *place.Problem, pl *place.Placement) error {
+	rep := check.RunStage(check.StagePlace, &check.Artifacts{Problem: p, Placement: pl})
+	if rep.RulesRun == 0 {
+		return errors.New("no place-stage rule applies")
+	}
+	return rep.Err()
+}
+
+func buildProblem(t *testing.T, params pack.Params) *place.Problem {
 	t.Helper()
 	nl, err := netlist.ParseBLIF(testBLIF)
 	if err != nil {
@@ -37,7 +50,7 @@ func buildProblem(t *testing.T, params pack.Params) *Problem {
 	}
 	a := arch.Paper()
 	a.CLB.N, a.CLB.K, a.CLB.I = params.N, params.K, params.I
-	p, err := NewProblem(a, pk)
+	p, err := place.NewProblem(a, pk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +96,11 @@ func TestNewProblemStructure(t *testing.T) {
 
 func TestPlaceLegal(t *testing.T) {
 	p := buildProblem(t, pack.Params{N: 1, K: 4, I: 4})
-	pl, err := Place(p, Options{Seed: 1, InnerNum: 1})
+	pl, err := place.Place(p, place.Options{Seed: 1, InnerNum: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pl.Validate(); err != nil {
+	if err := legal(p, pl); err != nil {
 		t.Fatal(err)
 	}
 	if pl.Cost <= 0 {
@@ -98,11 +111,11 @@ func TestPlaceLegal(t *testing.T) {
 func TestPlaceDeterministic(t *testing.T) {
 	p1 := buildProblem(t, pack.Params{N: 1, K: 4, I: 4})
 	p2 := buildProblem(t, pack.Params{N: 1, K: 4, I: 4})
-	pl1, err := Place(p1, Options{Seed: 7, InnerNum: 1})
+	pl1, err := place.Place(p1, place.Options{Seed: 7, InnerNum: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl2, err := Place(p2, Options{Seed: 7, InnerNum: 1})
+	pl2, err := place.Place(p2, place.Options{Seed: 7, InnerNum: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +128,11 @@ func TestPlaceDeterministic(t *testing.T) {
 
 func TestPlaceImprovesOverRandom(t *testing.T) {
 	p := buildProblem(t, pack.Params{N: 1, K: 4, I: 4})
-	random, err := Place(p, Options{Seed: 3, FixedSeedOnly: true})
+	random, err := place.Place(p, place.Options{Seed: 3, FixedSeedOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	annealed, err := Place(p, Options{Seed: 3, InnerNum: 2})
+	annealed, err := place.Place(p, place.Options{Seed: 3, InnerNum: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,56 +144,20 @@ func TestPlaceImprovesOverRandom(t *testing.T) {
 func TestPlaceRejectsOverflow(t *testing.T) {
 	p := buildProblem(t, pack.Params{N: 1, K: 4, I: 4})
 	p.Arch.Rows, p.Arch.Cols = 1, 1 // 1 CLB site for 4 clusters
-	if _, err := Place(p, Options{Seed: 1}); err == nil {
+	if _, err := place.Place(p, place.Options{Seed: 1}); err == nil {
 		t.Fatal("overfull grid accepted")
 	}
 }
 
 func TestCrossingCount(t *testing.T) {
-	if crossingCount(2) != 1 || crossingCount(3) != 1 {
+	if place.CrossingCount(2) != 1 || place.CrossingCount(3) != 1 {
 		t.Error("small nets should have q=1")
 	}
-	if crossingCount(10) <= crossingCount(4) {
+	if place.CrossingCount(10) <= place.CrossingCount(4) {
 		t.Error("q must grow with terminals")
 	}
-	if crossingCount(50) <= crossingCount(10) {
+	if place.CrossingCount(50) <= place.CrossingCount(10) {
 		t.Error("q must extrapolate beyond the table")
-	}
-}
-
-func TestValidateCatchesOverlap(t *testing.T) {
-	p := buildProblem(t, pack.Params{N: 1, K: 4, I: 4})
-	pl, err := Place(p, Options{Seed: 1, FixedSeedOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Force two CLBs onto one site.
-	var clbIdx []int
-	for _, b := range p.Blocks {
-		if b.Kind == BlockCLB {
-			clbIdx = append(clbIdx, b.ID)
-		}
-	}
-	pl.Loc[clbIdx[1]] = pl.Loc[clbIdx[0]]
-	if err := pl.Validate(); err == nil {
-		t.Fatal("overlap not detected")
-	}
-}
-
-func TestValidateCatchesPadOnLogicSite(t *testing.T) {
-	p := buildProblem(t, pack.Params{N: 1, K: 4, I: 4})
-	pl, err := Place(p, Options{Seed: 2, FixedSeedOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range p.Blocks {
-		if b.Kind == BlockInpad {
-			pl.Loc[b.ID] = Location{1, 1, 0}
-			break
-		}
-	}
-	if err := pl.Validate(); err == nil {
-		t.Fatal("pad on logic site not detected")
 	}
 }
 
@@ -192,11 +169,11 @@ func TestPackedClustersPlaceTogether(t *testing.T) {
 	if clbs != 1 {
 		t.Fatalf("clbs = %d, want 1", clbs)
 	}
-	pl, err := Place(p, Options{Seed: 1, InnerNum: 1})
+	pl, err := place.Place(p, place.Options{Seed: 1, InnerNum: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pl.Validate(); err != nil {
+	if err := legal(p, pl); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -230,11 +207,11 @@ func TestCriticalityWeights(t *testing.T) {
 	}
 	a := arch.Paper()
 	a.CLB.N, a.CLB.I = 1, 4
-	p, err := NewProblem(a, pk)
+	p, err := place.NewProblem(a, pk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := CriticalityWeights(pk, p, 8)
+	w := place.CriticalityWeights(pk, p, 8)
 	if len(w) != len(p.Nets) {
 		t.Fatalf("%d weights for %d nets", len(w), len(p.Nets))
 	}
@@ -254,33 +231,33 @@ func TestCriticalityWeights(t *testing.T) {
 func TestTimingDrivenPlacementRuns(t *testing.T) {
 	p := buildProblem(t, pack.Params{N: 1, K: 4, I: 4})
 	// Weight length mismatch must be rejected.
-	if _, err := Place(p, Options{Seed: 1, Weights: []float64{1}}); err == nil {
+	if _, err := place.Place(p, place.Options{Seed: 1, Weights: []float64{1}}); err == nil {
 		t.Fatal("bad weight vector accepted")
 	}
 	w := make([]float64, len(p.Nets))
 	for i := range w {
 		w[i] = 1 + float64(i%3)
 	}
-	pl, err := Place(p, Options{Seed: 1, InnerNum: 1, Weights: w})
+	pl, err := place.Place(p, place.Options{Seed: 1, InnerNum: 1, Weights: w})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pl.Validate(); err != nil {
+	if err := legal(p, pl); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestPlaceBestDeterministicAndNoWorse(t *testing.T) {
 	p := buildProblem(t, pack.Params{N: 1, K: 4, I: 4})
-	single, err := Place(p, Options{Seed: 11, InnerNum: 1})
+	single, err := place.Place(p, place.Options{Seed: 11, InnerNum: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, err := PlaceBest(p, Options{Seed: 11, InnerNum: 1}, 4)
+	b1, err := place.PlaceBest(p, place.Options{Seed: 11, InnerNum: 1}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := PlaceBest(p, Options{Seed: 11, InnerNum: 1}, 4)
+	b2, err := place.PlaceBest(p, place.Options{Seed: 11, InnerNum: 1}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,18 +267,18 @@ func TestPlaceBestDeterministicAndNoWorse(t *testing.T) {
 	if b1.Cost > single.Cost {
 		t.Errorf("best-of-4 cost %.2f worse than single seed %.2f", b1.Cost, single.Cost)
 	}
-	if err := b1.Validate(); err != nil {
+	if err := legal(p, b1); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestFixedBlocks(t *testing.T) {
 	p := buildProblem(t, pack.Params{N: 1, K: 4, I: 4})
-	fixed := map[string]Location{
+	fixed := map[string]place.Location{
 		"a":      {0, 1, 0},
 		"out:o1": {1, 0, 1},
 	}
-	pl, err := Place(p, Options{Seed: 4, InnerNum: 2, Fixed: fixed})
+	pl, err := place.Place(p, place.Options{Seed: 4, InnerNum: 2, Fixed: fixed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,18 +288,18 @@ func TestFixedBlocks(t *testing.T) {
 			t.Errorf("%s moved to %v, want %v", name, pl.Loc[id], want)
 		}
 	}
-	if err := pl.Validate(); err != nil {
+	if err := legal(p, pl); err != nil {
 		t.Fatal(err)
 	}
 	// Errors: unknown block, site collision, wrong site kind.
-	if _, err := Place(p, Options{Seed: 1, Fixed: map[string]Location{"ghost": {0, 1, 0}}}); err == nil {
+	if _, err := place.Place(p, place.Options{Seed: 1, Fixed: map[string]place.Location{"ghost": {0, 1, 0}}}); err == nil {
 		t.Error("unknown fixed block accepted")
 	}
-	if _, err := Place(p, Options{Seed: 1, Fixed: map[string]Location{
+	if _, err := place.Place(p, place.Options{Seed: 1, Fixed: map[string]place.Location{
 		"a": {0, 1, 0}, "b": {0, 1, 0}}}); err == nil {
 		t.Error("fixed collision accepted")
 	}
-	if _, err := Place(p, Options{Seed: 1, Fixed: map[string]Location{"a": {1, 1, 0}}}); err == nil {
+	if _, err := place.Place(p, place.Options{Seed: 1, Fixed: map[string]place.Location{"a": {1, 1, 0}}}); err == nil {
 		t.Error("pad pinned to logic site accepted")
 	}
 }

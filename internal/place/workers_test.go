@@ -1,10 +1,11 @@
-package place
+package place_test
 
 import (
 	"reflect"
 	"testing"
 
 	"fpgaflow/internal/pack"
+	"fpgaflow/internal/place"
 )
 
 // TestPlaceWorkersDeterminism sweeps the annealer's evaluation worker
@@ -16,13 +17,13 @@ import (
 func TestPlaceWorkersDeterminism(t *testing.T) {
 	for _, n := range []int{1, 2} {
 		p := buildProblem(t, pack.Params{N: n, K: 4, I: 4})
-		var ref *Placement
+		var ref *place.Placement
 		for _, w := range []int{0, 1, 2, 4, 8} {
-			pl, err := Place(p, Options{Seed: 7, InnerNum: 2, Workers: w})
+			pl, err := place.Place(p, place.Options{Seed: 7, InnerNum: 2, Workers: w})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := pl.Validate(); err != nil {
+			if err := legal(p, pl); err != nil {
 				t.Fatalf("workers=%d: %v", w, err)
 			}
 			if ref == nil {

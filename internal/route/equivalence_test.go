@@ -1,10 +1,11 @@
-package route
+package route_test
 
 import (
 	"bytes"
 	"encoding/json"
 	"testing"
 
+	"fpgaflow/internal/route"
 	"fpgaflow/internal/rrgraph"
 )
 
@@ -20,11 +21,11 @@ func TestLookaheadEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	g2, _ := rrgraph.Build(p.Arch)
-	r1, err := Route(p, pl, g1, Options{})
+	r1, err := route.Route(p, pl, g1, route.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Route(p, pl, g2, Options{NoLookahead: true})
+	r2, err := route.Route(p, pl, g2, route.Options{NoLookahead: true})
 	if err != nil {
 		t.Fatal(err)
 	}

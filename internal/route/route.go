@@ -166,12 +166,10 @@ type Result struct {
 	Overused int
 }
 
-// Route runs PathFinder. The placement must be legal for the graph's arch.
+// Route runs PathFinder. The placement must be legal for the graph's arch
+// (the place/* rules of internal/check); the route/* rules check the result.
 func Route(p *place.Problem, pl *place.Placement, g *rrgraph.Graph, opts Options) (*Result, error) {
 	opts.fill()
-	if err := pl.Validate(); err != nil {
-		return nil, err
-	}
 	type conn struct {
 		source int
 		sinks  []int
@@ -618,68 +616,6 @@ func tieBreak(seed uint32, id int) float64 {
 	h *= 0x45d9f3b
 	h ^= h >> 16
 	return float64(h&0xffff) * (1e-4 / 65536)
-}
-
-// Validate checks a successful routing: every path connected in the graph,
-// starting at the net's source and ending at each sink, with no node over
-// capacity.
-func (r *Result) Validate(p *place.Problem, pl *place.Placement) error {
-	usage := make([]int, len(r.Graph.Nodes))
-	for ni, nr := range r.Routes {
-		if nr == nil {
-			return fmt.Errorf("route: net %s unrouted", p.Nets[ni].Signal)
-		}
-		srcLoc := pl.Loc[p.Nets[ni].Blocks[0]]
-		wantSrc := r.Graph.SourceAt(srcLoc.X, srcLoc.Y)
-		for si, path := range nr.Paths {
-			if len(path) == 0 {
-				return fmt.Errorf("route: net %s sink %d empty path", p.Nets[ni].Signal, si)
-			}
-			sinkLoc := pl.Loc[p.Nets[ni].Blocks[si+1]]
-			wantSink := r.Graph.SinkAt(sinkLoc.X, sinkLoc.Y)
-			if path[len(path)-1] != wantSink {
-				return fmt.Errorf("route: net %s sink %d ends at node %d, want %d",
-					p.Nets[ni].Signal, si, path[len(path)-1], wantSink)
-			}
-			// Path must start in the tree built from the source.
-			if si == 0 && path[0] != wantSrc {
-				return fmt.Errorf("route: net %s first path starts at %d, want source %d",
-					p.Nets[ni].Signal, path[0], wantSrc)
-			}
-			for _, n := range path {
-				if r.Defects.Dead(n) {
-					return fmt.Errorf("route: net %s uses defective node %d (%s at %d,%d)",
-						p.Nets[ni].Signal, n, r.Graph.Nodes[n].Type, r.Graph.Nodes[n].X, r.Graph.Nodes[n].Y)
-				}
-			}
-			for i := 0; i+1 < len(path); i++ {
-				if !r.Graph.HasEdge(path[i], path[i+1]) {
-					return fmt.Errorf("route: net %s uses missing edge %d->%d",
-						p.Nets[ni].Signal, path[i], path[i+1])
-				}
-				if r.Defects.Cut(path[i], path[i+1]) {
-					return fmt.Errorf("route: net %s uses defective switch %d->%d",
-						p.Nets[ni].Signal, path[i], path[i+1])
-				}
-			}
-		}
-		treeNodes := nr.Nodes()
-		for si, path := range nr.Paths {
-			if si > 0 && !treeNodes[path[0]] {
-				return fmt.Errorf("route: net %s sink %d path detached", p.Nets[ni].Signal, si)
-			}
-		}
-		for _, n := range nr.NodeList() {
-			usage[n]++
-		}
-	}
-	for id, u := range usage {
-		if u > r.Graph.Nodes[id].Capacity {
-			return fmt.Errorf("route: node %d (%s) used %d > capacity %d",
-				id, r.Graph.Nodes[id].Type, u, r.Graph.Nodes[id].Capacity)
-		}
-	}
-	return nil
 }
 
 // WirelengthUsed counts the wire segments occupied across all nets.

@@ -1,12 +1,15 @@
-package route
+package route_test
 
 import (
+	"errors"
 	"testing"
 
 	"fpgaflow/internal/arch"
+	"fpgaflow/internal/check"
 	"fpgaflow/internal/netlist"
 	"fpgaflow/internal/pack"
 	"fpgaflow/internal/place"
+	"fpgaflow/internal/route"
 	"fpgaflow/internal/rrgraph"
 )
 
@@ -26,6 +29,17 @@ const testBLIF = `
 11 1
 .end
 `
+
+// legal runs the route-stage rules, the only legality check of a routing.
+func legal(r *route.Result, p *place.Problem, pl *place.Placement) error {
+	rep := check.RunStage(check.StageRoute, &check.Artifacts{
+		Graph: r.Graph, Routing: r, Problem: p, Placement: pl,
+	})
+	if rep.RulesRun == 0 {
+		return errors.New("no route-stage rule applies")
+	}
+	return rep.Err()
+}
 
 func placed(t *testing.T, w int) (*place.Problem, *place.Placement) {
 	t.Helper()
@@ -58,14 +72,14 @@ func TestRouteSucceeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Route(p, pl, g, Options{})
+	r, err := route.Route(p, pl, g, route.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r.Success {
 		t.Fatalf("routing failed after %d iterations, %d overused", r.Iterations, r.Overused)
 	}
-	if err := r.Validate(p, pl); err != nil {
+	if err := legal(r, p, pl); err != nil {
 		t.Fatal(err)
 	}
 	if r.WirelengthUsed() == 0 {
@@ -81,12 +95,12 @@ func TestRouteNarrowChannelCongests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Route(p, pl, g, Options{MaxIters: 10})
+	r, err := route.Route(p, pl, g, route.Options{MaxIters: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Success {
-		if err := r.Validate(p, pl); err != nil {
+		if err := legal(r, p, pl); err != nil {
 			t.Fatal(err)
 		}
 	} else if r.Overused == 0 {
@@ -96,7 +110,7 @@ func TestRouteNarrowChannelCongests(t *testing.T) {
 
 func TestMinChannelWidth(t *testing.T) {
 	p, pl := placed(t, 8)
-	w, r, err := MinChannelWidth(p, pl, 1, 8, Options{MaxIters: 15})
+	w, r, err := route.MinChannelWidth(p, pl, 1, 8, route.Options{MaxIters: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +124,7 @@ func TestMinChannelWidth(t *testing.T) {
 	if r.Graph.W != w {
 		t.Errorf("result graph W = %d, want %d", r.Graph.W, w)
 	}
-	if err := r.Validate(p, pl); err != nil {
+	if err := legal(r, p, pl); err != nil {
 		t.Fatal(err)
 	}
 	// One track below the minimum must fail.
@@ -121,7 +135,7 @@ func TestMinChannelWidth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := Route(p, pl, g, Options{MaxIters: 15})
+		r2, err := route.Route(p, pl, g, route.Options{MaxIters: 15})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +152,7 @@ func TestRouteTreeSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Route(p, pl, g, Options{})
+	r, err := route.Route(p, pl, g, route.Options{})
 	if err != nil || !r.Success {
 		t.Fatalf("route: %v success=%v", err, r != nil && r.Success)
 	}
@@ -169,7 +183,7 @@ func TestRouteSingleOutputPinPerNet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Route(p, pl, g, Options{})
+	r, err := route.Route(p, pl, g, route.Options{})
 	if err != nil || !r.Success {
 		t.Fatal("route failed")
 	}
@@ -188,42 +202,20 @@ func TestRouteSingleOutputPinPerNet(t *testing.T) {
 	}
 }
 
-func TestValidateCatchesCorruptPath(t *testing.T) {
-	p, pl := placed(t, 8)
-	g, err := rrgraph.Build(p.Arch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := Route(p, pl, g, Options{})
-	if err != nil || !r.Success {
-		t.Fatal("route failed")
-	}
-	// Truncate one path: must be caught.
-	for _, nr := range r.Routes {
-		if len(nr.Paths) > 0 && len(nr.Paths[0]) > 1 {
-			nr.Paths[0] = nr.Paths[0][:len(nr.Paths[0])-1]
-			break
-		}
-	}
-	if err := r.Validate(p, pl); err == nil {
-		t.Fatal("corrupt path not detected")
-	}
-}
-
 func TestDelayDrivenRouting(t *testing.T) {
 	p, pl := placed(t, 8)
 	g, err := rrgraph.Build(p.Arch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Route(p, pl, g, Options{Base: BaseDelay})
+	r, err := route.Route(p, pl, g, route.Options{Base: route.BaseDelay})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r.Success {
 		t.Fatal("delay-driven routing failed")
 	}
-	if err := r.Validate(p, pl); err != nil {
+	if err := legal(r, p, pl); err != nil {
 		t.Fatal(err)
 	}
 }

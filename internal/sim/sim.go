@@ -68,9 +68,6 @@ func New(nl *netlist.Netlist) (*Simulator, error) {
 	return s, nil
 }
 
-// Cycles returns the number of steps taken.
-func (s *Simulator) Cycles() int { return s.cycles }
-
 // Step applies one input vector (keyed by primary-input name), settles the
 // combinational logic, captures primary outputs, then clocks all latches.
 func (s *Simulator) Step(inputs map[string]bool) (map[string]bool, error) {

@@ -91,8 +91,13 @@ func TestSequentialCounter(t *testing.T) {
 			count++
 		}
 	}
-	if s.Cycles() != 10 {
-		t.Errorf("Cycles = %d", s.Cycles())
+	// Six of the ten cycles were enabled: the counter now holds 6 mod 4.
+	out, err := s.Step(map[string]bool{"en": false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out["q0"] || !out["q1"] {
+		t.Errorf("after 10 cycles q1=%v q0=%v, want 2 (6 mod 4)", out["q1"], out["q0"])
 	}
 }
 
