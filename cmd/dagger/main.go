@@ -49,7 +49,7 @@ func main() {
 		}
 		fmt.Printf("partial reconfiguration %s -> %s: %d changed items (%d tiles, %d pads, %d switches, %d opin, %d ipin)\n",
 			a.ModelName, b.ModelName, d.Size(), len(d.CLBs), len(d.Pads),
-			len(d.SwitchSet), len(d.OPinSet), len(d.IPinSet))
+			d.Switches, d.OPins, d.IPins)
 		return
 	}
 	if *extract != "" {

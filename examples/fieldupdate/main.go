@@ -105,7 +105,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\npartial reconfiguration delta: %d items (%d tiles, %d switch changes)\n",
-		d.Size(), len(d.CLBs), len(d.SwitchSet)+len(d.OPinSet)+len(d.IPinSet))
+		d.Size(), len(d.CLBs), d.Switches+d.OPins+d.IPins)
 	fmt.Printf("full fabric configuration is %d bits; the field update rewrites only the delta\n", total)
 
 	// Prove the patch: apply the delta to revision 1's configuration and

@@ -18,10 +18,19 @@ func (w *bitWriter) WriteBit(b bool) {
 	w.nbit++
 }
 
-// WriteUint writes the low n bits of v, most significant first.
+// WriteUint writes the low n bits of v, most significant first, filling
+// the current byte a run of bits at a time.
 func (w *bitWriter) WriteUint(v uint64, n int) {
-	for i := n - 1; i >= 0; i-- {
-		w.WriteBit(v&(1<<uint(i)) != 0)
+	for n > 0 {
+		if w.nbit%8 == 0 {
+			w.buf = append(w.buf, 0)
+		}
+		free := 8 - w.nbit%8
+		k := min(free, n)
+		chunk := byte(v>>uint(n-k)) & (1<<uint(k) - 1)
+		w.buf[len(w.buf)-1] |= chunk << uint(free-k)
+		w.nbit += k
+		n -= k
 	}
 }
 
@@ -43,17 +52,19 @@ func (r *bitReader) ReadBit() (bool, error) {
 	return b, nil
 }
 
+// ReadUint reads n bits, most significant first, a byte's run at a time.
 func (r *bitReader) ReadUint(n int) (uint64, error) {
+	if r.nbit+n > 8*len(r.buf) {
+		return 0, fmt.Errorf("bitstream: truncated at bit %d", 8*len(r.buf))
+	}
 	var v uint64
-	for i := 0; i < n; i++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		v <<= 1
-		if b {
-			v |= 1
-		}
+	for n > 0 {
+		off := r.nbit % 8
+		k := min(8-off, n)
+		b := r.buf[r.nbit/8] >> uint(8-off-k) & (1<<uint(k) - 1)
+		v = v<<uint(k) | uint64(b)
+		r.nbit += k
+		n -= k
 	}
 	return v, nil
 }

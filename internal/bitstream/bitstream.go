@@ -65,13 +65,10 @@ type Bitstream struct {
 	CLBs [][]*CLBConfig
 	// Pads is keyed by (x, y, sub).
 	Pads map[[3]int]*PadConfig
-	// SwitchOn holds enabled wire<->wire switches as canonical (min,max)
-	// node-ID pairs.
-	SwitchOn map[[2]int]bool
-	// OPinOn holds enabled output-pin->wire connections.
-	OPinOn map[[2]int]bool
-	// IPinOn holds enabled wire->input-pin connections.
-	IPinOn map[[2]int]bool
+	// Routing is the routing frame: one bit per configurable edge of Graph,
+	// indexed by its ordinal (rrgraph.Graph.ConfigEdge). Bit i%64 of word
+	// i/64 is set when edge i is enabled.
+	Routing []uint64
 }
 
 func newBitstream(a *arch.Arch, g *rrgraph.Graph, model string) *Bitstream {
@@ -81,9 +78,7 @@ func newBitstream(a *arch.Arch, g *rrgraph.Graph, model string) *Bitstream {
 		ModelName: model,
 		CLBs:      make([][]*CLBConfig, a.Cols),
 		Pads:      make(map[[3]int]*PadConfig),
-		SwitchOn:  make(map[[2]int]bool),
-		OPinOn:    make(map[[2]int]bool),
-		IPinOn:    make(map[[2]int]bool),
+		Routing:   make([]uint64, (g.NumConfigEdges()+63)/64),
 	}
 	for x := range bs.CLBs {
 		bs.CLBs[x] = make([]*CLBConfig, a.Rows)
@@ -136,21 +131,15 @@ func Generate(pk *pack.Packing, p *place.Problem, pl *place.Placement, r *route.
 		for si, path := range nr.Paths {
 			sinkBlock := net.Blocks[si+1]
 			for i := 0; i+1 < len(path); i++ {
-				from, to := g.Nodes[path[i]], g.Nodes[path[i+1]]
-				fw := from.Type == rrgraph.ChanX || from.Type == rrgraph.ChanY
-				tw := to.Type == rrgraph.ChanX || to.Type == rrgraph.ChanY
-				switch {
-				case fw && tw:
-					key := [2]int{path[i], path[i+1]}
-					if key[0] > key[1] {
-						key[0], key[1] = key[1], key[0]
-					}
-					bs.SwitchOn[key] = true
-				case from.Type == rrgraph.OPin && tw:
-					bs.OPinOn[[2]int{path[i], path[i+1]}] = true
-				case fw && to.Type == rrgraph.IPin:
-					bs.IPinOn[[2]int{path[i], path[i+1]}] = true
+				from, to := path[i], path[i+1]
+				if !isWire(g, from) && !isWire(g, to) {
+					continue // Source->OPin and IPin->Sink are hard-wired
 				}
+				ord, ok := g.ConfigEdge(from, to)
+				if !ok {
+					return nil, fmt.Errorf("bitstream: net %q hop %d->%d is not a configurable edge", net.Signal, from, to)
+				}
+				bs.Routing[ord/64] |= 1 << uint(ord%64)
 			}
 			// Record pin usage at both ends.
 			if len(path) >= 2 && g.Nodes[path[1]].Type == rrgraph.OPin {

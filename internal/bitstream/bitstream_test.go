@@ -1,6 +1,7 @@
 package bitstream
 
 import (
+	"slices"
 	"testing"
 
 	"fpgaflow/internal/arch"
@@ -47,6 +48,18 @@ const seqBLIF = `
 
 func generate(t *testing.T, blif string, params pack.Params) (*netlist.Netlist, *Bitstream) {
 	t.Helper()
+	nl, pk, p, pl, r := routeDesign(t, blif, params)
+	bs, err := Generate(pk, p, pl, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nl, bs
+}
+
+// routeDesign packs, places and routes a BLIF design on the paper
+// platform at W=10, sized to fit.
+func routeDesign(t *testing.T, blif string, params pack.Params) (*netlist.Netlist, *pack.Packing, *place.Problem, *place.Placement, *route.Result) {
+	t.Helper()
 	nl, err := netlist.ParseBLIF(blif)
 	if err != nil {
 		t.Fatal(err)
@@ -78,11 +91,7 @@ func generate(t *testing.T, blif string, params pack.Params) (*netlist.Netlist, 
 	if !r.Success {
 		t.Fatal("routing failed")
 	}
-	bs, err := Generate(pk, p, pl, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return nl, bs
+	return nl, pk, p, pl, r
 }
 
 func TestGenerateAndExtractCombinational(t *testing.T) {
@@ -134,10 +143,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if bs2.ModelName != bs.ModelName {
 		t.Errorf("model %q != %q", bs2.ModelName, bs.ModelName)
 	}
-	if len(bs2.SwitchOn) != len(bs.SwitchOn) || len(bs2.OPinOn) != len(bs.OPinOn) || len(bs2.IPinOn) != len(bs.IPinOn) {
-		t.Fatalf("routing config lost: %d/%d/%d vs %d/%d/%d",
-			len(bs2.SwitchOn), len(bs2.OPinOn), len(bs2.IPinOn),
-			len(bs.SwitchOn), len(bs.OPinOn), len(bs.IPinOn))
+	if !slices.Equal(bs2.Routing, bs.Routing) {
+		t.Fatal("routing frame changed across Encode/Decode")
 	}
 	ex, err := Extract(bs2)
 	if err != nil {
@@ -207,16 +214,14 @@ func TestBitFlipChangesExtraction(t *testing.T) {
 
 func TestExtractDetectsContention(t *testing.T) {
 	_, bs := generate(t, combBLIF, pack.Params{N: 2, K: 4, I: 8})
-	g, err := rrgraph.Build(bs.Arch)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := bs.Graph
 	// Enable a second OPin driving a wire already driven by another net.
-	var wire int = -1
-	for conn := range bs.OPinOn {
-		wire = conn[1]
-		break
-	}
+	wire := -1
+	enabledEdges(g, bs.Routing, func(from, to int) {
+		if g.Nodes[from].Type == rrgraph.OPin {
+			wire = to
+		}
+	})
 	if wire < 0 {
 		t.Skip("no opin connections")
 	}
@@ -224,27 +229,17 @@ func TestExtractDetectsContention(t *testing.T) {
 		if n.Type != rrgraph.OPin {
 			continue
 		}
-		if bs.OPinOn[[2]int{n.ID, wire}] {
+		ord, ok := g.ConfigEdge(n.ID, wire)
+		if !ok || bs.Routing[ord/64]&(1<<uint(ord%64)) != 0 {
 			continue
 		}
-		if hasEdgeTo(g, n.ID, wire) {
-			bs.OPinOn[[2]int{n.ID, wire}] = true
-			if _, err := Extract(bs); err == nil {
-				t.Fatal("net contention not detected")
-			}
-			return
+		bs.Routing[ord/64] |= 1 << uint(ord%64)
+		if _, err := Extract(bs); err == nil {
+			t.Fatal("net contention not detected")
 		}
+		return
 	}
 	t.Skip("no second opin reaches the wire")
-}
-
-func hasEdgeTo(g *rrgraph.Graph, from, to int) bool {
-	for _, e := range g.Nodes[from].Edges {
-		if e == to {
-			return true
-		}
-	}
-	return false
 }
 
 func TestNumConfigBits(t *testing.T) {
@@ -290,4 +285,31 @@ func TestGenerateRejectsFailedRouting(t *testing.T) {
 	if _, err := Generate(pk, p, pl, r); err == nil {
 		t.Fatal("failed routing accepted")
 	}
+}
+
+// TestGenerateRejectsUnconfigurableHop routes a design, then makes one
+// path hop from a wire onto an input pin the wire does not reach:
+// Generate must fail instead of dropping the hop from the routing frame.
+func TestGenerateRejectsUnconfigurableHop(t *testing.T) {
+	_, pk, p, pl, r := routeDesign(t, combBLIF, pack.Params{N: 2, K: 4, I: 8})
+	g := r.Graph
+	for _, nr := range r.Routes {
+		for _, path := range nr.Paths {
+			for i := 0; i+1 < len(path); i++ {
+				if !isWire(g, path[i]) {
+					continue
+				}
+				for _, ip := range g.Nodes {
+					if ip.Type == rrgraph.IPin && !g.HasEdge(path[i], ip.ID) {
+						path[i+1] = ip.ID
+						if _, err := Generate(pk, p, pl, r); err == nil {
+							t.Fatalf("hop %d->%d accepted", path[i], ip.ID)
+						}
+						return
+					}
+				}
+			}
+		}
+	}
+	t.Fatal("no routed wire found")
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 
 	"fpgaflow/internal/arch"
 	"fpgaflow/internal/rrgraph"
@@ -18,8 +19,8 @@ import (
 //	arch parameters needed to rebuild the routing graph
 //	pad table (u32 count, entries: x,y,sub u16; flags u8; pin u16; name)
 //	CLB frames in (x, y) order, bit-packed
-//	routing frame: one bit per configurable connection in canonical
-//	graph order (wire-wire switches counted once with from < to)
+//	routing frame: one bit per configurable edge in ordinal order
+//	(rrgraph.Graph.ConfigEdge: wire-wire switches counted once, from < to)
 //	trailing u32 bit count (integrity check)
 const (
 	magic   = "DAGR"
@@ -70,9 +71,10 @@ func Encode(bs *Bitstream) ([]byte, error) {
 	}
 
 	// Configuration bits.
-	w := &bitWriter{}
+	n := bs.Graph.NumConfigEdges()
+	w := &bitWriter{buf: make([]byte, 0, (clbFrameBits(a)+int64(n)+7)/8)}
 	encodeCLBs(w, bs)
-	encodeRouting(w, bs, bs.Graph)
+	encodeRouting(w, bs.Routing, n)
 	_ = binary.Write(&buf, binary.BigEndian, uint32(w.Len()))
 	buf.Write(w.Bytes())
 	return buf.Bytes(), nil
@@ -189,10 +191,7 @@ func DecodeOn(data []byte, g *rrgraph.Graph) (*Bitstream, error) {
 	if err := binary.Read(buf, binary.BigEndian, &nbits); err != nil {
 		return nil, err
 	}
-	rest := make([]byte, buf.Len())
-	if _, err := io.ReadFull(buf, rest); err != nil {
-		return nil, err
-	}
+	rest := data[len(data)-buf.Len():]
 	if len(rest)*8 < int(nbits) {
 		return nil, fmt.Errorf("bitstream: %d config bits declared, %d available", nbits, len(rest)*8)
 	}
@@ -200,7 +199,7 @@ func DecodeOn(data []byte, g *rrgraph.Graph) (*Bitstream, error) {
 	if err := decodeCLBs(r, bs); err != nil {
 		return nil, err
 	}
-	if err := decodeRouting(r, bs, g); err != nil {
+	if err := decodeRouting(r, bs.Routing, g.NumConfigEdges()); err != nil {
 		return nil, err
 	}
 	if r.nbit != int(nbits) {
@@ -286,65 +285,27 @@ func decodeCLBs(r *bitReader, bs *Bitstream) error {
 	return nil
 }
 
-// configurableEdges enumerates every programmable connection in canonical
-// order: wire-wire switches once (from < to), then OPin->wire, then
-// wire->IPin, all in node/edge order.
-func configurableEdges(g *rrgraph.Graph) [][3]int {
-	var out [][3]int // kind(0=sw,1=opin,2=ipin), from, to
-	for _, n := range g.Nodes {
-		for _, e := range n.Edges {
-			to := g.Nodes[e]
-			fw := n.Type == rrgraph.ChanX || n.Type == rrgraph.ChanY
-			tw := to.Type == rrgraph.ChanX || to.Type == rrgraph.ChanY
-			switch {
-			case fw && tw:
-				if n.ID < e {
-					out = append(out, [3]int{0, n.ID, e})
-				}
-			case n.Type == rrgraph.OPin && tw:
-				out = append(out, [3]int{1, n.ID, e})
-			case fw && to.Type == rrgraph.IPin:
-				out = append(out, [3]int{2, n.ID, e})
-			}
-		}
-	}
-	return out
-}
-
-func encodeRouting(w *bitWriter, bs *Bitstream, g *rrgraph.Graph) {
-	for _, ce := range configurableEdges(g) {
-		key := [2]int{ce[1], ce[2]}
-		var on bool
-		switch ce[0] {
-		case 0:
-			on = bs.SwitchOn[key]
-		case 1:
-			on = bs.OPinOn[key]
-		default:
-			on = bs.IPinOn[key]
-		}
-		w.WriteBit(on)
+// encodeRouting writes the routing frame: the first n bits of words, in
+// ordinal order, 64 at a time.
+func encodeRouting(w *bitWriter, words []uint64, n int) {
+	//fpga:hotloop
+	for i := 0; i < n; i += 64 {
+		k := min(64, n-i)
+		// Bit 0 (the lowest ordinal) goes out first, so reverse the word.
+		w.WriteUint(bits.Reverse64(words[i/64])>>uint(64-k), k)
 	}
 }
 
-func decodeRouting(r *bitReader, bs *Bitstream, g *rrgraph.Graph) error {
-	for _, ce := range configurableEdges(g) {
-		on, err := r.ReadBit()
+// decodeRouting reads the n-bit routing frame into words.
+func decodeRouting(r *bitReader, words []uint64, n int) error {
+	//fpga:hotloop
+	for i := 0; i < n; i += 64 {
+		k := min(64, n-i)
+		v, err := r.ReadUint(k)
 		if err != nil {
 			return err
 		}
-		if !on {
-			continue
-		}
-		key := [2]int{ce[1], ce[2]}
-		switch ce[0] {
-		case 0:
-			bs.SwitchOn[key] = true
-		case 1:
-			bs.OPinOn[key] = true
-		default:
-			bs.IPinOn[key] = true
-		}
+		words[i/64] = bits.Reverse64(v << uint(64-k))
 	}
 	return nil
 }
@@ -367,11 +328,7 @@ func NumConfigBits(a *arch.Arch) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	bs := newBitstream(a, g, "")
-	w := &bitWriter{}
-	encodeCLBs(w, bs)
-	encodeRouting(w, bs, g)
-	return w.Len(), nil
+	return int(clbFrameBits(a)) + g.NumConfigEdges(), nil
 }
 
 func writeString(buf *bytes.Buffer, s string) {

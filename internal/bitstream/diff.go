@@ -5,6 +5,7 @@ import (
 	"reflect"
 
 	"fpgaflow/internal/arch"
+	"fpgaflow/internal/rrgraph"
 )
 
 // Partial reconfiguration support: Diff computes the configuration delta
@@ -19,22 +20,20 @@ type Delta struct {
 	CLBs map[[2]int]*CLBConfig
 	// Pads holds replacement pad entries (nil value = remove).
 	Pads map[[3]int]*PadConfig
-	// SwitchSet / OPinSet / IPinSet give the new on/off state of changed
-	// routing connections.
-	SwitchSet map[[2]int]bool
-	OPinSet   map[[2]int]bool
-	IPinSet   map[[2]int]bool
+	// Routing marks the configurable edges whose state changes, indexed
+	// like Bitstream.Routing; Apply flips them.
+	Routing []uint64
+	// Switches, OPins and IPins count the changed wire-wire switches,
+	// output-pin connections and input-pin connections.
+	Switches, OPins, IPins int
 }
 
 // Empty reports whether the delta changes nothing.
-func (d *Delta) Empty() bool {
-	return len(d.CLBs) == 0 && len(d.Pads) == 0 &&
-		len(d.SwitchSet) == 0 && len(d.OPinSet) == 0 && len(d.IPinSet) == 0
-}
+func (d *Delta) Empty() bool { return d.Size() == 0 }
 
 // Size counts changed items (tiles + pads + connections).
 func (d *Delta) Size() int {
-	return len(d.CLBs) + len(d.Pads) + len(d.SwitchSet) + len(d.OPinSet) + len(d.IPinSet)
+	return len(d.CLBs) + len(d.Pads) + d.Switches + d.OPins + d.IPins
 }
 
 // archCompatible checks the fields the configuration layout depends on.
@@ -52,7 +51,8 @@ func archCompatible(x, y *arch.Arch) error {
 }
 
 // Diff returns the delta that turns configuration a into configuration b.
-// Both must target the same architecture.
+// Both must target the same architecture, so their graphs number the
+// configurable edges alike.
 func Diff(a, b *Bitstream) (*Delta, error) {
 	if err := archCompatible(a.Arch, b.Arch); err != nil {
 		return nil, err
@@ -61,9 +61,7 @@ func Diff(a, b *Bitstream) (*Delta, error) {
 		ModelName: b.ModelName,
 		CLBs:      make(map[[2]int]*CLBConfig),
 		Pads:      make(map[[3]int]*PadConfig),
-		SwitchSet: make(map[[2]int]bool),
-		OPinSet:   make(map[[2]int]bool),
-		IPinSet:   make(map[[2]int]bool),
+		Routing:   make([]uint64, len(a.Routing)),
 	}
 	for x := 1; x <= a.Arch.Cols; x++ {
 		for y := 1; y <= a.Arch.Rows; y++ {
@@ -85,26 +83,30 @@ func Diff(a, b *Bitstream) (*Delta, error) {
 			d.Pads[key] = nil
 		}
 	}
-	diffSet := func(sa, sb map[[2]int]bool, out map[[2]int]bool) {
-		for k := range sb {
-			if !sa[k] {
-				out[k] = true
-			}
-		}
-		for k := range sa {
-			if !sb[k] {
-				out[k] = false
-			}
-		}
+	for i := range d.Routing {
+		d.Routing[i] = a.Routing[i] ^ b.Routing[i]
 	}
-	diffSet(a.SwitchOn, b.SwitchOn, d.SwitchSet)
-	diffSet(a.OPinOn, b.OPinOn, d.OPinSet)
-	diffSet(a.IPinOn, b.IPinOn, d.IPinSet)
+	g := a.Graph
+	enabledEdges(g, d.Routing, func(from, to int) {
+		switch {
+		case g.Nodes[from].Type == rrgraph.OPin:
+			d.OPins++
+		case g.Nodes[to].Type == rrgraph.IPin:
+			d.IPins++
+		default:
+			d.Switches++
+		}
+	})
 	return d, nil
 }
 
-// Apply patches the configuration in place with the delta.
+// Apply patches the configuration in place with the delta. The routing
+// part flips edges, so bs must hold the routing the delta was computed
+// from.
 func Apply(bs *Bitstream, d *Delta) error {
+	if d.Routing != nil && len(d.Routing) != len(bs.Routing) {
+		return fmt.Errorf("bitstream: delta routing frame has %d words, configuration %d", len(d.Routing), len(bs.Routing))
+	}
 	for key, cfg := range d.CLBs {
 		if key[0] < 1 || key[0] > bs.Arch.Cols || key[1] < 1 || key[1] > bs.Arch.Rows {
 			return fmt.Errorf("bitstream: delta tile (%d,%d) outside grid", key[0], key[1])
@@ -119,18 +121,9 @@ func Apply(bs *Bitstream, d *Delta) error {
 			bs.Pads[key] = &cp
 		}
 	}
-	applySet := func(dst map[[2]int]bool, changes map[[2]int]bool) {
-		for k, on := range changes {
-			if on {
-				dst[k] = true
-			} else {
-				delete(dst, k)
-			}
-		}
+	for i, x := range d.Routing {
+		bs.Routing[i] ^= x
 	}
-	applySet(bs.SwitchOn, d.SwitchSet)
-	applySet(bs.OPinOn, d.OPinSet)
-	applySet(bs.IPinOn, d.IPinSet)
 	if d.ModelName != "" {
 		bs.ModelName = d.ModelName
 	}
@@ -149,15 +142,7 @@ func (bs *Bitstream) Clone() *Bitstream {
 		cp := *p
 		out.Pads[k] = &cp
 	}
-	for k := range bs.SwitchOn {
-		out.SwitchOn[k] = true
-	}
-	for k := range bs.OPinOn {
-		out.OPinOn[k] = true
-	}
-	for k := range bs.IPinOn {
-		out.IPinOn[k] = true
-	}
+	copy(out.Routing, bs.Routing)
 	return out
 }
 

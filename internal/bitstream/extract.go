@@ -2,6 +2,7 @@ package bitstream
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"fpgaflow/internal/logic"
@@ -32,38 +33,34 @@ func Extract(bs *Bitstream) (*netlist.Netlist, error) {
 		return x
 	}
 	union := func(x, y int) { parent[find(x)] = find(y) }
-	for sw := range bs.SwitchOn {
-		if err := checkWireEdge(g, sw[0], sw[1]); err != nil {
-			return nil, err
+	enabledEdges(g, bs.Routing, func(from, to int) {
+		if isWire(g, from) && isWire(g, to) {
+			union(from, to)
 		}
-		union(sw[0], sw[1])
-	}
+	})
 
-	// Drivers: enabled OPin->wire connections.
+	// Drivers (enabled OPin->wire connections) and loads (wire->IPin).
 	driverOPin := make(map[int]int) // net root -> opin node
-	for conn := range bs.OPinOn {
-		op, wire := conn[0], conn[1]
-		if g.Nodes[op].Type != rrgraph.OPin || !isWire(g, wire) {
-			return nil, fmt.Errorf("bitstream: invalid opin connection %v", conn)
+	ipinNet := make(map[int]int)    // ipin node -> net root
+	var err error
+	enabledEdges(g, bs.Routing, func(from, to int) {
+		switch {
+		case err != nil:
+		case g.Nodes[from].Type == rrgraph.OPin:
+			root := find(to)
+			if prev, dup := driverOPin[root]; dup && prev != from {
+				err = fmt.Errorf("bitstream: net contention: opins %d and %d drive one net", prev, from)
+			}
+			driverOPin[root] = from
+		case g.Nodes[to].Type == rrgraph.IPin:
+			if prev, dup := ipinNet[to]; dup && prev != find(from) {
+				err = fmt.Errorf("bitstream: input pin %d driven by two nets", to)
+			}
+			ipinNet[to] = find(from)
 		}
-		root := find(wire)
-		if prev, dup := driverOPin[root]; dup && prev != op {
-			return nil, fmt.Errorf("bitstream: net contention: opins %d and %d drive one net", prev, op)
-		}
-		driverOPin[root] = op
-	}
-
-	// Loads: wire->IPin.
-	ipinNet := make(map[int]int) // ipin node -> net root
-	for conn := range bs.IPinOn {
-		wire, ip := conn[0], conn[1]
-		if !isWire(g, wire) || g.Nodes[ip].Type != rrgraph.IPin {
-			return nil, fmt.Errorf("bitstream: invalid ipin connection %v", conn)
-		}
-		if prev, dup := ipinNet[ip]; dup && prev != find(wire) {
-			return nil, fmt.Errorf("bitstream: input pin %d driven by two nets", ip)
-		}
-		ipinNet[ip] = find(wire)
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	nl := netlist.New(bs.ModelName + "_extracted")
@@ -314,14 +311,12 @@ func isWire(g *rrgraph.Graph, id int) bool {
 	return t == rrgraph.ChanX || t == rrgraph.ChanY
 }
 
-func checkWireEdge(g *rrgraph.Graph, a, b int) error {
-	if !isWire(g, a) || !isWire(g, b) {
-		return fmt.Errorf("bitstream: switch between non-wires %d,%d", a, b)
-	}
-	for _, e := range g.Nodes[a].Edges {
-		if e == b {
-			return nil
+// enabledEdges calls fn with the endpoints of every configurable edge
+// whose bit is set in words, in ordinal order.
+func enabledEdges(g *rrgraph.Graph, words []uint64, fn func(from, to int)) {
+	for i, w := range words {
+		for ; w != 0; w &= w - 1 {
+			fn(g.ConfigEdgeAt(i*64 + bits.TrailingZeros64(w)))
 		}
 	}
-	return fmt.Errorf("bitstream: no switch exists between nodes %d and %d", a, b)
 }

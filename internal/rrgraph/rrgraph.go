@@ -102,6 +102,9 @@ type Graph struct {
 	chanxID map[chanKey]int
 	chanyID map[chanKey]int
 	edges   int
+	// configFirst[n] is the ordinal of node n's first configurable edge
+	// (see ConfigEdge); configFirst[len(Nodes)] is their count.
+	configFirst []int32
 
 	// look is the per-segment-type cost lookahead summary built once per
 	// graph (see Lookahead).
@@ -431,10 +434,80 @@ func Build(a *arch.Arch) (*Graph, error) {
 	g.buildConnectionBoxes()
 	g.buildSwitchBoxes()
 	g.buildLookahead()
-	for _, n := range g.Nodes {
+	g.configFirst = make([]int32, len(g.Nodes)+1)
+	var ord int32
+	for i, n := range g.Nodes {
+		g.configFirst[i] = ord
+		for _, e := range n.Edges {
+			if configurable(n, g.Nodes[e]) {
+				ord++
+			}
+		}
 		g.edges += len(n.Edges)
 	}
+	g.configFirst[len(g.Nodes)] = ord
 	return g, nil
+}
+
+func isWire(n *Node) bool { return n.Type == ChanX || n.Type == ChanY }
+
+// configurable reports whether the edge from -> to is a programmable
+// connection with its own configuration bit: a wire-wire switch (numbered
+// once, at its lower-ID end), an output pin onto a wire, or a wire onto an
+// input pin. Source->OPin and IPin->Sink edges are hard-wired.
+func configurable(from, to *Node) bool {
+	switch {
+	case isWire(from) && isWire(to):
+		return from.ID < to.ID
+	case from.Type == OPin:
+		return isWire(to)
+	default:
+		return isWire(from) && to.Type == IPin
+	}
+}
+
+// NumConfigEdges returns the number of configurable edges: the length of
+// a bitstream's routing frame.
+func (g *Graph) NumConfigEdges() int { return int(g.configFirst[len(g.Nodes)]) }
+
+// ConfigEdge returns the ordinal of the configurable edge from -> to in
+// [0, NumConfigEdges). Ordinals follow node order, then edge order within
+// a node. A wire-wire switch is looked up at its lower-ID end in either
+// direction. ok is false when no such configurable edge exists. Both IDs
+// must be valid node indices.
+func (g *Graph) ConfigEdge(from, to int) (ord int, ok bool) {
+	if isWire(g.Nodes[from]) && isWire(g.Nodes[to]) && from > to {
+		from, to = to, from
+	}
+	n := g.Nodes[from]
+	ord = int(g.configFirst[from])
+	for _, e := range n.Edges {
+		if !configurable(n, g.Nodes[e]) {
+			continue
+		}
+		if e == to {
+			return ord, true
+		}
+		ord++
+	}
+	return 0, false
+}
+
+// ConfigEdgeAt returns the endpoints of the configurable edge with the
+// given ordinal, which must lie in [0, NumConfigEdges).
+func (g *Graph) ConfigEdgeAt(ord int) (from, to int) {
+	from = sort.Search(len(g.Nodes), func(n int) bool { return int(g.configFirst[n+1]) > ord })
+	k := ord - int(g.configFirst[from])
+	n := g.Nodes[from]
+	for _, e := range n.Edges {
+		if configurable(n, g.Nodes[e]) {
+			if k == 0 {
+				return from, e
+			}
+			k--
+		}
+	}
+	panic(fmt.Sprintf("rrgraph: configurable-edge ordinal %d out of range", ord))
 }
 
 func (g *Graph) newNode(t NodeType, x, y int) *Node {
