@@ -41,63 +41,93 @@ func main() {
 		fatal(err)
 	}
 	tr, finishObs := obsFlags.Start("vpr")
+	err = run(tr, src, config{archFile: *archFile, seed: *seed, effort: *effort, minW: *minW, jobs: *jobs})
+	// The telemetry is written on failure too: an unroutable width is
+	// exactly the run whose counters are worth reading.
+	ferr := finishObs()
+	if err != nil {
+		fatal(err)
+	}
+	if ferr != nil {
+		fatal(fmt.Errorf("observability: %w", ferr))
+	}
+}
+
+// config carries the command-line options run reads.
+type config struct {
+	archFile string
+	seed     int64
+	effort   float64
+	minW     bool
+	jobs     int
+}
+
+// run packs, places and routes the BLIF source, printing the report and
+// recording counters on tr.
+func run(tr *obs.Trace, src string, cfg config) error {
 	a := arch.Paper()
-	if *archFile != "" {
-		b, err := os.ReadFile(*archFile)
+	if cfg.archFile != "" {
+		b, err := os.ReadFile(cfg.archFile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if a, err = arch.Parse(string(b)); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	nl, err := netlist.ParseBLIF(src)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	pk, err := pack.Pack(nl, pack.Params{N: a.CLB.N, K: a.CLB.K, I: a.CLB.I})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	pk.Record(tr)
-	runChecks(tr, check.StagePack, &check.Artifacts{Packing: pk})
+	if err := runChecks(tr, check.StagePack, &check.Artifacts{Packing: pk}); err != nil {
+		return err
+	}
 	p, err := place.NewProblem(a, pk)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	p.AutoSize()
-	pl, err := place.Place(p, place.Options{Seed: *seed, InnerNum: *effort, Obs: tr, Workers: *jobs})
+	pl, err := place.Place(p, place.Options{Seed: cfg.seed, InnerNum: cfg.effort, Obs: tr, Workers: cfg.jobs})
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	runChecks(tr, check.StagePlace, &check.Artifacts{Problem: p, Placement: pl})
+	if err := runChecks(tr, check.StagePlace, &check.Artifacts{Problem: p, Placement: pl}); err != nil {
+		return err
+	}
 	fmt.Printf("placed %d blocks on %dx%d grid, bb cost %.2f\n", len(p.Blocks), a.Cols, a.Rows, pl.Cost)
 	var r *route.Result
-	ropts := route.Options{Obs: tr, Workers: *jobs}
-	if *minW {
+	ropts := route.Options{Obs: tr, Workers: cfg.jobs}
+	if cfg.minW {
 		ropts.Cache = rrgraph.NewCache()
 		w, rr, err := route.MinChannelWidth(p, pl, 1, a.Routing.ChannelWidth, ropts)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		r = rr
 		fmt.Printf("minimum channel width: %d\n", w)
 	} else {
 		g, err := rrgraph.Build(a)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if r, err = route.Route(p, pl, g, ropts); err != nil {
-			fatal(err)
+			return err
 		}
 		if !r.Success {
-			fatal(fmt.Errorf("unroutable at W=%d (%d nodes overused)", a.Routing.ChannelWidth, r.Overused))
+			return fmt.Errorf("unroutable at W=%d (%d nodes overused)", a.Routing.ChannelWidth, r.Overused)
 		}
 	}
-	runChecks(tr, check.StageRoute, &check.Artifacts{Graph: r.Graph, Routing: r, Problem: p, Placement: pl})
+	if err := runChecks(tr, check.StageRoute, &check.Artifacts{Graph: r.Graph, Routing: r, Problem: p, Placement: pl}); err != nil {
+		return err
+	}
 	an, err := timing.Analyze(pk, p, pl, r)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("routed in %d iterations, %d wire segments used\n", r.Iterations, r.WirelengthUsed())
 	fmt.Printf("critical path %.3f ns (%.1f MHz clock, %.1f Mb/s DETFF data rate) through %s\n",
@@ -110,19 +140,15 @@ func main() {
 		fmt.Println()
 	}
 	tr.SetGauge("timing.critical_path_ns", an.CriticalPath*1e9)
-	if err := finishObs(); err != nil {
-		fatal(err)
-	}
+	return nil
 }
 
 // runChecks runs one stage's boundary rules (the flow's legality check),
-// records their counts on tr and exits on an error-severity diagnostic.
-func runChecks(tr *obs.Trace, stage check.Stage, arts *check.Artifacts) {
+// records their counts on tr and returns an error-severity diagnostic.
+func runChecks(tr *obs.Trace, stage check.Stage, arts *check.Artifacts) error {
 	rep := check.RunStage(stage, arts)
 	rep.Record(tr)
-	if err := rep.Err(); err != nil {
-		fatal(err)
-	}
+	return rep.Err()
 }
 
 func fatal(err error) {

@@ -4,15 +4,26 @@ import (
 	"fpgaflow/internal/place"
 )
 
-// Place-stage rules: legality of a VPR placement against the grid — no two
-// blocks on one site, CLBs inside the logic array, pads on the I/O
-// perimeter ring with valid sub-slots.
+// Place-stage rules: legality of a VPR placement against the grid — one
+// location per block, no two blocks on one site, CLBs inside the logic
+// array, pads on the I/O perimeter ring with valid sub-slots.
 
+// hasPlacement reports a placement the per-block rules can read: one
+// location per block. A present placement of another length is an error
+// from place/shape, never a silent skip.
 func hasPlacement(a *Artifacts) bool {
 	return a.Problem != nil && a.Placement != nil && len(a.Placement.Loc) == len(a.Problem.Blocks)
 }
 
 func init() {
+	register(Rule{
+		ID:       "place/shape",
+		Stage:    StagePlace,
+		Severity: Error,
+		Doc:      "the placement does not hold exactly one location per block",
+		Applies:  func(a *Artifacts) bool { return a.Problem != nil && a.Placement != nil },
+		Run:      runPlaceShape,
+	})
 	register(Rule{
 		ID:       "place/overlap",
 		Stage:    StagePlace,
@@ -37,6 +48,12 @@ func init() {
 		Applies:  hasPlacement,
 		Run:      runIOPerimeter,
 	})
+}
+
+func runPlaceShape(a *Artifacts, rep *reporter) {
+	if n, want := len(a.Placement.Loc), len(a.Problem.Blocks); n != want {
+		rep.add("", "placement has %d locations for %d blocks", n, want)
+	}
 }
 
 func runOverlap(a *Artifacts, rep *reporter) {
