@@ -38,7 +38,7 @@ func init() {
 		Doc:      "a used BLE's truth table disagrees with a stuck LUT configuration bit at its site",
 		Applies: func(a *Artifacts) bool {
 			return hasDefects(a) && len(a.Defects.StuckBits) > 0 &&
-				a.Bitstream != nil && a.Problem != nil && a.Placement != nil
+				a.Bitstream != nil && hasPlacement(a)
 		},
 		Run: runStuckBit,
 	})
