@@ -243,24 +243,22 @@ func BenchmarkRoute(b *testing.B) {
 	}
 }
 
-// BenchmarkAnneal measures the parallel annealer on the largest committed
-// example at several worker counts. The placement is bit-identical across
-// the sub-benchmarks (the determinism suite asserts it); the j1/j8 ratio
-// is the wall-time speedup the snapshot-evaluate/ordered-commit batching
-// buys on this machine.
+// BenchmarkAnneal measures the serial annealer on the largest committed
+// example and reports the cost of one proposed move (µs/move, from
+// Placement.Moves).
 func BenchmarkAnneal(b *testing.B) {
 	p, _ := placedRand64(b)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("j%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				pl, err := place.Place(p, place.Options{Seed: 1, InnerNum: 1, Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sink = pl
-			}
-		})
+	moves := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pl, err := place.Place(p, place.Options{Seed: 1, InnerNum: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		moves += pl.Moves
+		sink = pl
 	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(moves), "µs/move")
 }
 
 // BenchmarkRRGraphBuild measures routing-resource graph construction for

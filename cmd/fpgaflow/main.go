@@ -29,7 +29,7 @@ func main() {
 	archFile := flag.String("arch", "", "DUTYS architecture file")
 	defects := flag.String("defects", "", "defect map JSON (see cmd/faultgen); run defect-aware")
 	retries := flag.Int("retries", 1, "max flow attempts (re-seed / escalate channel width on failure)")
-	jobs := flag.Int("j", 0, "placement and routing workers (0 = GOMAXPROCS, 1 = serial); result is identical for every value")
+	jobs := flag.Int("j", 0, "routing workers and concurrent -place-seeds anneals (0 = GOMAXPROCS, 1 = serial); result is identical for every value")
 	flag.IntVar(jobs, "parallel", 0, "alias for -j")
 	stageTimeout := flag.Duration("stage-timeout", 0, "per-stage wall-time budget (0 = unbounded)")
 	obsFlags := obs.RegisterCLIFlags(flag.CommandLine)

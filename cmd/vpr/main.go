@@ -24,7 +24,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "placement seed")
 	effort := flag.Float64("effort", 1, "annealing effort (VPR inner_num)")
 	minW := flag.Bool("min-w", false, "binary search minimum channel width")
-	jobs := flag.Int("j", 0, "placement and routing workers (0 = GOMAXPROCS, 1 = serial); result is identical for every value")
+	jobs := flag.Int("j", 0, "routing workers (0 = GOMAXPROCS, 1 = serial); result is identical for every value")
 	flag.IntVar(jobs, "parallel", 0, "alias for -j")
 	obsFlags := obs.RegisterCLIFlags(flag.CommandLine)
 	showVersion := obs.VersionFlag(flag.CommandLine)
@@ -92,7 +92,7 @@ func run(tr *obs.Trace, src string, cfg config) error {
 		return err
 	}
 	p.AutoSize()
-	pl, err := place.Place(p, place.Options{Seed: cfg.seed, InnerNum: cfg.effort, Obs: tr, Workers: cfg.jobs})
+	pl, err := place.Place(p, place.Options{Seed: cfg.seed, InnerNum: cfg.effort, Obs: tr})
 	if err != nil {
 		return err
 	}

@@ -1,12 +1,12 @@
 package fpgaflow
 
-// Worker-count invariance suite: the parallel router's and annealer's
-// contract is that GOMAXPROCS and the -j worker knob change only
-// wall-clock time, never the result. Each example is compiled under
-// several (GOMAXPROCS, workers) configurations and the serialized route
-// trees, placements, and encoded bitstreams must be byte-identical. The
-// CI race job runs this file under -race, so the parallel search and
-// move-evaluation phases are also exercised for data races.
+// Worker-count invariance suite: the contract of the parallel router and
+// of the multi-seed placer is that GOMAXPROCS and the -j worker knob
+// change only wall-clock time, never the result. Each example is compiled
+// under several (GOMAXPROCS, workers) configurations and the serialized
+// route trees, placements, and encoded bitstreams must be byte-identical.
+// The CI race job runs this file under -race, so the parallel search and
+// the concurrent seed anneals are also exercised for data races.
 
 import (
 	"bytes"
@@ -94,17 +94,17 @@ func TestRouteWorkersDeterminismMinDelay(t *testing.T) {
 	}
 }
 
-// TestPlaceWorkersDeterminismMinDelay sweeps the annealer worker knob
-// under the min-delay profile (timing-driven placement weights active,
-// routing pinned serial): bit-identical placements and bitstreams for
-// every -j value.
+// TestPlaceWorkersDeterminismMinDelay sweeps the placement worker knob
+// (how many of the two seeds anneal at once) under the min-delay profile
+// (timing-driven placement weights active, routing pinned serial):
+// bit-identical placements and bitstreams for every -j value.
 func TestPlaceWorkersDeterminismMinDelay(t *testing.T) {
 	for name, src := range goldenExamples(t) {
 		t.Run(name, func(t *testing.T) {
 			var refLoc, refBits []byte
 			for _, workers := range []int{1, 2, 4, 8} {
 				res, err := Run(src, Options{Seed: 1, Profile: ProfileMinDelay, SkipVerify: true,
-					RouteWorkers: 1, PlaceWorkers: workers})
+					RouteWorkers: 1, PlaceSeeds: 2, PlaceWorkers: workers})
 				if err != nil {
 					t.Fatalf("min-delay place workers=%d: %v", workers, err)
 				}
@@ -135,10 +135,11 @@ func sisEffort(tr *obs.Trace) [4]int64 {
 		c["techmap.cut_tests"], c["techmap.augmentations"]}
 }
 
-// TestPlacementDeterminismAcrossWorkers sweeps the annealer worker knob in
-// isolation (routing pinned serial) and requires the bit-identical
-// placement and bitstream from every value on every golden design, with
-// identical SIS and LUT-map effort counters.
+// TestPlacementDeterminismAcrossWorkers sweeps the placement worker knob
+// (how many of the two seeds anneal at once) in isolation (routing pinned
+// serial) and requires the bit-identical placement and bitstream from
+// every value on every golden design, with identical SIS and LUT-map
+// effort counters.
 func TestPlacementDeterminismAcrossWorkers(t *testing.T) {
 	for name, src := range goldenExamples(t) {
 		t.Run(name, func(t *testing.T) {
@@ -146,7 +147,7 @@ func TestPlacementDeterminismAcrossWorkers(t *testing.T) {
 			var refEffort [4]int64
 			for _, workers := range []int{1, 2, 4, 8} {
 				tr := obs.New(name)
-				res, err := Run(src, Options{Seed: 1, SkipVerify: true, RouteWorkers: 1, PlaceWorkers: workers, Obs: tr})
+				res, err := Run(src, Options{Seed: 1, SkipVerify: true, RouteWorkers: 1, PlaceSeeds: 2, PlaceWorkers: workers, Obs: tr})
 				if err != nil {
 					t.Fatalf("place workers=%d: %v", workers, err)
 				}

@@ -42,7 +42,9 @@ begin
 end rtl;
 `
 
-// Revision 2 subtracts instead of adding: a one-operator field fix.
+// Revision 2 compensates for a board that delivers d with its two halves
+// swapped. The fix reconnects the input pads to different adder bits, so
+// the delta rewrites routing switches as well as LUT masks.
 const rev2 = `
 library ieee;
 use ieee.std_logic_1164.all;
@@ -62,7 +64,7 @@ begin
     if rst = '1' then
       acc <= (others => '0');
     elsif rising_edge(clk) then
-      acc <= std_logic_vector(unsigned(acc) - unsigned(d));
+      acc <= std_logic_vector(unsigned(acc) + unsigned(d(1 downto 0) & d(3 downto 2)));
     end if;
   end process;
   q <= acc;
@@ -104,8 +106,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	switches := d.Switches + d.OPins + d.IPins
+	if switches == 0 {
+		log.Fatal("the revisions route identically: the delta exercises no routing switch")
+	}
 	fmt.Printf("\npartial reconfiguration delta: %d items (%d tiles, %d switch changes)\n",
-		d.Size(), len(d.CLBs), d.Switches+d.OPins+d.IPins)
+		d.Size(), len(d.CLBs), switches)
 	fmt.Printf("full fabric configuration is %d bits; the field update rewrites only the delta\n", total)
 
 	// Prove the patch: apply the delta to revision 1's configuration and

@@ -20,7 +20,7 @@ import (
 func hasEncoded(a *Artifacts) bool { return len(a.Encoded) > 0 && a.Arch != nil }
 
 func hasFullDesign(a *Artifacts) bool {
-	return len(a.Encoded) > 0 && a.Packing != nil && hasPlacement(a) && hasRouting(a)
+	return len(a.Encoded) > 0 && a.Packing != nil && hasRouting(a)
 }
 
 func init() {
@@ -92,6 +92,9 @@ func runBitsDecode(a *Artifacts, rep *reporter) {
 }
 
 func runBitsLUTMask(a *Artifacts, rep *reporter) {
+	if !placementFits(a, rep) {
+		return
+	}
 	bs := decodeFor(a, rep)
 	if bs == nil {
 		return
@@ -211,6 +214,9 @@ func edgeName(g *rrgraph.Graph, key [2]int) string {
 }
 
 func runBitsPads(a *Artifacts, rep *reporter) {
+	if !placementFits(a, rep) {
+		return
+	}
 	bs := decodeFor(a, rep)
 	if bs == nil {
 		return

@@ -335,6 +335,24 @@ func TestStuckBitRuleOnMisSizedPlacement(t *testing.T) {
 	RunStage(StageBitstream, &Artifacts{Arch: a, Problem: p, Placement: pl, Bitstream: bs, Defects: dm})
 }
 
+// TestMisSizedPlacementFailsDownstreamStages runs the route and bitstream
+// stages on their own over a design whose placement is one location
+// short. place/shape runs only at the place stage, so the rules there
+// that read the placement must report it: the route stage used to index
+// past the end of the placement, and the bitstream stage ran bits/decode
+// alone and passed.
+func TestMisSizedPlacementFailsDownstreamStages(t *testing.T) {
+	for _, stage := range []Stage{StageRoute, StageBitstream} {
+		a := bitsArts(t)
+		a.Defects = &fault.DefectMap{StuckBits: []fault.StuckBit{{X: 1, Y: 1}}}
+		a.Placement.Loc = a.Placement.Loc[:len(a.Placement.Loc)-1]
+		err := RunStage(stage, a).Err()
+		if err == nil || !strings.Contains(err.Error(), "placement has") {
+			t.Errorf("%s stage on a mis-sized placement: err = %v, want one naming the placement", stage, err)
+		}
+	}
+}
+
 // TestBitstreamDecodeFailurePerRule checks that the shared decode still
 // lets every applicable bits/* rule report its own failure, and that a
 // second pass over the same Artifacts decodes the bytes it holds now.

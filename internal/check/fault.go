@@ -38,7 +38,7 @@ func init() {
 		Doc:      "a used BLE's truth table disagrees with a stuck LUT configuration bit at its site",
 		Applies: func(a *Artifacts) bool {
 			return hasDefects(a) && len(a.Defects.StuckBits) > 0 &&
-				a.Bitstream != nil && hasPlacement(a)
+				a.Bitstream != nil && a.Problem != nil && a.Placement != nil
 		},
 		Run: runStuckBit,
 	})
@@ -90,6 +90,9 @@ func runDeadResource(a *Artifacts, rep *reporter) {
 // placed cluster are checked: an empty BLE's configuration is never read
 // by the design, so a stuck bit there is harmless.
 func runStuckBit(a *Artifacts, rep *reporter) {
+	if !placementFits(a, rep) {
+		return
+	}
 	p, pl, bs := a.Problem, a.Placement, a.Bitstream
 	for _, b := range p.Blocks {
 		if b.Kind != place.BlockCLB || b.Cluster == nil {

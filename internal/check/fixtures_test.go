@@ -217,9 +217,7 @@ func ruleFixtures() []fixture {
 			a.Packing.Clusters[0].Clock = ""
 		}},
 
-		{"place/shape", "missing-location", placeArts, func(_ *testing.T, a *Artifacts) {
-			a.Placement.Loc = a.Placement.Loc[:len(a.Placement.Loc)-1]
-		}},
+		{"place/shape", "missing-location", placeArts, dropLocation},
 		{"place/shape", "extra-location", placeArts, func(_ *testing.T, a *Artifacts) {
 			a.Placement.Loc = append(a.Placement.Loc, place.Location{})
 		}},
@@ -267,6 +265,7 @@ func ruleFixtures() []fixture {
 			}
 			t.Fatal("no route long enough to cut")
 		}},
+		{"route/connectivity", "missing-location", routeArts, dropLocation},
 		{"route/overuse", "zero-capacity-wire", routeArts, func(t *testing.T, a *Artifacts) {
 			usedWire(t, a).Capacity = 0
 		}},
@@ -288,6 +287,7 @@ func ruleFixtures() []fixture {
 				cfg.BLEs[0].LUT[0] = !cfg.BLEs[0].LUT[0]
 			})
 		}},
+		{"bits/lut-mask", "missing-location", bitsArts, dropLocation},
 		{"bits/switch-route", "dropped-switch", bitsArts, func(t *testing.T, a *Artifacts) {
 			recode(t, a, func(bs *bitstream.Bitstream) {
 				if !dropEdge(bs, func(from, _ *rrgraph.Node) bool { return from.Type == rrgraph.OPin }) {
@@ -301,6 +301,11 @@ func ruleFixtures() []fixture {
 				pad := bs.Pads[[3]int{l.X, l.Y, l.Sub}]
 				pad.Input = !pad.Input
 			})
+		}},
+		{"bits/pads", "missing-location", bitsArts, dropLocation},
+		{"bitstream/stuck-bit", "missing-location", bitsArts, func(t *testing.T, a *Artifacts) {
+			a.Defects = &fault.DefectMap{StuckBits: []fault.StuckBit{{X: 1, Y: 1}}}
+			dropLocation(t, a)
 		}},
 		{"bitstream/stuck-bit", "conflicting-stuck-bit", bitsArts, func(t *testing.T, a *Artifacts) {
 			l := a.Placement.Loc[firstBlock(t, a.Problem, true).ID]
@@ -317,7 +322,17 @@ func ruleFixtures() []fixture {
 // fixtureMessages pins part of the diagnostic a fixture must produce
 // where its rule reports more than one kind of fault, keyed rule/name.
 var fixtureMessages = map[string]string{
-	"route/connectivity/missing-edge": "path uses missing RR edge",
+	"route/connectivity/missing-edge":      "path uses missing RR edge",
+	"route/connectivity/missing-location":  "placement has",
+	"bits/lut-mask/missing-location":       "placement has",
+	"bits/pads/missing-location":           "placement has",
+	"bitstream/stuck-bit/missing-location": "placement has",
+}
+
+// dropLocation leaves the placement one location short, which every rule
+// that reads the placement must report rather than skip.
+func dropLocation(_ *testing.T, a *Artifacts) {
+	a.Placement.Loc = a.Placement.Loc[:len(a.Placement.Loc)-1]
 }
 
 // fired reports whether rule produced a diagnostic containing msg.

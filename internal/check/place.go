@@ -15,6 +15,19 @@ func hasPlacement(a *Artifacts) bool {
 	return a.Problem != nil && a.Placement != nil && len(a.Placement.Loc) == len(a.Problem.Blocks)
 }
 
+// placementFits reports whether the placement holds one location per
+// block, and reports it on the calling rule when it does not. The rules
+// after the place stage that read the placement call it first, so a
+// mis-sized placement is an error at their stage too instead of a skip or
+// an out-of-range read.
+func placementFits(a *Artifacts, rep *reporter) bool {
+	if n, want := len(a.Placement.Loc), len(a.Problem.Blocks); n != want {
+		rep.add("", "placement has %d locations for %d blocks", n, want)
+		return false
+	}
+	return true
+}
+
 func init() {
 	register(Rule{
 		ID:       "place/shape",
@@ -22,7 +35,7 @@ func init() {
 		Severity: Error,
 		Doc:      "the placement does not hold exactly one location per block",
 		Applies:  func(a *Artifacts) bool { return a.Problem != nil && a.Placement != nil },
-		Run:      runPlaceShape,
+		Run:      func(a *Artifacts, rep *reporter) { placementFits(a, rep) },
 	})
 	register(Rule{
 		ID:       "place/overlap",
@@ -48,12 +61,6 @@ func init() {
 		Applies:  hasPlacement,
 		Run:      runIOPerimeter,
 	})
-}
-
-func runPlaceShape(a *Artifacts, rep *reporter) {
-	if n, want := len(a.Placement.Loc), len(a.Problem.Blocks); n != want {
-		rep.add("", "placement has %d locations for %d blocks", n, want)
-	}
 }
 
 func runOverlap(a *Artifacts, rep *reporter) {

@@ -159,6 +159,9 @@ func runRRIsolatedPin(a *Artifacts, rep *reporter) {
 }
 
 func runConnectivity(a *Artifacts, rep *reporter) {
+	if !placementFits(a, rep) {
+		return
+	}
 	r, p, pl := a.Routing, a.Problem, a.Placement
 	g := r.Graph
 	if len(r.Routes) != len(p.Nets) {

@@ -76,9 +76,9 @@ type Options struct {
 	// PlaceSeeds runs that many independent annealing seeds in parallel and
 	// keeps the cheapest placement (0/1 = single seed).
 	PlaceSeeds int
-	// PlaceWorkers is the number of concurrent annealer move-evaluation
-	// workers (the CLI -j knob): 0 uses GOMAXPROCS, 1 evaluates serially.
-	// The placement is bit-identical for every value — see
+	// PlaceWorkers bounds how many of the PlaceSeeds seeds anneal at once
+	// (the CLI -j knob): 0 uses GOMAXPROCS, 1 anneals them one after
+	// another. The placement is bit-identical for every value — see
 	// place.Options.Workers.
 	PlaceWorkers int
 	// RouteWorkers is the number of concurrent net-routing workers inside

@@ -5,9 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
+	"slices"
 	"sort"
-	"sync"
 
 	"fpgaflow/internal/obs"
 	"fpgaflow/internal/obs/events"
@@ -48,16 +47,10 @@ type Options struct {
 	// and a Fixed block pinned there is an error. An IO coordinate in Bad
 	// removes every pad sub-slot of that site.
 	Bad map[[2]int]bool
-	// Workers is the number of concurrent move-evaluation workers (the CLI
-	// -j knob): 0 uses GOMAXPROCS, 1 evaluates serially. Every worker
-	// count produces the bit-identical placement: moves are proposed
-	// serially from the main RNG against the state frozen at batch entry,
-	// their cost deltas are evaluated in parallel (pure reads of the
-	// frozen state), and commits happen serially in proposal order — a
-	// proposal invalidated by an earlier commit in its batch is re-evaluated
-	// against live state at commit time. Each proposal's Metropolis
-	// acceptance draw is taken at proposal time, so the random stream never
-	// depends on evaluation scheduling.
+	// Workers bounds how many seeds PlaceBest anneals at once (the CLI -j
+	// knob): 0 uses GOMAXPROCS, 1 anneals the seeds one after another. The
+	// result is the same for every value. Place itself is serial and
+	// ignores it.
 	Workers int
 	// Ctx cancels annealing cooperatively: checked once per temperature
 	// step; the annealer returns the context's error. nil disables.
@@ -208,39 +201,37 @@ func Place(p *Problem, opts Options) (*Placement, error) {
 		opts.Obs.Add("place.temperature_steps", int64(tempSteps))
 	}()
 
-	// deltaFor computes the cost delta of moving block b to site s (swapping
-	// with any occupant), without committing.
 	siteOf := func(b int) site {
 		l := pl.Loc[b]
 		return site{l.X, l.Y, l.Sub}
 	}
-	// affectedNetsInto collects the nets touching b1 (and b2, when the move
-	// is a swap) into dst, which is truncated and reused: proposal slots keep
-	// their nets buffers across batches so steady-state evaluation allocates
-	// nothing.
-	affectedNetsInto := func(dst []int, b1, b2 int) []int {
-		dst = append(dst[:0], p.Blocks[b1].Nets...)
-		if b2 >= 0 {
-			for _, n := range p.Blocks[b2].Nets {
-				dup := false
-				for _, m := range dst {
-					if m == n {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					dst = append(dst, n)
+	// nets holds the nets the last moveDelta touched; it grows once and is
+	// reused for the rest of the anneal.
+	var nets []int
+	// moveDelta is the cost delta of moving block b from cur to s, swapping
+	// with other (the occupant of s, -1 for an empty site), evaluated
+	// against the live placement without committing. It leaves the affected
+	// nets in nets.
+	moveDelta := func(b int, s site, other int, cur site) float64 {
+		nets = append(nets[:0], p.Blocks[b].Nets...)
+		if other >= 0 {
+			for _, n := range p.Blocks[other].Nets {
+				if !slices.Contains(nets, n) {
+					nets = append(nets, n)
 				}
 			}
 		}
-		return dst
-	}
-	affectedNets := func(b1, b2 int) []int { return affectedNetsInto(nil, b1, b2) }
-	apply := func(b int, s site) {
-		occ[siteOf(b)] = -1
-		occ[s] = b
-		pl.Loc[b] = Location{s.x, s.y, s.sub}
+		old := 0.0
+		for _, n := range nets {
+			old += netCost[n]
+		}
+		newSum := 0.0
+		l1 := Location{s.x, s.y, s.sub}
+		l2 := Location{cur.x, cur.y, cur.sub}
+		for _, n := range nets {
+			newSum += p.netBBCostAt(pl, n, b, l1, other, l2)
+		}
+		return newSum - old
 	}
 
 	// Initial temperature: 20 x stddev of cost over random trial moves (VPR).
@@ -260,12 +251,15 @@ func Place(p *Problem, opts Options) (*Placement, error) {
 			cands = ioSites
 		}
 		s := cands[rng.Intn(len(cands))]
-		if other := occ[s]; other >= 0 && fixed[other] {
+		other := occ[s]
+		if other >= 0 && fixed[other] {
 			continue
 		}
-		d := p.trialDelta(pl, occ, b, s, netCost, affectedNets, apply, siteOf, true, rng)
-		sum += d
-		sum2 += d * d
+		if cur := siteOf(b); s != cur {
+			d := moveDelta(b, s, other, cur)
+			sum += d
+			sum2 += d * d
+		}
 	}
 	mean := sum / float64(trials)
 	variance := sum2/float64(trials) - mean*mean
@@ -284,49 +278,41 @@ func Place(p *Problem, opts Options) (*Placement, error) {
 	rlim := float64(max(a.Cols, a.Rows) + 2)
 	exitT := 0.005 * cost / float64(len(p.Nets))
 
-	// Snapshot-evaluate / ordered-commit move engine. Proposals are drawn
-	// serially from the main RNG against the state left by the previous
-	// batch, cost deltas are evaluated concurrently (pure reads — nothing
-	// mutates between generation and commit), and commits run serially in
-	// proposal order. A proposal whose ingredients were touched by an
-	// earlier commit in its own batch is re-evaluated against live state at
-	// commit time, so the outcome is independent of worker scheduling: any
-	// Workers value yields the bit-identical placement.
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	// Batched serial move engine. Moves are proposed in batches of
+	// moveBatchSize against the placement as it stood at batch entry (the
+	// range window, the fixed-occupant skip and the acceptance draw), then
+	// each is evaluated and committed in proposal order against the live
+	// placement.
 	batch := make([]proposal, 0, moveBatchSize)
-	// staleNets is the serial commit loop's scratch for re-evaluated
-	// proposals; it grows once and is reused for the rest of the anneal.
-	var staleNets []int
-	// touched tracks blocks and nets modified by commits in the current
-	// batch (epoch-stamped so clearing is O(1) per batch).
-	touchedBlock := make([]uint32, nBlocks)
-	touchedNet := make([]uint32, len(p.Nets))
-	batchEpoch := uint32(0)
-	commitSwap := func(b int, s site, other int, cur site) {
-		occ[cur] = -1
-		occ[s] = b
-		pl.Loc[b] = Location{s.x, s.y, s.sub}
-		if other >= 0 {
-			occ[cur] = other
-			pl.Loc[other] = Location{cur.x, cur.y, cur.sub}
+	// commit runs the batch and returns how many of its moves it accepted.
+	// Pinned blocks never move, so a proposal that passed the fixed-occupant
+	// skip cannot find one on its target site here.
+	commit := func() (accepted int) {
+		//fpga:hotloop
+		for _, pr := range batch {
+			pl.Moves++
+			b, s := pr.b, pr.s
+			cur, other := siteOf(b), occ[s]
+			if s == cur {
+				continue // an earlier commit in the batch moved b to s
+			}
+			delta := moveDelta(b, s, other, cur)
+			if delta <= 0 || pr.u < math.Exp(-delta/temp) {
+				occ[cur] = other
+				occ[s] = b
+				pl.Loc[b] = Location{s.x, s.y, s.sub}
+				if other >= 0 {
+					pl.Loc[other] = Location{cur.x, cur.y, cur.sub}
+				}
+				for _, n := range nets {
+					netCost[n] = p.netBBCost(pl, n)
+				}
+				cost += delta
+				accepted++
+			}
 		}
-	}
-	evalProposal := func(pr *proposal) {
-		pr.nets = affectedNetsInto(pr.nets, pr.b, pr.other)
-		old := 0.0
-		for _, n := range pr.nets {
-			old += netCost[n]
-		}
-		newSum := 0.0
-		l1 := Location{pr.s.x, pr.s.y, pr.s.sub}
-		l2 := Location{pr.cur.x, pr.cur.y, pr.cur.sub}
-		for _, n := range pr.nets {
-			newSum += p.netBBCostAt(pl, n, pr.b, l1, pr.other, l2)
-		}
-		pr.delta = newSum - old
+		batch = batch[:0]
+		return accepted
 	}
 
 	// stepHist times each temperature step (one observation per step, not
@@ -341,92 +327,6 @@ func Place(p *Problem, opts Options) (*Placement, error) {
 		}
 		stepTimer := stepHist.StartTimer()
 		accepted := 0
-		flush := func() {
-			if len(batch) == 0 {
-				return
-			}
-			// Parallel evaluation against the frozen state. Fan-out is capped
-			// by the work available: spawning a goroutine costs more than
-			// evaluating a handful of proposals, so each worker must have at
-			// least evalChunkMin proposals to justify its startup (tiny
-			// designs therefore evaluate serially — same result, see below).
-			w := workers
-			if most := len(batch) / evalChunkMin; w > most {
-				w = most
-			}
-			if w <= 1 {
-				for i := range batch {
-					evalProposal(&batch[i])
-				}
-			} else {
-				var wg sync.WaitGroup
-				for k := 0; k < w; k++ {
-					wg.Add(1)
-					go func(k int) {
-						defer wg.Done()
-						for i := k; i < len(batch); i += w {
-							evalProposal(&batch[i])
-						}
-					}(k)
-				}
-				wg.Wait()
-			}
-			// Ordered commit. A commit that moves a block or re-costs a net
-			// stales every later proposal overlapping it; stale proposals are
-			// re-evaluated (and re-validated) against live state.
-			batchEpoch++
-			//fpga:hotloop
-			for i := range batch {
-				pr := &batch[i]
-				pl.Moves++
-				stale := touchedBlock[pr.b] == batchEpoch ||
-					(pr.other >= 0 && touchedBlock[pr.other] == batchEpoch) ||
-					occ[pr.s] != pr.other || siteOf(pr.b) != pr.cur
-				if !stale {
-					for _, n := range pr.nets {
-						if touchedNet[n] == batchEpoch {
-							stale = true
-							break
-						}
-					}
-				}
-				b, s, cur, other, nets, delta := pr.b, pr.s, pr.cur, pr.other, pr.nets, pr.delta
-				if stale {
-					cur = siteOf(b)
-					other = occ[s]
-					if s == cur || other == b || (other >= 0 && fixed[other]) {
-						continue // degenerate or illegal after earlier commits
-					}
-					staleNets = affectedNetsInto(staleNets, b, other)
-					nets = staleNets
-					old := 0.0
-					for _, n := range nets {
-						old += netCost[n]
-					}
-					newSum := 0.0
-					l1 := Location{s.x, s.y, s.sub}
-					l2 := Location{cur.x, cur.y, cur.sub}
-					for _, n := range nets {
-						newSum += p.netBBCostAt(pl, n, b, l1, other, l2)
-					}
-					delta = newSum - old
-				}
-				if delta <= 0 || pr.u < math.Exp(-delta/temp) {
-					commitSwap(b, s, other, cur)
-					for _, n := range nets {
-						netCost[n] = p.netBBCost(pl, n)
-						touchedNet[n] = batchEpoch
-					}
-					touchedBlock[b] = batchEpoch
-					if other >= 0 {
-						touchedBlock[other] = batchEpoch
-					}
-					cost += delta
-					accepted++
-				}
-			}
-			batch = batch[:0]
-		}
 		//fpga:hotloop
 		for m := 0; m < movesPerT; m++ {
 			b := rng.Intn(nBlocks)
@@ -445,16 +345,12 @@ func Place(p *Problem, opts Options) (*Placement, error) {
 			if other >= 0 && fixed[other] {
 				continue // never displace a pinned block
 			}
-			// Reuse the slot in place (cap is moveBatchSize and flush fires at
-			// the cap) so each slot's nets buffer survives across batches.
-			batch = batch[:len(batch)+1]
-			pr := &batch[len(batch)-1]
-			pr.b, pr.s, pr.cur, pr.other, pr.u = b, s, cur, other, rng.Float64()
+			batch = append(batch, proposal{b, s, rng.Float64()})
 			if len(batch) == moveBatchSize {
-				flush()
+				accepted += commit()
 			}
 		}
-		flush()
+		accepted += commit()
 		pl.Accepted += accepted
 		tempSteps++
 		stepTimer.ObserveDuration()
@@ -539,68 +435,19 @@ func publishPlaceMap(p *Problem, pl *Placement, opts Options) {
 	opts.Obs.Publish(events.Event{Kind: events.KindPlaceMap, PlaceMap: pm})
 }
 
-// proposal is one speculative annealer move: block b moves from cur to s,
-// swapping with other (the occupant of s at proposal time, -1 for an empty
-// site). u is the move's Metropolis acceptance draw, taken from the main
-// RNG at proposal time so the random stream never depends on evaluation
-// scheduling. nets and delta are filled by the parallel evaluation pass.
+// proposal is one annealer move: block b moves to site s, swapping with
+// whatever occupies s at commit. u is the move's Metropolis acceptance
+// draw, taken from the main RNG at proposal time.
 type proposal struct {
-	b, other int
-	s, cur   site
-	u        float64
-	nets     []int
-	delta    float64
+	b int
+	s site
+	u float64
 }
 
-// moveBatchSize proposals are generated before each parallel evaluation /
-// ordered-commit round. Larger batches amortize goroutine fan-out but
-// raise the share of proposals that go stale against an earlier commit in
-// their own batch and need a serial re-evaluation.
+// moveBatchSize moves are proposed against the placement at batch entry
+// before any of them is committed. The size is part of the random stream:
+// changing it changes every placement.
 const moveBatchSize = 56
-
-// evalChunkMin is the minimum number of proposals per evaluation worker:
-// below it, goroutine startup costs more than the evaluations themselves,
-// so the fan-out is capped at len(batch)/evalChunkMin workers regardless
-// of Options.Workers. The placement result is identical either way.
-const evalChunkMin = 16
-
-// trialDelta measures a move's delta then reverts it (used for the initial
-// temperature estimate); commit selects whether to keep the move.
-func (p *Problem) trialDelta(pl *Placement, occ map[site]int, b int, s site,
-	netCost []float64, affectedNets func(int, int) []int, apply func(int, site), siteOf func(int) site,
-	revert bool, rng *rand.Rand) float64 {
-	cur := siteOf(b)
-	if s == cur {
-		return 0
-	}
-	other := occ[s]
-	nets := affectedNets(b, other)
-	old := 0.0
-	for _, n := range nets {
-		old += netCost[n]
-	}
-	if other >= 0 {
-		apply(other, site{-3, -3, -3})
-	}
-	apply(b, s)
-	if other >= 0 {
-		apply(other, cur)
-	}
-	newSum := 0.0
-	for _, n := range nets {
-		newSum += p.netBBCost(pl, n)
-	}
-	if revert {
-		if other >= 0 {
-			apply(other, site{-4, -4, -4})
-		}
-		apply(b, cur)
-		if other >= 0 {
-			apply(other, s)
-		}
-	}
-	return newSum - old
-}
 
 // randomSiteNear picks a legal site for block b within the range limit.
 func (p *Problem) randomSiteNear(pl *Placement, b int, rlim float64, clbSites, ioSites []site, rng *rand.Rand) (site, bool) {
@@ -649,8 +496,8 @@ func (p *Problem) netBBCost(pl *Placement, netIdx int) float64 {
 
 // netBBCostAt is netBBCost evaluated with two block positions overridden
 // (b1 at l1, b2 at l2; b2 may be -1) without mutating the placement. The
-// parallel move evaluator uses it to cost hypothetical swaps against the
-// frozen state — it must mirror netBBCost exactly.
+// annealer uses it to cost a move before committing it — it must mirror
+// netBBCost exactly.
 func (p *Problem) netBBCostAt(pl *Placement, netIdx, b1 int, l1 Location, b2 int, l2 Location) float64 {
 	n := p.Nets[netIdx]
 	minX, maxX := 1<<30, -1

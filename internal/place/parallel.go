@@ -6,10 +6,10 @@ import (
 	"sync"
 )
 
-// PlaceBest anneals nSeeds independent placements concurrently (bounded by
-// GOMAXPROCS workers) and returns the one with the lowest cost. Seeds are
-// derived deterministically from opts.Seed, so the result is reproducible
-// regardless of scheduling.
+// PlaceBest anneals nSeeds independent placements, at most opts.Workers
+// at once (0 = GOMAXPROCS), and returns the one with the lowest cost.
+// Seeds are derived deterministically from opts.Seed and the cheapest is
+// picked in seed order, so the result is the same at every Workers value.
 func PlaceBest(p *Problem, opts Options, nSeeds int) (*Placement, error) {
 	if nSeeds < 1 {
 		nSeeds = 1
@@ -18,7 +18,11 @@ func PlaceBest(p *Problem, opts Options, nSeeds int) (*Placement, error) {
 	results := make([]*Placement, nSeeds)
 	errs := make([]error, nSeeds)
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, maxParallel())
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	sem := make(chan struct{}, workers)
 	for i := 0; i < nSeeds; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -48,12 +52,4 @@ func PlaceBest(p *Problem, opts Options, nSeeds int) (*Placement, error) {
 		return nil, firstErr
 	}
 	return best, nil
-}
-
-func maxParallel() int {
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		return 1
-	}
-	return n
 }

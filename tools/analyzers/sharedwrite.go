@@ -5,13 +5,14 @@ import (
 	"go/types"
 )
 
-// SharedWrite polices the snapshot-evaluate/ordered-commit worker closures
-// the parallel annealer (place/anneal.go) and router (route/search.go,
-// route.go) are built on. Inside a `go func(...)` literal in flow-stage
-// code, the only sanctioned writes to captured state are slice-element
-// slot writes (`results[i] = ...`, `&batch[i]` handed to a pure evaluator):
-// each worker owns disjoint slots, so commits stay ordered and the result
-// is bit-identical at every worker count. A write to a captured plain
+// SharedWrite polices the worker closures of the parallel router's
+// snapshot-evaluate/ordered-commit search (route/search.go, route.go) and
+// of the multi-seed placer's concurrent anneals (place/parallel.go). Inside
+// a `go func(...)` literal in flow-stage code, the only sanctioned writes
+// to captured state are slice-element slot writes (`results[i] = ...`,
+// `&batch[i]` handed to a pure evaluator): each worker owns disjoint
+// slots, so commits stay ordered and the result is bit-identical at every
+// worker count. A write to a captured plain
 // variable, a captured map, a captured struct field, or through a captured
 // pointer is exactly the data race the -race determinism sweeps can miss
 // when the schedule happens not to interleave — flagged here so it can
