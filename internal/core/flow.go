@@ -700,17 +700,15 @@ func (f *flow) runChecks(stage check.Stage, arts *check.Artifacts) error {
 const stageAbandonGrace = 250 * time.Millisecond
 
 // stage is the driver for one table entry: it announces the stage
-// (StageStart, events), runs it under the stage deadline with panic
-// shielding inside its own span, records its Stage entry and returns its
-// failure as a *StageError.
+// (StageStart), runs it under the stage deadline with panic shielding
+// inside its own span, records its Stage entry and returns its failure as
+// a *StageError. The span's start and end events are the stage's
+// boundaries on the event stream; a failed stage's end record carries
+// err=<message> in its detail.
 func (f *flow) stage(ctx context.Context, s step) error {
 	opts, tool := &f.opts, s.name
 	if opts.StageStart != nil {
 		opts.StageStart(tool)
-	}
-	if f.tr.Events().Enabled() {
-		f.tr.Publish(events.Event{Kind: events.KindStage,
-			Stage: &events.StageEvent{Stage: tool, Phase: "start"}})
 	}
 	if err := ctx.Err(); err != nil {
 		return &StageError{Stage: tool, Err: err}
@@ -742,7 +740,14 @@ func (f *flow) stage(ctx context.Context, s step) error {
 	}
 	st := &f.Stages[len(f.Stages)-1]
 	st.Detail = out.detail
-	sp.SetDetail("%s", st.Detail)
+	switch {
+	case out.err == nil:
+		sp.SetDetail("%s", st.Detail)
+	case st.Detail == "":
+		sp.SetDetail("err=%v", out.err)
+	default:
+		sp.SetDetail("%s err=%v", st.Detail, out.err)
+	}
 	sp.End()
 	if sp != nil {
 		// The span is the source of truth for the stage's own timing.
@@ -756,13 +761,6 @@ func (f *flow) stage(ctx context.Context, s step) error {
 		st.Duration = time.Since(start)
 	}
 	f.tr.Add("flow.stages", 1)
-	if f.tr.Events().Enabled() {
-		end := &events.StageEvent{Stage: tool, Phase: "end", WallNS: st.Duration.Nanoseconds()}
-		if out.err != nil {
-			end.Err = out.err.Error()
-		}
-		f.tr.Publish(events.Event{Kind: events.KindStage, Stage: end})
-	}
 	if out.err != nil {
 		f.tr.Add("flow.stage_errors", 1)
 		return &StageError{Stage: tool, Err: out.err, retryable: retryableCause(s.seeded, out.err)}

@@ -197,3 +197,58 @@ func TestOneRRGraphPerWidth(t *testing.T) {
 		}
 	})
 }
+
+// TestRetryEventsCarryAttemptPath runs the W=1 escalation fixture of
+// TestEscalationResumesAtRoute with an event bus attached: every route_iter
+// event names its attempt and stage through its path, so the escalated
+// attempt's iterations read "attempt 2/VPR route"; each span opens and
+// closes exactly once on the stream, and the failed first route's end
+// record carries its error.
+func TestRetryEventsCarryAttemptPath(t *testing.T) {
+	a := arch.Paper()
+	a.Routing.ChannelWidth = 1
+	bus := events.NewBus(1 << 16)
+	tr := obs.New("escalate")
+	tr.SetEvents(bus)
+	opts := Options{Seed: 4, Arch: a, Retry: DefaultRetryPolicy(), Obs: tr}
+	if _, err := RunVHDLContext(faultTestCtx(t), circuits.ParityTree(8).VHDL, opts); err != nil {
+		t.Fatalf("escalation did not rescue W=1: %v", err)
+	}
+	iters := map[string]int{}
+	starts, ends := map[string]int{}, map[string]int{}
+	for _, ev := range bus.Snapshot() {
+		switch ev.Kind {
+		case events.KindRouteIter:
+			iters[ev.Path]++
+		case events.KindPlaceStep:
+			if ev.Path != "attempt 1/VPR place" {
+				t.Errorf("place_step path %q, want attempt 1/VPR place", ev.Path)
+			}
+		case events.KindSpan:
+			if ev.Span.Phase == "start" {
+				starts[ev.Path]++
+				continue
+			}
+			ends[ev.Path]++
+			if ev.Path == "attempt 1/VPR route" && !strings.Contains(ev.Span.Detail, "err=") {
+				t.Errorf("failed route's end record detail %q lacks err=", ev.Span.Detail)
+			}
+		}
+	}
+	if iters["attempt 2/VPR route"] == 0 {
+		t.Errorf("no route_iter event with path attempt 2/VPR route (paths %v)", iters)
+	}
+	for path := range iters {
+		if path != "attempt 1/VPR route" && path != "attempt 2/VPR route" {
+			t.Errorf("route_iter event with path %q", path)
+		}
+	}
+	for _, path := range []string{"attempt 1", "attempt 2", "attempt 1/VPR place", "attempt 1/VPR route", "attempt 2/VPR route"} {
+		if starts[path] != 1 || ends[path] != 1 {
+			t.Errorf("span %q: %d start and %d end events, want 1 each", path, starts[path], ends[path])
+		}
+	}
+	if starts["attempt 2/VPR place"] != 0 {
+		t.Error("the escalated attempt ran placement again")
+	}
+}

@@ -52,7 +52,7 @@ func TestLiveIntrospection(t *testing.T) {
 
 	// /events replays the run's stream over SSE. Read until the replay
 	// covers the flow: at least one place_step, one route_iter and one
-	// stage event must appear.
+	// span event must appear.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/events", nil)
@@ -87,11 +87,11 @@ func TestLiveIntrospection(t *testing.T) {
 		}
 		lastSeq = ev.Seq
 		seen[ev.Kind]++
-		if seen[events.KindPlaceStep] > 0 && seen[events.KindRouteIter] > 0 && seen[events.KindStage] > 0 {
+		if seen[events.KindPlaceStep] > 0 && seen[events.KindRouteIter] > 0 && seen[events.KindSpan] > 0 {
 			break
 		}
 	}
-	for _, k := range []events.Kind{events.KindPlaceStep, events.KindRouteIter, events.KindStage} {
+	for _, k := range []events.Kind{events.KindPlaceStep, events.KindRouteIter, events.KindSpan} {
 		if seen[k] == 0 {
 			t.Errorf("SSE replay missing %s events (saw %v)", k, seen)
 		}

@@ -211,14 +211,14 @@ func TestJobFlowEventsCarryTraceID(t *testing.T) {
 				if ev.Job.ID == st.ID {
 					actions[ev.Job.Action] = true
 				}
-			case events.KindPlaceStep, events.KindRouteIter, events.KindStage, events.KindQoR:
+			case events.KindPlaceStep, events.KindRouteIter, events.KindSpan, events.KindQoR:
 				if ev.TraceID != final.TraceID {
 					t.Fatalf("%s event carries trace ID %q, want the job's %q", ev.Kind, ev.TraceID, final.TraceID)
 				}
 				flow[ev.Kind]++
 			}
 		}
-		for _, k := range []events.Kind{events.KindPlaceStep, events.KindRouteIter, events.KindStage, events.KindQoR} {
+		for _, k := range []events.Kind{events.KindPlaceStep, events.KindRouteIter, events.KindSpan, events.KindQoR} {
 			if flow[k] == 0 {
 				t.Fatalf("no %s events from the job's flow on the service bus (saw %v)", k, flow)
 			}

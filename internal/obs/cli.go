@@ -16,7 +16,6 @@ import (
 //
 //	-metrics out.json     write the machine-readable run summary
 //	-trace                print the span tree + counters to stderr on exit
-//	-jsonl out.jsonl      stream span events as JSON Lines
 //	-cpuprofile out.pprof capture a pprof CPU profile of the run
 //	-memprofile out.pprof write a pprof heap profile at flow exit
 //	-blockprofile out.pprof
@@ -25,12 +24,12 @@ import (
 //	                      write a pprof mutex-contention profile
 //	-chrometrace out.json write the span tree as a Chrome trace-event file
 //	                      (load in Perfetto / chrome://tracing)
-//	-events dir           stream iteration-level telemetry to dir/events.jsonl
-//	                      and derive dir/heatmap.json at exit
+//	-events dir           stream the run's telemetry (span starts and ends,
+//	                      iteration-level events) to dir/events.jsonl and
+//	                      derive dir/heatmap.json at exit
 type CLIFlags struct {
 	Metrics      string
 	TraceText    bool
-	JSONL        string
 	CPUProfile   string
 	MemProfile   string
 	BlockProfile string
@@ -45,19 +44,18 @@ func RegisterCLIFlags(fs *flag.FlagSet) *CLIFlags {
 	c := &CLIFlags{}
 	fs.StringVar(&c.Metrics, "metrics", "", "write machine-readable run metrics to this JSON file")
 	fs.BoolVar(&c.TraceText, "trace", false, "print the span/counter trace to stderr on exit")
-	fs.StringVar(&c.JSONL, "jsonl", "", "stream span events to this JSON Lines file")
 	fs.StringVar(&c.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	fs.StringVar(&c.MemProfile, "memprofile", "", "write a pprof heap profile to this file at exit")
 	fs.StringVar(&c.BlockProfile, "blockprofile", "", "write a pprof blocking (lock/chan wait) profile to this file at exit")
 	fs.StringVar(&c.MutexProfile, "mutexprofile", "", "write a pprof mutex-contention profile to this file at exit")
 	fs.StringVar(&c.ChromeTrace, "chrometrace", "", "write the span tree as a Chrome trace-event JSON file (Perfetto-loadable)")
-	fs.StringVar(&c.Events, "events", "", "write iteration-level telemetry (events.jsonl + heatmap.json) into this directory")
+	fs.StringVar(&c.Events, "events", "", "write the run's telemetry stream (events.jsonl + heatmap.json) into this directory")
 	return c
 }
 
 // Enabled reports whether any observability output was requested.
 func (c *CLIFlags) Enabled() bool {
-	return c.Metrics != "" || c.TraceText || c.JSONL != "" ||
+	return c.Metrics != "" || c.TraceText ||
 		c.CPUProfile != "" || c.MemProfile != "" ||
 		c.BlockProfile != "" || c.MutexProfile != "" ||
 		c.ChromeTrace != "" || c.Events != ""
@@ -110,21 +108,6 @@ func (c *CLIFlags) Start(name string) (*Trace, func() error) {
 	if c.MutexProfile != "" {
 		runtime.SetMutexProfileFraction(1)
 		closers = append(closers, func() error { runtime.SetMutexProfileFraction(0); return nil })
-	}
-	if c.JSONL != "" {
-		f, err := os.Create(c.JSONL)
-		if err != nil {
-			return fail(err)
-		}
-		jsonl := NewJSONLSink(f)
-		tr.SetSink(jsonl)
-		closers = append(closers, func() error {
-			err := jsonl.Close(tr)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			return err
-		})
 	}
 	if c.Events != "" {
 		if err := os.MkdirAll(c.Events, 0o755); err != nil {

@@ -86,16 +86,16 @@ func TestCLIFlagsEventsDir(t *testing.T) {
 
 // TestCLIFlagsStartFailureReleases checks a Start that fails part-way
 // releases what it had already set up: with -events pointing below a
-// regular file, the -jsonl file opened earlier must be closed again and
-// the raised block/mutex sampling rates reset.
+// regular file, the -cpuprofile file opened earlier must be closed again
+// and the raised block/mutex sampling rates reset.
 func TestCLIFlagsStartFailureReleases(t *testing.T) {
 	dir := t.TempDir()
 	notDir := filepath.Join(dir, "file")
 	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	jsonlPath := filepath.Join(dir, "spans.jsonl")
-	c := &CLIFlags{JSONL: jsonlPath, Events: filepath.Join(notDir, "ev"),
+	cpuPath := filepath.Join(dir, "cpu.pprof")
+	c := &CLIFlags{CPUProfile: cpuPath, Events: filepath.Join(notDir, "ev"),
 		BlockProfile: filepath.Join(dir, "block.pprof"), MutexProfile: filepath.Join(dir, "mutex.pprof")}
 	tr, finish := c.Start("test")
 	if tr != nil {
@@ -115,8 +115,8 @@ func TestCLIFlagsStartFailureReleases(t *testing.T) {
 		t.Skipf("cannot list open descriptors: %v", err)
 	}
 	for _, fd := range fds {
-		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && target == jsonlPath {
-			t.Errorf("-jsonl file %s still open (fd %s) after failed Start", jsonlPath, fd.Name())
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && target == cpuPath {
+			t.Errorf("-cpuprofile file %s still open (fd %s) after failed Start", cpuPath, fd.Name())
 		}
 	}
 }

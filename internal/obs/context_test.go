@@ -45,10 +45,10 @@ func TestDeriveTraceID(t *testing.T) {
 		t.Error("trace ID must separate parts (\"ab\",\"c\" vs \"a\",\"bc\")")
 	}
 
-	// SetTraceID/TraceID surface on the trace and its summary.
+	// SetTraceID surfaces on the trace's summary.
 	tr := New("t")
 	tr.SetTraceID(id)
-	if tr.TraceID() != id || tr.Summary().TraceID != id {
+	if tr.Summary().TraceID != id {
 		t.Error("trace ID not carried into the summary")
 	}
 }

@@ -11,7 +11,7 @@ import (
 // DefaultCapacity is the ring-buffer size NewBus uses when given a
 // non-positive capacity: enough for the full convergence history of a
 // large run (hundreds of temperature steps plus tens of router iterations)
-// with room for stage and flow events.
+// with room for span and flow events.
 const DefaultCapacity = 4096
 
 // Bus is a bounded, concurrency-safe event stream: publishers stamp events

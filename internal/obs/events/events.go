@@ -1,12 +1,15 @@
 // Package events is the iteration-level telemetry layer of the flow: a
 // typed, low-overhead event stream published from the CAD hot loops (one
 // event per annealing temperature step, one per PathFinder iteration, one
-// per flow stage or hardened-runner decision) plus fabric heatmaps derived
-// from the same stream.
+// per hardened-runner decision), the start and end of every span of the
+// run's trace, and fabric heatmaps derived from the same stream. It is the
+// run's only live telemetry stream.
 //
 // The package sits below internal/obs on purpose: a run's Bus rides on its
-// obs.Trace (Trace.SetEvents), and the flow's layers publish through
-// Trace.Publish. Payloads are pure data (structural coordinates and
+// obs.Trace (Trace.SetEvents), the trace publishes its span boundaries on
+// it, and the flow's layers publish through Trace.Publish, which stamps
+// every event with the path of the innermost open span (the stage and
+// attempt it belongs to). Payloads are pure data (structural coordinates and
 // numbers, the same keys internal/fault uses), so consumers — the fpgaflow
 // -events sink, cmd/qorviz, the fpgaweb SSE endpoint — can replay, persist
 // and render the stream without touching CAD types.
@@ -37,8 +40,9 @@ const (
 	// KindRouteCongestion is the per-channel-segment usage map at the end
 	// of a routing run (route_congestion).
 	KindRouteCongestion Kind = "route_congestion"
-	// KindStage marks a flow stage starting or ending (stage).
-	KindStage Kind = "stage"
+	// KindSpan marks a span of the run's trace (an attempt, a flow stage)
+	// opening or closing (span).
+	KindSpan Kind = "span"
 	// KindFlow is a hardened-runner decision: attempt, retry, escalation
 	// (flow).
 	KindFlow Kind = "flow"
@@ -146,17 +150,29 @@ type RouteCongestion struct {
 	Segments []Segment `json:"segments"`
 }
 
-// StageEvent marks a flow stage boundary.
-type StageEvent struct {
-	// Stage is the flow tool name ("VPR place", "DAGGER", ...).
-	Stage string `json:"stage"`
+// SpanRecord is the serialized form of one span of a run's trace: an
+// entry of metrics.json's spans list and the body of a span event.
+type SpanRecord struct {
+	Name  string `json:"name"`
+	Path  string `json:"path"`
+	Depth int    `json:"depth"`
+	// Detail is the span's annotation; a failed stage's or attempt's end
+	// record carries "err=<message>" in it.
+	Detail     string `json:"detail,omitempty"`
+	StartNS    int64  `json:"start_ns"`
+	WallNS     int64  `json:"wall_ns"`
+	CPUNS      int64  `json:"cpu_ns,omitempty"`
+	AllocBytes uint64 `json:"alloc_bytes,omitempty"`
+	Mallocs    uint64 `json:"mallocs,omitempty"`
+}
+
+// SpanEvent marks a span opening or closing. The start event carries the
+// span's name, path, depth and start offset; the end event carries the
+// complete record (wall and CPU time, allocations, detail).
+type SpanEvent struct {
 	// Phase is "start" or "end".
 	Phase string `json:"phase"`
-	// Err is the stage's failure message ("" on success); only meaningful
-	// on the end event.
-	Err string `json:"err,omitempty"`
-	// WallNS is the stage's wall time; only set on the end event.
-	WallNS int64 `json:"wall_ns,omitempty"`
+	SpanRecord
 }
 
 // FlowEvent is a hardened-runner decision.
@@ -225,12 +241,17 @@ type Event struct {
 	// stamps it; empty for runs without one, e.g. CLI runs). Farm jobs
 	// sharing one bus are told apart by it.
 	TraceID string `json:"trace_id,omitempty"`
+	// Path is the slash-joined path of the publishing trace's innermost
+	// open span ("attempt 2/VPR route"), naming the stage and attempt the
+	// event belongs to; a span event carries its own span's path. Empty
+	// when no span is open.
+	Path string `json:"path,omitempty"`
 
 	PlaceStep       *PlaceStep       `json:"place_step,omitempty"`
 	PlaceMap        *PlaceMap        `json:"place_map,omitempty"`
 	RouteIter       *RouteIter       `json:"route_iter,omitempty"`
 	RouteCongestion *RouteCongestion `json:"route_congestion,omitempty"`
-	Stage           *StageEvent      `json:"stage,omitempty"`
+	Span            *SpanEvent       `json:"span,omitempty"`
 	Flow            *FlowEvent       `json:"flow,omitempty"`
 	Job             *JobEvent        `json:"job,omitempty"`
 	QoR             *QoREvent        `json:"qor,omitempty"`
@@ -252,8 +273,8 @@ func (e *Event) Validate() error {
 	if e.RouteCongestion != nil {
 		want, set = KindRouteCongestion, set+1
 	}
-	if e.Stage != nil {
-		want, set = KindStage, set+1
+	if e.Span != nil {
+		want, set = KindSpan, set+1
 	}
 	if e.Flow != nil {
 		want, set = KindFlow, set+1

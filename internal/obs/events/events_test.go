@@ -32,7 +32,10 @@ func sampleEvents() []Event {
 				{Vertical: true, X: 2, Y: 3, Track: 0, Usage: 2, Capacity: 1},
 			},
 		}},
-		{Kind: KindStage, Stage: &StageEvent{Stage: "VPR route", Phase: "end", WallNS: 1e6}},
+		{Kind: KindSpan, Path: "attempt 2/VPR route", Span: &SpanEvent{Phase: "end", SpanRecord: SpanRecord{
+			Name: "VPR route", Path: "attempt 2/VPR route", Depth: 1, Detail: "err=unroutable",
+			StartNS: 5e6, WallNS: 1e6, CPUNS: 9e5, AllocBytes: 4096, Mallocs: 12,
+		}}},
 		{Kind: KindFlow, Flow: &FlowEvent{Action: "retry", Attempt: 2, Seed: 104730, Reason: "route: unroutable"}},
 		{Kind: KindJob, Job: &JobEvent{
 			ID: "j000042", Tenant: "alice", Action: "done",
@@ -83,24 +86,24 @@ func TestBusDisabledAndNilAreNoOps(t *testing.T) {
 	if nilBus.Enabled() {
 		t.Fatal("nil bus enabled")
 	}
-	nilBus.Publish(Event{Kind: KindStage, Stage: &StageEvent{Stage: "x", Phase: "start"}})
+	nilBus.Publish(Event{Kind: KindSpan, Span: &SpanEvent{Phase: "start", SpanRecord: SpanRecord{Name: "x", Path: "x"}}})
 	nilBus.SetEnabled(true)
 	nilBus.Unsubscribe(1)
 	if nilBus.Snapshot() != nil || nilBus.Len() != 0 || nilBus.Dropped() != 0 {
 		t.Fatal("nil bus not empty")
 	}
-	if _, ok := nilBus.Latest(KindStage); ok {
+	if _, ok := nilBus.Latest(KindSpan); ok {
 		t.Fatal("nil bus has a latest event")
 	}
 
 	b := NewBus(8)
 	b.SetEnabled(false)
-	b.Publish(Event{Kind: KindStage, Stage: &StageEvent{Stage: "x", Phase: "start"}})
+	b.Publish(Event{Kind: KindSpan, Span: &SpanEvent{Phase: "start", SpanRecord: SpanRecord{Name: "x", Path: "x"}}})
 	if b.Len() != 0 {
 		t.Fatal("disabled publish reached the ring")
 	}
 	b.SetEnabled(true)
-	b.Publish(Event{Kind: KindStage, Stage: &StageEvent{Stage: "x", Phase: "start"}})
+	b.Publish(Event{Kind: KindSpan, Span: &SpanEvent{Phase: "start", SpanRecord: SpanRecord{Name: "x", Path: "x"}}})
 	if b.Len() != 1 {
 		t.Fatal("enabled publish lost")
 	}

@@ -56,6 +56,11 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.buckets[lo].Add(1)
 	h.count.Add(1)
+	h.addSum(v)
+}
+
+// addSum adds v to the float64 sum with a CAS loop.
+func (h *Histogram) addSum(v float64) {
 	for {
 		old := h.sumBits.Load()
 		new := math.Float64bits(math.Float64frombits(old) + v)
@@ -97,13 +102,7 @@ func (h *Histogram) Merge(o *Histogram) {
 		h.count.Add(n)
 	}
 	if s := o.Sum(); s != 0 {
-		for {
-			old := h.sumBits.Load()
-			new := math.Float64bits(math.Float64frombits(old) + s)
-			if h.sumBits.CompareAndSwap(old, new) {
-				break
-			}
-		}
+		h.addSum(s)
 	}
 }
 

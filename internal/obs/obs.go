@@ -1,7 +1,7 @@
 // Package obs is the flow-wide observability layer: hierarchical spans with
 // wall/CPU time and allocation deltas, monotonic counters and gauges safe
-// for concurrent use, and pluggable sinks (human-readable text, JSON Lines,
-// and a single-run metrics.json summary).
+// for concurrent use, and the end-of-run reports (human-readable text, the
+// metrics.json summary, a Chrome trace).
 //
 // The API is nil-safe end to end: every method on a nil *Trace, *Span,
 // *Counter or *Gauge is a no-op, so instrumentation sites never need to
@@ -9,13 +9,16 @@
 // check.
 //
 // The trace is the only telemetry handle a layer receives: it also carries
-// the run's iteration-level event stream (internal/obs/events), attached
-// with SetEvents and published through Trace.Publish.
+// the run's live event stream (internal/obs/events), attached with
+// SetEvents. Every span start and end is published on it as a span event,
+// and Trace.Publish stamps each event a layer publishes with the path of
+// the innermost open span, so the stream alone tells which stage and
+// attempt an event belongs to.
 //
 // Typical use from a command:
 //
 //	tr := obs.New("fpgaflow")
-//	tr.SetEvents(events.NewBus(0)) // optional: the convergence stream
+//	tr.SetEvents(events.NewBus(0)) // optional: the live stream
 //	sp := tr.Start("VPR place")
 //	tr.Counter("place.moves").Add(n)
 //	sp.End()
@@ -145,7 +148,8 @@ func (s *Span) SetDetail(format string, args ...interface{}) {
 }
 
 // End closes the span, recording wall time, process CPU time delta and
-// allocation deltas. Ending twice or on nil is a no-op.
+// allocation deltas, and publishes its end event when an enabled bus is
+// attached. Ending twice or on nil is a no-op.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -157,8 +161,8 @@ func (s *Span) End() {
 
 	t := s.tr
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	if s.ended {
+		t.mu.Unlock()
 		return
 	}
 	s.ended = true
@@ -179,15 +183,9 @@ func (s *Span) End() {
 			break
 		}
 	}
-	if t.sink != nil {
-		t.sink.SpanEnd(s)
-	}
-}
-
-// Sink receives live observability events (see JSONLSink).
-type Sink interface {
-	// SpanEnd is called under the trace lock when a span closes.
-	SpanEnd(s *Span)
+	b, ev := t.spanEventLocked("end", s)
+	t.mu.Unlock()
+	b.Publish(ev)
 }
 
 // Trace is the root collector for one run: a tree of spans plus named
@@ -202,14 +200,13 @@ type Trace struct {
 	traceID string
 	spans   []*Span // completed-or-open spans in start order
 	stack   []*Span // currently open spans (innermost last)
-	sink    Sink
 	bus     atomic.Pointer[events.Bus]
 
 	counters      sync.Map // string -> *Counter
 	gauges        sync.Map // string -> *Gauge
 	histograms    sync.Map // string -> *Histogram
-	counterVecs   sync.Map // string -> *CounterVec
-	histogramVecs sync.Map // string -> *HistogramVec
+	counterVecs   sync.Map // string -> *family[Counter] (a CounterVec)
+	histogramVecs sync.Map // string -> *family[Histogram] (a HistogramVec)
 }
 
 // New creates a trace named after the run (tool or design name).
@@ -236,16 +233,6 @@ func (t *Trace) SetTraceID(id string) {
 	t.mu.Unlock()
 }
 
-// TraceID returns the correlation ID ("" on nil or unset).
-func (t *Trace) TraceID() string {
-	if t == nil {
-		return ""
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.traceID
-}
-
 // SetEvents attaches the run's event bus (nil detaches it); no-op on nil.
 func (t *Trace) SetEvents(b *events.Bus) {
 	if t != nil {
@@ -264,14 +251,40 @@ func (t *Trace) Events() *events.Bus {
 	return t.bus.Load()
 }
 
-// Publish stamps the event with the trace's TraceID and delivers it on the
-// attached bus; no-op when no enabled bus is attached. Runs sharing one bus
-// (farm jobs) stay distinguishable by their trace IDs.
+// Publish stamps the event with the trace's TraceID and the path of its
+// innermost open span, and delivers it on the attached bus; no-op when no
+// enabled bus is attached. Runs sharing one bus (farm jobs) stay
+// distinguishable by their trace IDs.
+//
+// A span's start event is published before Start returns and its end
+// event inside End, so the events published in between by the goroutine
+// that owns the span, or by goroutines it waits for (a stage body), land
+// between the two in Seq order.
 func (t *Trace) Publish(ev events.Event) {
-	if b := t.Events(); b.Enabled() {
-		ev.TraceID = t.TraceID()
-		b.Publish(ev)
+	b := t.Events()
+	if !b.Enabled() {
+		return
 	}
+	t.mu.Lock()
+	ev.TraceID = t.traceID
+	if n := len(t.stack); n > 0 {
+		ev.Path = t.stack[n-1].Path
+	}
+	t.mu.Unlock()
+	b.Publish(ev)
+}
+
+// spanEventLocked builds the span boundary event, stamped with the span's
+// own path, and returns it with the bus to publish it on once t.mu is
+// released; the bus is nil when no enabled bus is attached. Callers hold
+// t.mu.
+func (t *Trace) spanEventLocked(phase string, s *Span) (*events.Bus, events.Event) {
+	b := t.bus.Load()
+	if !b.Enabled() {
+		return nil, events.Event{}
+	}
+	return b, events.Event{Kind: events.KindSpan, TraceID: t.traceID, Path: s.Path,
+		Span: &events.SpanEvent{Phase: phase, SpanRecord: s.record()}}
 }
 
 // MergeFrom folds o's metrics into t: counters and histograms add,
@@ -295,41 +308,21 @@ func (t *Trace) MergeFrom(o *Trace) {
 		return true
 	})
 	o.counterVecs.Range(func(k, v interface{}) bool {
-		src := v.(*CounterVec)
-		dst := t.CounterVec(k.(string), src.Label())
-		for value, n := range src.Values() {
-			dst.Add(value, n)
-		}
+		src := v.(*family[Counter])
+		loadFamily[Counter](&t.counterVecs, k.(string), src.label).mergeFrom(src,
+			func(dst, src *Counter) { dst.Add(src.Value()) })
 		return true
 	})
 	o.histogramVecs.Range(func(k, v interface{}) bool {
-		src := v.(*HistogramVec)
-		dst := t.HistogramVec(k.(string), src.Label())
-		src.mu.RLock()
-		children := make(map[string]*Histogram, len(src.children))
-		for value, h := range src.children {
-			children[value] = h
-		}
-		src.mu.RUnlock()
-		for value, h := range children {
-			dst.WithLabel(value).Merge(h)
-		}
+		src := v.(*family[Histogram])
+		loadFamily[Histogram](&t.histogramVecs, k.(string), src.label).mergeFrom(src, (*Histogram).Merge)
 		return true
 	})
 }
 
-// SetSink installs a live event sink (e.g. a JSONLSink); no-op on nil.
-func (t *Trace) SetSink(s Sink) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.sink = s
-	t.mu.Unlock()
-}
-
-// Start opens a span as a child of the innermost open span. Returns nil on
-// a nil trace (and every Span method tolerates that).
+// Start opens a span as a child of the innermost open span and publishes
+// its start event when an enabled bus is attached. Returns nil on a nil
+// trace (and every Span method tolerates that).
 func (t *Trace) Start(name string) *Span {
 	if t == nil {
 		return nil
@@ -355,7 +348,9 @@ func (t *Trace) Start(name string) *Span {
 	}
 	t.spans = append(t.spans, s)
 	t.stack = append(t.stack, s)
+	b, ev := t.spanEventLocked("start", s)
 	t.mu.Unlock()
+	b.Publish(ev)
 	return s
 }
 

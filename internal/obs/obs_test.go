@@ -165,42 +165,76 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestJSONLSink(t *testing.T) {
-	var buf bytes.Buffer
-	tr := New("jsonl")
-	sink := NewJSONLSink(&buf)
-	tr.SetSink(sink)
-	tr.Start("a").End()
-	tr.Start("b").End()
-	tr.Add("n", 7)
-	if err := sink.Close(tr); err != nil {
-		t.Fatal(err)
+// TestSpanEventsOnBus checks span boundaries ride the trace's event bus:
+// each span publishes a start and an end event in Seq order, the events
+// published inside a span land between them stamped with its path, and the
+// end event carries the span's completed record.
+func TestSpanEventsOnBus(t *testing.T) {
+	bus := events.NewBus(64)
+	tr := New("bus")
+	tr.SetTraceID("t1")
+	tr.SetEvents(bus)
+	tr.Publish(events.Event{Kind: events.KindFlow, Flow: &events.FlowEvent{Action: "attempt", Attempt: 1}})
+	outer := tr.Start("attempt 1")
+	inner := tr.Start("VPR route")
+	tr.Publish(events.Event{Kind: events.KindRouteIter, RouteIter: &events.RouteIter{Iter: 1}})
+	tr.Publish(events.Event{Kind: events.KindRouteIter, RouteIter: &events.RouteIter{Iter: 2}})
+	inner.SetDetail("err=unroutable")
+	inner.End()
+	inner.End() // a second End publishes nothing
+	tr.Publish(events.Event{Kind: events.KindQoR, QoR: &events.QoREvent{Design: "d"}})
+	outer.End()
+
+	type seen struct {
+		kind  events.Kind
+		phase string
+		path  string
 	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d JSONL lines, want 3 (2 spans + summary):\n%s", len(lines), buf.String())
+	want := []seen{
+		{events.KindFlow, "", ""},
+		{events.KindSpan, "start", "attempt 1"},
+		{events.KindSpan, "start", "attempt 1/VPR route"},
+		{events.KindRouteIter, "", "attempt 1/VPR route"},
+		{events.KindRouteIter, "", "attempt 1/VPR route"},
+		{events.KindSpan, "end", "attempt 1/VPR route"},
+		{events.KindQoR, "", "attempt 1"},
+		{events.KindSpan, "end", "attempt 1"},
 	}
-	for i, line := range lines[:2] {
-		var ev struct {
-			Event string      `json:"ev"`
-			Span  *SpanRecord `json:"span"`
+	got := bus.Snapshot()
+	if len(got) != len(want) {
+		t.Fatalf("bus holds %d events, want %d: %+v", len(got), len(want), got)
+	}
+	for i, ev := range got {
+		if err := ev.Validate(); err != nil {
+			t.Fatalf("event %d: %v", i, err)
 		}
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("line %d: %v", i, err)
+		g := seen{kind: ev.Kind, path: ev.Path}
+		if ev.Span != nil {
+			g.phase = ev.Span.Phase
+			if ev.Span.Path != ev.Path {
+				t.Errorf("event %d: span record path %q, event path %q", i, ev.Span.Path, ev.Path)
+			}
 		}
-		if ev.Event != "span" || ev.Span == nil {
-			t.Fatalf("line %d: %+v", i, ev)
+		if g != want[i] {
+			t.Errorf("event %d = %+v, want %+v", i, g, want[i])
+		}
+		if ev.Seq != uint64(i+1) || ev.TraceID != "t1" {
+			t.Errorf("event %d: seq %d trace %q, want seq %d trace t1", i, ev.Seq, ev.TraceID, i+1)
 		}
 	}
-	var last struct {
-		Event string   `json:"ev"`
-		Sum   *Summary `json:"summary"`
+	end := got[5].Span
+	if end.Name != "VPR route" || end.Depth != 1 || end.Detail != "err=unroutable" || end.WallNS <= 0 {
+		t.Errorf("end record = %+v, want VPR route at depth 1 with its detail and wall time", end.SpanRecord)
 	}
-	if err := json.Unmarshal([]byte(lines[2]), &last); err != nil {
-		t.Fatal(err)
+	if rec := tr.Summary().Spans[1]; rec != end.SpanRecord {
+		t.Errorf("end event record %+v differs from the summary's %+v", end.SpanRecord, rec)
 	}
-	if last.Event != "summary" || last.Sum == nil || last.Sum.Counters["n"] != 7 {
-		t.Fatalf("summary line: %+v", last)
+
+	// With the bus disabled the trace publishes nothing.
+	bus.SetEnabled(false)
+	tr.Start("quiet").End()
+	if bus.Len() != len(want) {
+		t.Error("span events reached a disabled bus")
 	}
 }
 

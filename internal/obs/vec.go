@@ -12,117 +12,153 @@ const DefaultVecCap = 32
 // reaches its cardinality cap.
 const OverflowLabel = "other"
 
+// family is a labeled metric family: children of one metric type (Counter
+// or Histogram) keyed by one label value, capped at DefaultVecCap distinct
+// values. CounterVec and HistogramVec are its two instances. All methods
+// are safe for concurrent use and no-ops on nil.
+type family[M any] struct {
+	label string
+
+	mu       sync.RWMutex
+	children map[string]*M
+}
+
+// loadFamily returns (creating on first use) the family registered under
+// name in m; the label key is fixed at first use.
+func loadFamily[M any](m *sync.Map, name, label string) *family[M] {
+	if f, ok := m.Load(name); ok {
+		return f.(*family[M])
+	}
+	f, _ := m.LoadOrStore(name, &family[M]{label: label, children: map[string]*M{}})
+	return f.(*family[M])
+}
+
+func (f *family[M]) labelKey() string {
+	if f == nil {
+		return ""
+	}
+	return f.label
+}
+
+// with returns the child for the label value, creating it on first use.
+// Past the cardinality cap, unseen values share the OverflowLabel child.
+// Returns nil on a nil family.
+func (f *family[M]) with(value string) *M {
+	if f == nil {
+		return nil
+	}
+	f.mu.RLock()
+	m := f.children[value]
+	f.mu.RUnlock()
+	if m != nil {
+		return m
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if m := f.children[value]; m != nil {
+		return m
+	}
+	if len(f.children) >= DefaultVecCap {
+		value = OverflowLabel
+		if m := f.children[value]; m != nil {
+			return m
+		}
+	}
+	m = new(M)
+	f.children[value] = m
+	return m
+}
+
+// snapshot returns the children keyed by label value (nil on nil).
+func (f *family[M]) snapshot() map[string]*M {
+	if f == nil {
+		return nil
+	}
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	out := make(map[string]*M, len(f.children))
+	for k, m := range f.children {
+		out[k] = m
+	}
+	return out
+}
+
+// mergeFrom folds every child of o into the matching child of f.
+func (f *family[M]) mergeFrom(o *family[M], merge func(dst, src *M)) {
+	for value, m := range o.snapshot() {
+		merge(f.with(value), m)
+	}
+}
+
+// familyValues reads every child of f that read accepts, keyed by label
+// value (nil on a nil family).
+func familyValues[M, V any](f *family[M], read func(*M) (V, bool)) map[string]V {
+	children := f.snapshot()
+	if children == nil {
+		return nil
+	}
+	out := make(map[string]V, len(children))
+	for k, m := range children {
+		if v, ok := read(m); ok {
+			out[k] = v
+		}
+	}
+	return out
+}
+
+// familySnapshots snapshots every family registered in m: name -> (label
+// key, values read by read).
+func familySnapshots[M, V any](m *sync.Map, read func(*M) (V, bool)) map[string]VecSnapshot[V] {
+	out := make(map[string]VecSnapshot[V])
+	m.Range(func(k, v interface{}) bool {
+		f := v.(*family[M])
+		out[k.(string)] = VecSnapshot[V]{Label: f.label, Values: familyValues(f, read)}
+		return true
+	})
+	return out
+}
+
+func counterValue(c *Counter) (int64, bool) { return c.Value(), true }
+
+// histogramSnapshot reads a histogram child; empty children are omitted.
+func histogramSnapshot(h *Histogram) (HistogramSnapshot, bool) {
+	return h.Snapshot(), h.Count() > 0
+}
+
 // CounterVec is a family of Counters keyed by one label (tenant, stage,
 // profile, ...) with an explicit cardinality cap. All methods are safe for
 // concurrent use and no-ops on nil.
-type CounterVec struct {
-	label string
-	cap   int
+type CounterVec family[Counter]
 
-	mu       sync.RWMutex
-	children map[string]*Counter
-}
+func (v *CounterVec) fam() *family[Counter] { return (*family[Counter])(v) }
 
 // Label returns the vec's label key ("" on nil).
-func (v *CounterVec) Label() string {
-	if v == nil {
-		return ""
-	}
-	return v.label
-}
+func (v *CounterVec) Label() string { return v.fam().labelKey() }
 
 // WithLabel returns the child counter for the label value, creating it on
 // first use. Past the cardinality cap, unseen values share the
 // OverflowLabel child. Returns nil on a nil vec.
-func (v *CounterVec) WithLabel(value string) *Counter {
-	if v == nil {
-		return nil
-	}
-	v.mu.RLock()
-	c := v.children[value]
-	v.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if c := v.children[value]; c != nil {
-		return c
-	}
-	if len(v.children) >= v.cap {
-		value = OverflowLabel
-		if c := v.children[value]; c != nil {
-			return c
-		}
-	}
-	c = &Counter{}
-	v.children[value] = c
-	return c
-}
+func (v *CounterVec) WithLabel(value string) *Counter { return v.fam().with(value) }
 
 // Add is shorthand for WithLabel(value).Add(n).
 func (v *CounterVec) Add(value string, n int64) { v.WithLabel(value).Add(n) }
 
 // Values returns a snapshot of every child's count keyed by label value.
-func (v *CounterVec) Values() map[string]int64 {
-	if v == nil {
-		return nil
-	}
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make(map[string]int64, len(v.children))
-	for k, c := range v.children {
-		out[k] = c.Value()
-	}
-	return out
-}
+func (v *CounterVec) Values() map[string]int64 { return familyValues(v.fam(), counterValue) }
 
 // HistogramVec is a family of Histograms keyed by one label, with the same
 // cardinality cap and overflow contract as CounterVec.
-type HistogramVec struct {
-	label string
-	cap   int
+type HistogramVec family[Histogram]
 
-	mu       sync.RWMutex
-	children map[string]*Histogram
-}
+func (v *HistogramVec) fam() *family[Histogram] { return (*family[Histogram])(v) }
 
 // Label returns the vec's label key ("" on nil).
-func (v *HistogramVec) Label() string {
-	if v == nil {
-		return ""
-	}
-	return v.label
-}
+func (v *HistogramVec) Label() string { return v.fam().labelKey() }
 
 // WithLabel returns the child histogram for the label value, creating it
 // on first use; past the cap, unseen values share the OverflowLabel child.
 // Returns nil on a nil vec.
-func (v *HistogramVec) WithLabel(value string) *Histogram {
-	if v == nil {
-		return nil
-	}
-	v.mu.RLock()
-	h := v.children[value]
-	v.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if h := v.children[value]; h != nil {
-		return h
-	}
-	if len(v.children) >= v.cap {
-		value = OverflowLabel
-		if h := v.children[value]; h != nil {
-			return h
-		}
-	}
-	h = &Histogram{}
-	v.children[value] = h
-	return h
-}
+func (v *HistogramVec) WithLabel(value string) *Histogram { return v.fam().with(value) }
 
 // Observe is shorthand for WithLabel(value).Observe(x).
 func (v *HistogramVec) Observe(value string, x float64) { v.WithLabel(value).Observe(x) }
@@ -130,18 +166,7 @@ func (v *HistogramVec) Observe(value string, x float64) { v.WithLabel(value).Obs
 // Snapshots returns a snapshot of every non-empty child keyed by label
 // value.
 func (v *HistogramVec) Snapshots() map[string]HistogramSnapshot {
-	if v == nil {
-		return nil
-	}
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make(map[string]HistogramSnapshot, len(v.children))
-	for k, h := range v.children {
-		if h.Count() > 0 {
-			out[k] = h.Snapshot()
-		}
-	}
-	return out
+	return familyValues(v.fam(), histogramSnapshot)
 }
 
 // CounterVec returns (creating on first use, with DefaultVecCap) the named
@@ -150,12 +175,7 @@ func (t *Trace) CounterVec(name, label string) *CounterVec {
 	if t == nil {
 		return nil
 	}
-	if v, ok := t.counterVecs.Load(name); ok {
-		return v.(*CounterVec)
-	}
-	v, _ := t.counterVecs.LoadOrStore(name,
-		&CounterVec{label: label, cap: DefaultVecCap, children: map[string]*Counter{}})
-	return v.(*CounterVec)
+	return (*CounterVec)(loadFamily[Counter](&t.counterVecs, name, label))
 }
 
 // HistogramVec returns (creating on first use, with DefaultVecCap) the
@@ -164,12 +184,7 @@ func (t *Trace) HistogramVec(name, label string) *HistogramVec {
 	if t == nil {
 		return nil
 	}
-	if v, ok := t.histogramVecs.Load(name); ok {
-		return v.(*HistogramVec)
-	}
-	v, _ := t.histogramVecs.LoadOrStore(name,
-		&HistogramVec{label: label, cap: DefaultVecCap, children: map[string]*Histogram{}})
-	return v.(*HistogramVec)
+	return (*HistogramVec)(loadFamily[Histogram](&t.histogramVecs, name, label))
 }
 
 // CounterVecs snapshots every counter family: name -> (label key, values).
@@ -177,13 +192,7 @@ func (t *Trace) CounterVecs() map[string]VecSnapshot[int64] {
 	if t == nil {
 		return nil
 	}
-	out := make(map[string]VecSnapshot[int64])
-	t.counterVecs.Range(func(k, v interface{}) bool {
-		cv := v.(*CounterVec)
-		out[k.(string)] = VecSnapshot[int64]{Label: cv.Label(), Values: cv.Values()}
-		return true
-	})
-	return out
+	return familySnapshots(&t.counterVecs, counterValue)
 }
 
 // HistogramVecs snapshots every histogram family: name -> (label key,
@@ -192,13 +201,7 @@ func (t *Trace) HistogramVecs() map[string]VecSnapshot[HistogramSnapshot] {
 	if t == nil {
 		return nil
 	}
-	out := make(map[string]VecSnapshot[HistogramSnapshot])
-	t.histogramVecs.Range(func(k, v interface{}) bool {
-		hv := v.(*HistogramVec)
-		out[k.(string)] = VecSnapshot[HistogramSnapshot]{Label: hv.Label(), Values: hv.Snapshots()}
-		return true
-	})
-	return out
+	return familySnapshots(&t.histogramVecs, histogramSnapshot)
 }
 
 // VecSnapshot is the serializable state of one labeled metric family.

@@ -205,13 +205,16 @@ func Place(p *Problem, opts Options) (*Placement, error) {
 		l := pl.Loc[b]
 		return site{l.X, l.Y, l.Sub}
 	}
-	// nets holds the nets the last moveDelta touched; it grows once and is
-	// reused for the rest of the anneal.
+	// nets holds the nets the last moveDelta touched and newCost their
+	// costs after the move; both grow once and are reused for the rest of
+	// the anneal.
 	var nets []int
+	var newCost []float64
 	// moveDelta is the cost delta of moving block b from cur to s, swapping
 	// with other (the occupant of s, -1 for an empty site), evaluated
 	// against the live placement without committing. It leaves the affected
-	// nets in nets.
+	// nets in nets and their moved costs in newCost, which a commit stores
+	// as is: netBBCostAt mirrors netBBCost on the moved placement exactly.
 	moveDelta := func(b int, s site, other int, cur site) float64 {
 		nets = append(nets[:0], p.Blocks[b].Nets...)
 		if other >= 0 {
@@ -228,8 +231,11 @@ func Place(p *Problem, opts Options) (*Placement, error) {
 		newSum := 0.0
 		l1 := Location{s.x, s.y, s.sub}
 		l2 := Location{cur.x, cur.y, cur.sub}
+		newCost = newCost[:0]
 		for _, n := range nets {
-			newSum += p.netBBCostAt(pl, n, b, l1, other, l2)
+			c := p.netBBCostAt(pl, n, b, l1, other, l2)
+			newCost = append(newCost, c)
+			newSum += c
 		}
 		return newSum - old
 	}
@@ -304,8 +310,8 @@ func Place(p *Problem, opts Options) (*Placement, error) {
 				if other >= 0 {
 					pl.Loc[other] = Location{cur.x, cur.y, cur.sub}
 				}
-				for _, n := range nets {
-					netCost[n] = p.netBBCost(pl, n)
+				for i, n := range nets {
+					netCost[n] = newCost[i]
 				}
 				cost += delta
 				accepted++
