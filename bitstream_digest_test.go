@@ -16,6 +16,7 @@ import (
 
 	"fpgaflow/internal/arch"
 	"fpgaflow/internal/bitstream"
+	"fpgaflow/internal/core"
 	"fpgaflow/internal/fault"
 )
 
@@ -39,6 +40,11 @@ var bitstreamDigests = []struct {
 // defectDigest pins rand64 routed around the seed-42 defect map
 // (2% dead switch points, 1% dead wires on the paper platform).
 const defectDigest = "8bf398706de313b0102d6e4e0ee93793df23a954552150003fcbbdb8016853f1"
+
+// escalatedDigest pins pipe48 on the paper platform narrowed to W=8 under
+// the default retry policy: the fixed-width route fails, and the escalated
+// attempt's minimum-width search routes the placement it inherits.
+const escalatedDigest = "3b77cba200ac611c08cdaf4566f853c143921d77f9add6aeaa6a9ef262629310"
 
 func sha(b []byte) string {
 	s := sha256.Sum256(b)
@@ -81,6 +87,21 @@ func TestBitstreamDigests(t *testing.T) {
 		}
 		if got := sha(res.Encoded); got != defectDigest {
 			t.Errorf("bitstream sha256 %s, pinned %s", got, defectDigest)
+		}
+	})
+	t.Run("pipe48/escalated-W8", func(t *testing.T) {
+		a := arch.Paper()
+		a.Routing.ChannelWidth = 8
+		res, err := Run(readExample(t, "pipe48"), Options{Seed: 1, Arch: a, AutoSizeGrid: true,
+			Retry: core.DefaultRetryPolicy(), SkipVerify: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Metrics.ChannelWidth <= 8 {
+			t.Fatalf("routed at W=%d; pipe48 must escalate from W=8", res.Metrics.ChannelWidth)
+		}
+		if got := sha(res.Encoded); got != escalatedDigest {
+			t.Errorf("bitstream sha256 %s, pinned %s", got, escalatedDigest)
 		}
 	})
 }
