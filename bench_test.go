@@ -19,6 +19,7 @@ import (
 	"fpgaflow/internal/circuits"
 	"fpgaflow/internal/experiments"
 	"fpgaflow/internal/netlist"
+	"fpgaflow/internal/obs"
 	"fpgaflow/internal/pack"
 	"fpgaflow/internal/place"
 	"fpgaflow/internal/route"
@@ -227,6 +228,13 @@ func BenchmarkRoute(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// Routing is deterministic, so one traced run gives the heap pops of
+	// every timed run; pops/ms is the search's throughput.
+	tr := obs.New("route")
+	if _, err := route.Route(p, pl, g, route.Options{Workers: 1, Obs: tr}); err != nil {
+		b.Fatal(err)
+	}
+	pops := float64(tr.Counters()["route.heap_pops"])
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("j%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -239,6 +247,7 @@ func BenchmarkRoute(b *testing.B) {
 				}
 				sink = r
 			}
+			b.ReportMetric(pops*float64(b.N)/(float64(b.Elapsed().Nanoseconds())/1e6), "pops/ms")
 		})
 	}
 }

@@ -63,7 +63,9 @@ type config struct {
 }
 
 // run packs, places and routes the BLIF source, printing the report and
-// recording counters on tr.
+// recording counters on tr. Each stage runs in a span named like
+// fpgaflow's (T-VPack, VPR place, VPR route, Timing), so the trace shows
+// the stages and every event names its stage through its path.
 func run(tr *obs.Trace, src string, cfg config) error {
 	a := arch.Paper()
 	if cfg.archFile != "" {
@@ -79,53 +81,65 @@ func run(tr *obs.Trace, src string, cfg config) error {
 	if err != nil {
 		return err
 	}
-	pk, err := pack.Pack(nl, pack.Params{N: a.CLB.N, K: a.CLB.K, I: a.CLB.I})
+	var pk *pack.Packing
+	err = stage(tr, "T-VPack", func() (err error) {
+		if pk, err = pack.Pack(nl, pack.Params{N: a.CLB.N, K: a.CLB.K, I: a.CLB.I}); err != nil {
+			return err
+		}
+		pk.Record(tr)
+		return runChecks(tr, check.StagePack, &check.Artifacts{Packing: pk})
+	})
 	if err != nil {
 		return err
 	}
-	pk.Record(tr)
-	if err := runChecks(tr, check.StagePack, &check.Artifacts{Packing: pk}); err != nil {
-		return err
-	}
-	p, err := place.NewProblem(a, pk)
+	var p *place.Problem
+	var pl *place.Placement
+	err = stage(tr, "VPR place", func() (err error) {
+		if p, err = place.NewProblem(a, pk); err != nil {
+			return err
+		}
+		p.AutoSize()
+		if pl, err = place.Place(p, place.Options{Seed: cfg.seed, InnerNum: cfg.effort, Obs: tr}); err != nil {
+			return err
+		}
+		return runChecks(tr, check.StagePlace, &check.Artifacts{Problem: p, Placement: pl})
+	})
 	if err != nil {
-		return err
-	}
-	p.AutoSize()
-	pl, err := place.Place(p, place.Options{Seed: cfg.seed, InnerNum: cfg.effort, Obs: tr})
-	if err != nil {
-		return err
-	}
-	if err := runChecks(tr, check.StagePlace, &check.Artifacts{Problem: p, Placement: pl}); err != nil {
 		return err
 	}
 	fmt.Printf("placed %d blocks on %dx%d grid, bb cost %.2f\n", len(p.Blocks), a.Cols, a.Rows, pl.Cost)
 	var r *route.Result
-	ropts := route.Options{Obs: tr, Workers: cfg.jobs}
-	if cfg.minW {
-		ropts.Cache = rrgraph.NewCache()
-		w, rr, err := route.MinChannelWidth(p, pl, 1, a.Routing.ChannelWidth, ropts)
-		if err != nil {
-			return err
+	err = stage(tr, "VPR route", func() (err error) {
+		ropts := route.Options{Obs: tr, Workers: cfg.jobs}
+		if cfg.minW {
+			ropts.Cache = rrgraph.NewCache()
+			var w int
+			if w, r, err = route.MinChannelWidth(p, pl, 1, a.Routing.ChannelWidth, ropts); err != nil {
+				return err
+			}
+			fmt.Printf("minimum channel width: %d\n", w)
+		} else {
+			g, err := rrgraph.Build(a)
+			if err != nil {
+				return err
+			}
+			if r, err = route.Route(p, pl, g, ropts); err != nil {
+				return err
+			}
+			if !r.Success {
+				return fmt.Errorf("unroutable at W=%d (%d nodes overused)", a.Routing.ChannelWidth, r.Overused)
+			}
 		}
-		r = rr
-		fmt.Printf("minimum channel width: %d\n", w)
-	} else {
-		g, err := rrgraph.Build(a)
-		if err != nil {
-			return err
-		}
-		if r, err = route.Route(p, pl, g, ropts); err != nil {
-			return err
-		}
-		if !r.Success {
-			return fmt.Errorf("unroutable at W=%d (%d nodes overused)", a.Routing.ChannelWidth, r.Overused)
-		}
-	}
-	if err := runChecks(tr, check.StageRoute, &check.Artifacts{Graph: r.Graph, Routing: r, Problem: p, Placement: pl}); err != nil {
+		return runChecks(tr, check.StageRoute, &check.Artifacts{Graph: r.Graph, Routing: r, Problem: p, Placement: pl})
+	})
+	if err != nil {
 		return err
 	}
-	an, err := timing.Analyze(pk, p, pl, r)
+	var an *timing.Analysis
+	err = stage(tr, "Timing", func() (err error) {
+		an, err = timing.Analyze(pk, p, pl, r)
+		return err
+	})
 	if err != nil {
 		return err
 	}
@@ -141,6 +155,18 @@ func run(tr *obs.Trace, src string, cfg config) error {
 	}
 	tr.SetGauge("timing.critical_path_ns", an.CriticalPath*1e9)
 	return nil
+}
+
+// stage runs body inside a span named after the tool; a failing stage's
+// span records the error, as fpgaflow's do.
+func stage(tr *obs.Trace, name string, body func() error) error {
+	sp := tr.Start(name)
+	err := body()
+	if err != nil {
+		sp.SetDetail("err=%v", err)
+	}
+	sp.End()
+	return err
 }
 
 // runChecks runs one stage's boundary rules (the flow's legality check),

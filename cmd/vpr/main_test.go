@@ -6,6 +6,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"fpgaflow/internal/arch"
@@ -13,7 +15,8 @@ import (
 
 // TestFailedRunWritesMetrics routes rand64 on a one-track fabric: vpr must
 // exit 1 and still leave a parseable -metrics file holding the counters
-// of the stages that ran.
+// and the spans of the stages that ran, the failed route's carrying its
+// error.
 func TestFailedRunWritesMetrics(t *testing.T) {
 	dir := t.TempDir()
 	tool := filepath.Join(dir, "vpr")
@@ -39,11 +42,24 @@ func TestFailedRunWritesMetrics(t *testing.T) {
 	}
 	var m struct {
 		Counters map[string]float64 `json:"counters"`
+		Spans    []struct {
+			Path   string `json:"path"`
+			Detail string `json:"detail"`
+		} `json:"spans"`
 	}
 	if err := json.Unmarshal(data, &m); err != nil {
 		t.Fatalf("metrics file does not parse: %v\n%s", err, data)
 	}
 	if m.Counters["check.rules_run"] == 0 || m.Counters["pack.clusters"] == 0 {
 		t.Errorf("metrics lack the pack and place counters: %v", m.Counters)
+	}
+	var paths []string
+	for _, sp := range m.Spans {
+		paths = append(paths, sp.Path)
+	}
+	if want := []string{"T-VPack", "VPR place", "VPR route"}; !reflect.DeepEqual(paths, want) {
+		t.Errorf("span paths %q, want %q", paths, want)
+	} else if d := m.Spans[2].Detail; !strings.Contains(d, "err=") {
+		t.Errorf("failed route's span detail %q lacks err=", d)
 	}
 }

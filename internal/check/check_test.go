@@ -263,62 +263,12 @@ func TestRouteOveruse(t *testing.T) {
 	t.Fatal("no routed wire found")
 }
 
+// TestBitstreamCrossChecks runs every rule over one complete, consistent
+// design, from the netlist to the encoded bitstream: none may fire. The
+// corruptions each bits/* rule must catch are rows of
+// TestEveryRuleHasFiringFixture.
 func TestBitstreamCrossChecks(t *testing.T) {
-	pk, p, pl, r, a := buildDesign(t)
-	bs, err := bitstream.Generate(pk, p, pl, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc, err := bitstream.Encode(bs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arts := func(encoded []byte) *Artifacts {
-		return &Artifacts{Encoded: encoded, Arch: a, Packing: pk,
-			Problem: p, Placement: pl, Graph: r.Graph, Routing: r}
-	}
-	wantClean(t, RunAll(arts(enc)))
-
-	// Truncated stream: decode fails.
-	rep := RunStage(StageBitstream, arts(enc[:8]))
-	wantRule(t, rep, "bits/decode")
-
-	// Flip a LUT mask bit on a tile that actually hosts a cluster.
-	var loc place.Location
-	found := false
-	for _, b := range p.Blocks {
-		if b.Kind == place.BlockCLB {
-			loc, found = pl.Loc[b.ID], true
-			break
-		}
-	}
-	if !found {
-		t.Fatal("no placed CLB")
-	}
-	mut := bs.Clone()
-	cfg, err := mut.CLBAt(loc.X, loc.Y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.BLEs[0].LUT[0] = !cfg.BLEs[0].LUT[0]
-	encMut, err := bitstream.Encode(mut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep = RunStage(StageBitstream, arts(encMut))
-	wantRule(t, rep, "bits/lut-mask")
-
-	// Drop an enabled switch: the routed design no longer matches.
-	mut2 := bs.Clone()
-	isWire := func(n *rrgraph.Node) bool { return n.Type == rrgraph.ChanX || n.Type == rrgraph.ChanY }
-	if dropEdge(mut2, func(from, to *rrgraph.Node) bool { return isWire(from) && isWire(to) }) {
-		encMut2, err := bitstream.Encode(mut2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep = RunStage(StageBitstream, arts(encMut2))
-		wantRule(t, rep, "bits/switch-route")
-	}
+	wantClean(t, RunAll(bitsArts(t)))
 }
 
 // TestStuckBitRuleOnMisSizedPlacement runs the bitstream stage over a

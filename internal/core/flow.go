@@ -302,6 +302,11 @@ type flow struct {
 	// rr holds the run's routing-resource graphs, one per architecture
 	// (channel width) routed, shared by every attempt and every stage.
 	rr *rrgraph.Cache
+	// unroutable lists the widths a fixed-width VPR route found unroutable
+	// on the current placement. Routing is deterministic, so an escalated
+	// attempt's minimum-width search skips them; VPR place clears the list.
+	// It lives here, not on Result, so a retry's restore keeps it.
+	unroutable []int
 	// decoded is Encoded decoded on the routed graph by the DAGGER checks;
 	// Verify reuses it (nil when those checks did not run).
 	decoded *bitstream.Bitstream
@@ -509,6 +514,7 @@ func (f *flow) dutys(context.Context) (string, error) {
 
 func (f *flow) vprPlace(sctx context.Context) (string, error) {
 	opts := &f.opts
+	f.unroutable = nil
 	popts := place.Options{Seed: opts.Seed, InnerNum: opts.PlaceEffort, Fixed: opts.FixedPads, Obs: f.tr,
 		Ctx: sctx, Bad: opts.Defects.BadSiteSet(), Workers: opts.PlaceWorkers}
 	mode := "wirelength-driven"
@@ -553,7 +559,7 @@ func (f *flow) vprRoute(sctx context.Context) (string, error) {
 		}
 	}
 	if opts.MinChannelWidth {
-		w, r, err := route.MinChannelWidth(f.Problem, f.Placed, 1, a.Routing.ChannelWidth, ropts)
+		w, r, err := route.MinChannelWidth(f.Problem, f.Placed, 1, a.Routing.ChannelWidth, ropts, f.unroutable...)
 		if err != nil {
 			return "", err
 		}
@@ -569,6 +575,7 @@ func (f *flow) vprRoute(sctx context.Context) (string, error) {
 			return "", err
 		}
 		if !r.Success {
+			f.unroutable = append(f.unroutable, a.Routing.ChannelWidth)
 			return "", fmt.Errorf("core: %w at W=%d (%d overused)", route.ErrUnroutable, a.Routing.ChannelWidth, r.Overused)
 		}
 		f.Routed = r

@@ -145,19 +145,20 @@ func TestFlowWithoutTraceStillTimesStages(t *testing.T) {
 // through the run's cache, and DAGGER, the bitstream checks and Verify
 // reuse the routed graph, so rrgraph.cache_misses is the compile's build
 // count. A fixed-width compile builds once; pipe48 escalating from W=8
-// builds once per width routed.
+// builds once per width routed and routes each width once: the escalated
+// search skips the width the fixed-width route just failed.
 func TestOneRRGraphPerWidth(t *testing.T) {
-	compile := func(t *testing.T, design string, opts Options) (map[string]int64, map[int]bool) {
+	compile := func(t *testing.T, design string, opts Options) (map[string]int64, map[int]int) {
 		t.Helper()
 		blif, err := os.ReadFile("../../examples/netlists/" + design + ".blif")
 		if err != nil {
 			t.Fatal(err)
 		}
-		widths := map[int]bool{}
+		widths := map[int]int{}
 		bus := events.NewBus(0)
 		bus.AddSink(func(ev events.Event) {
 			if ev.Kind == events.KindRouteCongestion {
-				widths[ev.RouteCongestion.Width] = true
+				widths[ev.RouteCongestion.Width]++
 			}
 		})
 		opts.Obs = obs.New(design)
@@ -194,6 +195,14 @@ func TestOneRRGraphPerWidth(t *testing.T) {
 		}
 		if c["rrgraph.cache_misses"] != int64(len(widths)) {
 			t.Errorf("rrgraph.cache_misses = %d for %d distinct widths routed", c["rrgraph.cache_misses"], len(widths))
+		}
+		if c["rrgraph.cache_hits"] != 0 {
+			t.Errorf("rrgraph.cache_hits = %d, want 0", c["rrgraph.cache_hits"])
+		}
+		for w, n := range widths {
+			if n != 1 {
+				t.Errorf("W=%d routed %d times, want once", w, n)
+			}
 		}
 	})
 }

@@ -85,12 +85,11 @@ func TestLookaheadAdmissible(t *testing.T) {
 				}
 			}
 		}
-		hf := hr.to(tn.ID)
 		for _, n := range g.Nodes {
 			if dist[n.ID] < 0 || n.ID == tn.ID {
 				continue
 			}
-			if h := hf(n.ID); h > dist[n.ID]+1e-9 {
+			if h := hr.bound(n.ID, tn.ID, tn.X, tn.Y); h > dist[n.ID]+1e-9 {
 				bad++
 				if bad <= 12 {
 					t.Errorf("h(%s@(%d,%d)#%d -> sink@(%d,%d)) = %.3f > true %.3f",

@@ -296,6 +296,42 @@ func TestMinChannelWidthRoutesEachWidthOnce(t *testing.T) {
 	}
 }
 
+// TestMinChannelWidthSkipsKnownFailedWidth: a width the caller already
+// found unroutable (the flow's fixed-width route before it escalates) is
+// a failed trial the search does not run again. The search must return
+// the width and the routes it returns without that knowledge, in one
+// trial fewer.
+func TestMinChannelWidthSkipsKnownFailedWidth(t *testing.T) {
+	p, pl := placeRandom(t, 3)
+	search := func(failed ...int) (int, *route.Result, map[int]int, int64) {
+		t.Helper()
+		tr := obs.New("minw")
+		perW := routesPerWidth(tr)
+		w, r, err := route.MinChannelWidth(p, pl, 1, 1, route.Options{Cache: rrgraph.NewCache(), Obs: tr}, failed...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w, r, perW, tr.Counters()["route.width_trials"]
+	}
+	w, r, perW, trials := search()
+	if perW[1] != 1 || w < 2 {
+		t.Fatalf("min width %d: W=1 must fail for this test", w)
+	}
+	kw, kr, kperW, ktrials := search(1)
+	if kw != w {
+		t.Errorf("min width %d with W=1 known failed, %d without", kw, w)
+	}
+	if !reflect.DeepEqual(kr.Routes, r.Routes) {
+		t.Error("routes differ when W=1 is known to fail")
+	}
+	if kperW[1] != 0 {
+		t.Errorf("known-failed W=1 routed %d times", kperW[1])
+	}
+	if ktrials != trials-1 {
+		t.Errorf("%d width trials with W=1 known failed, want %d", ktrials, trials-1)
+	}
+}
+
 // TestDefectiveRouteRejected: a route through a dead wire or a removed
 // switch must fail the route/dead-resource rule, naming the kind of
 // defect, even though the pristine graph has the node and the edge.

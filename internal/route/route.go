@@ -259,54 +259,33 @@ func Route(p *place.Problem, pl *place.Placement, g *rrgraph.Graph, opts Options
 	// energy-driven bases (no RC floor in the tables) always search
 	// undirected.
 	hr := newHeur(g, opts.Base == BaseDelay, norm, !opts.NoLookahead && opts.Base != BaseEnergy)
-	// costFor is the node-cost function net ni searches with. usage and
-	// history are frozen while a batch is in flight, so concurrent reads
-	// are safe; own excludes the net's own previous route so a net is not
-	// repelled by the congestion it itself caused last iteration.
-	//
-	// The tieBreak term is essential to convergence: nets in one batch see
-	// identical congestion, so two nets contending for the same resource
-	// would otherwise compute identical cost landscapes and herd together
-	// from alternative to alternative forever. A tiny per-(net, node)
-	// deterministic perturbation (< 1e-4, orders of magnitude below any
-	// real cost difference) makes tied nets prefer different alternatives,
-	// which is exactly the symmetry breaking the serial one-net-at-a-time
-	// order used to provide.
-	costFor := func(sc *scratch, ni int) func(int) float64 {
-		seed := uint32(ni+1) * 2654435761
-		c := 0.0
+	// Per-node base cost and capacity, computed once per call so the
+	// search's cost evaluation reads two flat slices instead of branching
+	// on the node type and the base-cost model on every expansion.
+	base := make([]float64, nNodes)
+	capacity := make([]int32, nNodes)
+	for id, n := range g.Nodes {
+		capacity[id] = int32(n.Capacity)
+		b := 1.0
+		if n.Type == rrgraph.Sink {
+			b = 0.1
+		} else if opts.Base == BaseDelay && norm > 0 {
+			b = 0.3 + 2*(n.R*n.C)/norm
+		} else if opts.Base == BaseEnergy && norm > 0 {
+			b = 0.3 + 2*n.C/norm
+		}
+		base[id] = b
+	}
+	// costFor is the node cost net ni searches with, searching on sc.
+	// usage and history are frozen while a batch is in flight, so
+	// concurrent reads are safe; presFac changes only between iterations.
+	costFor := func(sc *scratch, ni int) netCost {
+		nc := netCost{usage: usage, history: history, base: base, capacity: capacity, sc: sc,
+			presFac: presFac, seed: uint32(ni+1) * 2654435761}
 		if crit != nil {
-			c = crit[ni]
+			nc.crit = crit[ni]
 		}
-		return func(id int) float64 {
-			n := g.Nodes[id]
-			u := usage[id]
-			if sc.isOwn(id) {
-				u--
-			}
-			over := u + 1 - n.Capacity
-			pres := 1.0
-			if over > 0 {
-				pres += presFac * float64(over)
-			}
-			base := 1.0
-			if n.Type == rrgraph.Sink {
-				base = 0.1
-			} else if opts.Base == BaseDelay && norm > 0 {
-				base = 0.3 + 2*(n.R*n.C)/norm
-			} else if opts.Base == BaseEnergy && norm > 0 {
-				base = 0.3 + 2*n.C/norm
-			}
-			congest := (base + history[id]) * pres
-			if c > 0 {
-				// Timing-driven blend: congestion cost fades with net
-				// criticality; the base (delay) term never does. congest >=
-				// base, so the blend stays >= base and the delay-driven A*
-				// floors remain admissible.
-				congest = (1-c)*congest + c*base
-			}
-			return congest + tieBreak(seed, id)
-		}
+		return nc
 	}
 
 	workers := opts.Workers
@@ -346,7 +325,7 @@ func Route(p *place.Problem, pl *place.Placement, g *rrgraph.Graph, opts Options
 	// usage array; touchesOveruse lifts it to a whole committed route
 	// (nil = not yet routed). Both read usage, which is frozen while a
 	// batch of workers is in flight.
-	overused := func(n int) bool { return usage[n] > g.Nodes[n].Capacity }
+	overused := func(n int) bool { return usage[n] > int(capacity[n]) }
 	touchesOveruse := func(nr *NetRoute) bool {
 		if nr == nil {
 			return true
@@ -424,8 +403,9 @@ func Route(p *place.Problem, pl *place.Placement, g *rrgraph.Graph, opts Options
 				for bi := lo; bi < hi; bi++ {
 					ni := dirty[bi]
 					sc.setOwn(routes[ni])
+					nc := costFor(sc, ni)
 					batchRoutes[bi-lo], batchErrs[bi-lo] = routeNet(
-						g, ov, conns[ni].source, conns[ni].sinks, reusePrev(routes[ni]), overused, costFor(sc, ni), hr, sc)
+						g, ov, conns[ni].source, conns[ni].sinks, reusePrev(routes[ni]), overused, &nc, hr, sc)
 				}
 			} else {
 				var wg sync.WaitGroup
@@ -437,8 +417,9 @@ func Route(p *place.Problem, pl *place.Placement, g *rrgraph.Graph, opts Options
 						for bi := lo + k; bi < hi; bi += w {
 							ni := dirty[bi]
 							sc.setOwn(routes[ni])
+							nc := costFor(sc, ni)
 							batchRoutes[bi-lo], batchErrs[bi-lo] = routeNet(
-								g, ov, conns[ni].source, conns[ni].sinks, reusePrev(routes[ni]), overused, costFor(sc, ni), hr, sc)
+								g, ov, conns[ni].source, conns[ni].sinks, reusePrev(routes[ni]), overused, &nc, hr, sc)
 						}
 					}(k)
 				}
@@ -483,8 +464,9 @@ func Route(p *place.Problem, pl *place.Placement, g *rrgraph.Graph, opts Options
 			// (setOwn(nil) clears it).
 			sc := scratches[0]
 			sc.setOwn(nil)
-			wouldOveruse := func(n int) bool { return usage[n]+1 > g.Nodes[n].Capacity }
-			nr, err := routeNet(g, ov, conns[ni].source, conns[ni].sinks, reusePrev(routes[ni]), wouldOveruse, costFor(sc, ni), hr, sc)
+			wouldOveruse := func(n int) bool { return usage[n]+1 > int(capacity[n]) }
+			nc := costFor(sc, ni)
+			nr, err := routeNet(g, ov, conns[ni].source, conns[ni].sinks, reusePrev(routes[ni]), wouldOveruse, &nc, hr, sc)
 			if err != nil {
 				return nil, fmt.Errorf("route: net %s: %w", p.Nets[ni].Signal, err)
 			}
@@ -607,6 +589,55 @@ const netBatchSize = 32
 // character to the classic algorithm.
 const reuseMaxIter = 2
 
+// netCost is the PathFinder node cost of one net's searches:
+//
+//	(base + history) * (1 + presFac * overuse)
+//
+// where overuse counts the users beyond capacity if the net took the node.
+// own excludes the net's own previous route (sc.isOwn) so a net is not
+// repelled by the congestion it itself caused last iteration.
+//
+// The tieBreak term is essential to convergence: nets in one batch see
+// identical congestion, so two nets contending for the same resource
+// would otherwise compute identical cost landscapes and herd together
+// from alternative to alternative forever. A tiny per-(net, node)
+// deterministic perturbation (< 1e-4, orders of magnitude below any
+// real cost difference) makes tied nets prefer different alternatives,
+// which is exactly the symmetry breaking the serial one-net-at-a-time
+// order used to provide.
+type netCost struct {
+	usage    []int
+	history  []float64
+	base     []float64
+	capacity []int32
+	sc       *scratch
+	presFac  float64
+	// crit is the net's timing criticality (0 without Criticality).
+	crit float64
+	seed uint32
+}
+
+func (nc *netCost) at(id int) float64 {
+	u := nc.usage[id]
+	if nc.sc.isOwn(id) {
+		u--
+	}
+	over := u + 1 - int(nc.capacity[id])
+	pres := 1.0
+	if over > 0 {
+		pres += nc.presFac * float64(over)
+	}
+	base := nc.base[id]
+	congest := (base + nc.history[id]) * pres
+	if c := nc.crit; c > 0 {
+		// Timing-driven blend: congestion cost fades with net criticality;
+		// the base (delay) term never does. congest >= base, so the blend
+		// stays >= base and the delay-driven A* floors remain admissible.
+		congest = (1-c)*congest + c*base
+	}
+	return congest + tieBreak(nc.seed, id)
+}
+
 // tieBreak is the deterministic per-(net, node) cost perturbation in
 // [0, 1e-4): a xorshift-style mix of the net's seed and the node ID. It is
 // a pure function, so the routing stays identical across worker counts.
@@ -636,8 +667,12 @@ func (r *Result) WirelengthUsed() int {
 }
 
 // MinChannelWidth binary-searches the smallest channel width that routes
-// successfully, returning that width and its routing.
-func MinChannelWidth(p *place.Problem, pl *place.Placement, lo, hi int, opts Options) (int, *Result, error) {
+// successfully, returning that width and its routing. failed lists widths
+// the caller already found unroutable on this placement under these
+// options (a fixed-width route it ran before escalating): routing is
+// deterministic, so the search treats them as failed trials and never
+// routes them again.
+func MinChannelWidth(p *place.Problem, pl *place.Placement, lo, hi int, opts Options, failed ...int) (int, *Result, error) {
 	if lo < 1 {
 		lo = 1
 	}
@@ -651,33 +686,39 @@ func MinChannelWidth(p *place.Problem, pl *place.Placement, lo, hi int, opts Opt
 		return Route(p, pl, g, opts)
 	}
 	// Ensure hi is routable, growing if needed. Routing is deterministic,
-	// so a width that failed here fails again: the binary search below
-	// skips it instead of routing it a second time.
+	// so a width that failed here (or before the search) fails again: the
+	// growth loop and the binary search below skip it instead of routing
+	// it a second time.
 	var best *Result
 	bestW := -1
 	trials := 0
-	failed := map[int]bool{}
+	known := make(map[int]bool, len(failed))
+	for _, w := range failed {
+		known[w] = true
+	}
 	defer func() { opts.Obs.Add("route.width_trials", int64(trials)) }()
 	for {
 		if err := opts.ctxErr(); err != nil {
 			return 0, nil, fmt.Errorf("route: %w", err)
 		}
-		trials++
-		r, err := build(hi)
-		if err == nil && r.Success {
-			best, bestW = r, hi
-			break
-		}
-		// Cancellation is not congestion; wider channels cannot fix it.
-		// ErrNoPath, by contrast, may clear up: extra tracks can restore
-		// connectivity through a defect-riddled channel.
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return 0, nil, err
+		if !known[hi] {
+			trials++
+			r, err := build(hi)
+			if err == nil && r.Success {
+				best, bestW = r, hi
+				break
+			}
+			// Cancellation is not congestion; wider channels cannot fix it.
+			// ErrNoPath, by contrast, may clear up: extra tracks can restore
+			// connectivity through a defect-riddled channel.
+			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+				return 0, nil, err
+			}
+			known[hi] = true
 		}
 		if hi > 512 {
 			return 0, nil, fmt.Errorf("route: %w even at W=%d", ErrUnroutable, hi)
 		}
-		failed[hi] = true
 		hi *= 2
 	}
 	for lo < bestW {
@@ -685,7 +726,7 @@ func MinChannelWidth(p *place.Problem, pl *place.Placement, lo, hi int, opts Opt
 			return 0, nil, fmt.Errorf("route: %w", err)
 		}
 		mid := (lo + bestW) / 2
-		if failed[mid] {
+		if known[mid] {
 			lo = mid + 1
 			continue
 		}

@@ -174,8 +174,8 @@ type heur struct {
 }
 
 // newHeur builds the per-run heuristic from the graph's lookahead and the
-// run's cost options. enabled=false (Options.NoLookahead) yields nil
-// bound functions, turning the search into plain Dijkstra.
+// run's cost options. enabled=false (Options.NoLookahead) turns the search
+// into plain Dijkstra.
 func newHeur(g *rrgraph.Graph, delayDriven bool, delayNorm float64, enabled bool) *heur {
 	h := &heur{g: g, enabled: enabled, sinkCost: 0.1}
 	lk := g.Lookahead()
@@ -210,8 +210,9 @@ func newHeur(g *rrgraph.Graph, delayDriven bool, delayNorm float64, enabled bool
 	return h
 }
 
-// to returns the admissible lower-bound function for one target sink, or
-// nil when the lookahead is disabled.
+// bound returns the admissible lower bound on the cost of reaching the
+// target sink, which sits at (tx, ty), from node id. Callers check
+// h.enabled first.
 //
 // The wire bound is the max of two admissible floors over the remaining
 // distance (dx, dy) from the node's tile extent to the target block:
@@ -228,55 +229,47 @@ func newHeur(g *rrgraph.Graph, delayDriven bool, delayNorm float64, enabled bool
 // counts add. A node that is not the target still needs an IPin and the
 // sink itself (connection boxes only reach sinks through input pins),
 // which is the pinTail term.
-func (h *heur) to(target int) func(int) float64 {
-	if !h.enabled {
-		return nil
+func (h *heur) bound(id, target, tx, ty int) float64 {
+	if id == target {
+		return 0
 	}
-	t := h.g.Nodes[target]
-	tx, ty := t.X, t.Y
-	nodes := h.g.Nodes
-	return func(id int) float64 {
-		if id == target {
-			return 0
+	n := h.g.Nodes[id]
+	var dx, dy int
+	srcTail := 0.0
+	switch n.Type {
+	case rrgraph.ChanX:
+		if hops, ok := h.lk.WireHops(false, n.X-tx, n.Y-ty); ok {
+			return float64(hops)*h.minHop + h.pinTail
 		}
-		n := nodes[id]
-		var dx, dy int
-		srcTail := 0.0
-		switch n.Type {
-		case rrgraph.ChanX:
-			if hops, ok := h.lk.WireHops(false, n.X-tx, n.Y-ty); ok {
-				return float64(hops)*h.minHop + h.pinTail
-			}
-			dx = axisDist(n.X, n.X+n.Span-1, tx)
-			dy = minInt(absInt(n.Y-ty), absInt(n.Y+1-ty))
-		case rrgraph.ChanY:
-			if hops, ok := h.lk.WireHops(true, n.X-tx, n.Y-ty); ok {
-				return float64(hops)*h.minHop + h.pinTail
-			}
-			dy = axisDist(n.Y, n.Y+n.Span-1, ty)
-			dx = minInt(absInt(n.X-tx), absInt(n.X+1-tx))
-		case rrgraph.IPin:
-			// An input pin's only successor is its own sink.
-			return h.sinkCost
-		case rrgraph.Sink:
-			return 0
-		default: // OPin, Source
-			if n.Type == rrgraph.Source {
-				// A source still has to traverse an output pin.
-				srcTail = h.opinCost
-			}
-			if hops, ok := h.lk.BlockHops(n.X-tx, n.Y-ty); ok {
-				return float64(hops)*h.minHop + h.pinTail + srcTail
-			}
-			dx = absInt(n.X - tx)
-			dy = absInt(n.Y - ty)
+		dx = axisDist(n.X, n.X+n.Span-1, tx)
+		dy = minInt(absInt(n.Y-ty), absInt(n.Y+1-ty))
+	case rrgraph.ChanY:
+		if hops, ok := h.lk.WireHops(true, n.X-tx, n.Y-ty); ok {
+			return float64(hops)*h.minHop + h.pinTail
 		}
-		wires := float64(hopsLB(dx, h.maxSpan)+hopsLB(dy, h.maxSpan)) * h.minHop
-		if alt := float64(dx+dy-4) * h.minTile; alt > wires {
-			wires = alt
+		dy = axisDist(n.Y, n.Y+n.Span-1, ty)
+		dx = minInt(absInt(n.X-tx), absInt(n.X+1-tx))
+	case rrgraph.IPin:
+		// An input pin's only successor is its own sink.
+		return h.sinkCost
+	case rrgraph.Sink:
+		return 0
+	default: // OPin, Source
+		if n.Type == rrgraph.Source {
+			// A source still has to traverse an output pin.
+			srcTail = h.opinCost
 		}
-		return wires + h.pinTail + srcTail
+		if hops, ok := h.lk.BlockHops(n.X-tx, n.Y-ty); ok {
+			return float64(hops)*h.minHop + h.pinTail + srcTail
+		}
+		dx = absInt(n.X - tx)
+		dy = absInt(n.Y - ty)
 	}
+	wires := float64(hopsLB(dx, h.maxSpan)+hopsLB(dy, h.maxSpan)) * h.minHop
+	if alt := float64(dx+dy-4) * h.minTile; alt > wires {
+		wires = alt
+	}
+	return wires + h.pinTail + srcTail
 }
 
 // hopsLB lower-bounds the same-orientation wires needed to cover d tiles
@@ -314,16 +307,16 @@ func minInt(a, b int) int {
 }
 
 // search finds the cheapest path from the current tree (sc.treeList) to
-// target. With a non-nil bound function hf this is A* ordered by
-// g + hf(node); with nil it is plain Dijkstra. Tree nodes cost nothing to
-// reuse. When sourceLocked, expansion out of the source node is forbidden
-// (the output pin is already chosen).
+// target under the net's node cost nc. With h.enabled this is A* ordered
+// by g + h.bound(node); otherwise it is plain Dijkstra. Tree nodes cost
+// nothing to reuse. When sourceLocked, expansion out of the source node is
+// forbidden (the output pin is already chosen).
 //
-// hf never overestimates, so the first pop of the target carries an
-// optimal cost: every other frontier entry has f >= the popped f, and any
-// path through it costs at least its f. (The relaxation re-pushes a node
-// whenever a cheaper g is found, so this holds even for bounds that are
-// admissible but not consistent.)
+// The bound never overestimates, so the first pop of the target carries
+// an optimal cost: every other frontier entry has f >= the popped f, and
+// any path through it costs at least its f. (The relaxation re-pushes a
+// node whenever a cheaper g is found, so this holds even for bounds that
+// are admissible but not consistent.)
 //
 // The tree seeds are expanded eagerly, in treeList order, instead of
 // going through the heap: every seed has cost 0, so this is exactly what
@@ -332,11 +325,13 @@ func minInt(a, b int) int {
 // than by how the heap happens to order equal keys. That keeps the routed
 // tree identical whether the frontier is ordered by g (Dijkstra) or by
 // g + h (A*), which is what the lookahead equivalence test asserts.
-func (sc *scratch) search(g *rrgraph.Graph, ov *fault.Overlay, target, source int, sourceLocked bool, nodeCost func(int) float64, hf func(int) float64) ([]int, error) {
+func (sc *scratch) search(g *rrgraph.Graph, ov *fault.Overlay, target, source int, sourceLocked bool, nc *netCost, h *heur) ([]int, error) {
 	const unseen = -1
 	sc.reset()
 	sc.q = sc.q[:0]
 	q := &sc.q
+	astar := h.enabled
+	tx, ty := g.Nodes[target].X, g.Nodes[target].Y
 	for _, n := range sc.treeList {
 		if sourceLocked && n == source {
 			continue
@@ -356,11 +351,11 @@ func (sc *scratch) search(g *rrgraph.Graph, ov *fault.Overlay, target, source in
 			if ov.Blocked(n, e) || sc.seen(e) {
 				continue
 			}
-			c := nodeCost(e)
+			c := nc.at(e)
 			sc.set(e, c, int32(n))
 			f := c
-			if hf != nil {
-				f += hf(e)
+			if astar {
+				f += h.bound(e, target, tx, ty)
 			}
 			q.push(pqItem{f: f, g: c, node: int32(e)})
 		}
@@ -382,12 +377,12 @@ func (sc *scratch) search(g *rrgraph.Graph, ov *fault.Overlay, target, source in
 			if ov.Blocked(id, e) {
 				continue // defective resource: route around it
 			}
-			c := it.g + nodeCost(e)
+			c := it.g + nc.at(e)
 			if !sc.seen(e) || c < sc.dist[e] {
 				sc.set(e, c, it.node)
 				f := c
-				if hf != nil {
-					f += hf(e)
+				if astar {
+					f += h.bound(e, target, tx, ty)
 				}
 				q.push(pqItem{f: f, g: c, node: int32(e)})
 			}
@@ -430,7 +425,7 @@ const reuseMinFanout = 4
 // depends only on prev and the overused predicate — both frozen per
 // batch — so reuse is deterministic at every worker count.
 func routeNet(g *rrgraph.Graph, ov *fault.Overlay, source int, sinks []int, prev *NetRoute, overused func(int) bool,
-	nodeCost func(int) float64, hr *heur, sc *scratch) (*NetRoute, error) {
+	nc *netCost, hr *heur, sc *scratch) (*NetRoute, error) {
 	nr := &NetRoute{Paths: make([][]int, len(sinks))}
 	sc.resetTree()
 	sc.addTree(source)
@@ -458,7 +453,7 @@ func routeNet(g *rrgraph.Graph, ov *fault.Overlay, source int, sinks []int, prev
 				continue
 			}
 		}
-		path, err := sc.search(g, ov, sink, source, sourceLocked, nodeCost, hr.to(sink))
+		path, err := sc.search(g, ov, sink, source, sourceLocked, nc, hr)
 		if err != nil {
 			return nil, err
 		}
