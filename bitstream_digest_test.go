@@ -18,6 +18,7 @@ import (
 	"fpgaflow/internal/bitstream"
 	"fpgaflow/internal/core"
 	"fpgaflow/internal/fault"
+	"fpgaflow/internal/obs"
 )
 
 var bitstreamDigests = []struct {
@@ -41,10 +42,27 @@ var bitstreamDigests = []struct {
 // (2% dead switch points, 1% dead wires on the paper platform).
 const defectDigest = "8bf398706de313b0102d6e4e0ee93793df23a954552150003fcbbdb8016853f1"
 
+// defectDeadNodes and defectEdgesRemoved pin what the seed-42 defect map
+// masks on the rand64 graph (fault.rr_dead_nodes, fault.rr_edges_removed):
+// the overlay must hide exactly these wires and switch edges.
+const (
+	defectDeadNodes    = 15
+	defectEdgesRemoved = 174
+)
+
 // escalatedDigest pins pipe48 on the paper platform narrowed to W=8 under
 // the default retry policy: the fixed-width route fails, and the escalated
 // attempt's minimum-width search routes the placement it inherits.
 const escalatedDigest = "3b77cba200ac611c08cdaf4566f853c143921d77f9add6aeaa6a9ef262629310"
+
+// escalatedHeapPops and escalatedIterations pin the escalated compile's
+// router effort (route.heap_pops, route.iterations summed over every
+// width it routes): the search's pop sequence is locked, not just the
+// bitstream it leads to.
+const (
+	escalatedHeapPops   = 3117898
+	escalatedIterations = 94
+)
 
 func sha(b []byte) string {
 	s := sha256.Sum256(b)
@@ -81,19 +99,26 @@ func TestBitstreamDigests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(readExample(t, "rand64"), Options{Seed: 1, Defects: dm, SkipVerify: true})
+		tr := obs.New("defects")
+		res, err := Run(readExample(t, "rand64"), Options{Seed: 1, Defects: dm, SkipVerify: true, Obs: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := sha(res.Encoded); got != defectDigest {
 			t.Errorf("bitstream sha256 %s, pinned %s", got, defectDigest)
 		}
+		c := tr.Counters()
+		if c["fault.rr_dead_nodes"] != defectDeadNodes || c["fault.rr_edges_removed"] != defectEdgesRemoved {
+			t.Errorf("overlay masked %d dead nodes and %d edges, pinned %d and %d",
+				c["fault.rr_dead_nodes"], c["fault.rr_edges_removed"], defectDeadNodes, defectEdgesRemoved)
+		}
 	})
 	t.Run("pipe48/escalated-W8", func(t *testing.T) {
 		a := arch.Paper()
 		a.Routing.ChannelWidth = 8
+		tr := obs.New("escalated")
 		res, err := Run(readExample(t, "pipe48"), Options{Seed: 1, Arch: a, AutoSizeGrid: true,
-			Retry: core.DefaultRetryPolicy(), SkipVerify: true})
+			Retry: core.DefaultRetryPolicy(), SkipVerify: true, Obs: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,6 +127,11 @@ func TestBitstreamDigests(t *testing.T) {
 		}
 		if got := sha(res.Encoded); got != escalatedDigest {
 			t.Errorf("bitstream sha256 %s, pinned %s", got, escalatedDigest)
+		}
+		c := tr.Counters()
+		if c["route.heap_pops"] != escalatedHeapPops || c["route.iterations"] != escalatedIterations {
+			t.Errorf("route.heap_pops %d, route.iterations %d; pinned %d and %d",
+				c["route.heap_pops"], c["route.iterations"], escalatedHeapPops, escalatedIterations)
 		}
 	})
 }
