@@ -142,17 +142,18 @@ func Generate(pk *pack.Packing, p *place.Problem, pl *place.Placement, r *route.
 				bs.Routing[ord/64] |= 1 << uint(ord%64)
 			}
 			// Record pin usage at both ends.
-			if len(path) >= 2 && g.Nodes[path[1]].Type == rrgraph.OPin {
-				op := g.Nodes[path[1]]
-				if g.Kind(op.X, op.Y) == rrgraph.SiteCLB {
-					outPinOf[net.Signal] = op.Pin - a.CLB.I
+			if len(path) < 2 {
+				continue
+			}
+			if op := path[1]; g.Type[op] == rrgraph.OPin {
+				if g.Kind(int(g.X[op]), int(g.Y[op])) == rrgraph.SiteCLB {
+					outPinOf[net.Signal] = int(g.Pin[op]) - a.CLB.I
 				} else {
-					outSubOf[net.Signal] = op.Pin
+					outSubOf[net.Signal] = int(g.Pin[op])
 				}
 			}
-			if len(path) >= 2 && g.Nodes[path[len(path)-2]].Type == rrgraph.IPin {
-				ip := g.Nodes[path[len(path)-2]]
-				inPinOf[connKey{net.Signal, sinkBlock}] = ip.Pin
+			if ip := path[len(path)-2]; g.Type[ip] == rrgraph.IPin {
+				inPinOf[connKey{net.Signal, sinkBlock}] = int(g.Pin[ip])
 			}
 		}
 	}

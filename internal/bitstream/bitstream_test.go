@@ -218,18 +218,18 @@ func TestExtractDetectsContention(t *testing.T) {
 	// Enable a second OPin driving a wire already driven by another net.
 	wire := -1
 	enabledEdges(g, bs.Routing, func(from, to int) {
-		if g.Nodes[from].Type == rrgraph.OPin {
+		if g.Type[from] == rrgraph.OPin {
 			wire = to
 		}
 	})
 	if wire < 0 {
 		t.Skip("no opin connections")
 	}
-	for _, n := range g.Nodes {
-		if n.Type != rrgraph.OPin {
+	for id, typ := range g.Type {
+		if typ != rrgraph.OPin {
 			continue
 		}
-		ord, ok := g.ConfigEdge(n.ID, wire)
+		ord, ok := g.ConfigEdge(id, wire)
 		if !ok || bs.Routing[ord/64]&(1<<uint(ord%64)) != 0 {
 			continue
 		}
@@ -299,11 +299,11 @@ func TestGenerateRejectsUnconfigurableHop(t *testing.T) {
 				if !isWire(g, path[i]) {
 					continue
 				}
-				for _, ip := range g.Nodes {
-					if ip.Type == rrgraph.IPin && !g.HasEdge(path[i], ip.ID) {
-						path[i+1] = ip.ID
+				for ip, typ := range g.Type {
+					if _, ok := g.EdgeIndex(path[i], ip); typ == rrgraph.IPin && !ok {
+						path[i+1] = ip
 						if _, err := Generate(pk, p, pl, r); err == nil {
-							t.Fatalf("hop %d->%d accepted", path[i], ip.ID)
+							t.Fatalf("hop %d->%d accepted", path[i], ip)
 						}
 						return
 					}

@@ -89,9 +89,9 @@ func Diff(a, b *Bitstream) (*Delta, error) {
 	g := a.Graph
 	enabledEdges(g, d.Routing, func(from, to int) {
 		switch {
-		case g.Nodes[from].Type == rrgraph.OPin:
+		case g.Type[from] == rrgraph.OPin:
 			d.OPins++
-		case g.Nodes[to].Type == rrgraph.IPin:
+		case g.Type[to] == rrgraph.IPin:
 			d.IPins++
 		default:
 			d.Switches++

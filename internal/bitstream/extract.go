@@ -20,7 +20,7 @@ func Extract(bs *Bitstream) (*netlist.Netlist, error) {
 	g, a := bs.Graph, bs.Arch
 
 	// Electrical nets: union-find over wires joined by enabled switches.
-	parent := make([]int, len(g.Nodes))
+	parent := make([]int, g.NumNodes())
 	for i := range parent {
 		parent[i] = i
 	}
@@ -46,13 +46,13 @@ func Extract(bs *Bitstream) (*netlist.Netlist, error) {
 	enabledEdges(g, bs.Routing, func(from, to int) {
 		switch {
 		case err != nil:
-		case g.Nodes[from].Type == rrgraph.OPin:
+		case g.Type[from] == rrgraph.OPin:
 			root := find(to)
 			if prev, dup := driverOPin[root]; dup && prev != from {
 				err = fmt.Errorf("bitstream: net contention: opins %d and %d drive one net", prev, from)
 			}
 			driverOPin[root] = from
-		case g.Nodes[to].Type == rrgraph.IPin:
+		case g.Type[to] == rrgraph.IPin:
 			if prev, dup := ipinNet[to]; dup && prev != find(from) {
 				err = fmt.Errorf("bitstream: input pin %d driven by two nets", to)
 			}
@@ -115,7 +115,7 @@ func Extract(bs *Bitstream) (*netlist.Netlist, error) {
 		for y := 1; y <= a.Rows; y++ {
 			cfg := bs.CLBs[x-1][y-1]
 			for _, op := range g.OPins(x, y) {
-				pin := g.Nodes[op].Pin - a.CLB.I
+				pin := int(g.Pin[op]) - a.CLB.I
 				if pin < 0 || pin >= len(cfg.OutputSel) {
 					return nil, fmt.Errorf("bitstream: clb (%d,%d) opin %d", x, y, pin)
 				}
@@ -304,11 +304,7 @@ func pruneDontCareInputs(fanin []*netlist.Node, c netlist.Cover) ([]*netlist.Nod
 }
 
 func isWire(g *rrgraph.Graph, id int) bool {
-	if id < 0 || id >= len(g.Nodes) {
-		return false
-	}
-	t := g.Nodes[id].Type
-	return t == rrgraph.ChanX || t == rrgraph.ChanY
+	return id >= 0 && id < g.NumNodes() && g.Type[id].IsWire()
 }
 
 // enabledEdges calls fn with the endpoints of every configurable edge

@@ -15,20 +15,18 @@ import (
 // graph's numbering must reproduce, so the `.bit` format stays unchanged.
 func referenceConfigurableEdges(g *rrgraph.Graph) [][2]int {
 	var out [][2]int
-	for _, n := range g.Nodes {
-		for _, e := range n.Edges {
-			to := g.Nodes[e]
-			fw := n.Type == rrgraph.ChanX || n.Type == rrgraph.ChanY
-			tw := to.Type == rrgraph.ChanX || to.Type == rrgraph.ChanY
+	for from, ft := range g.Type {
+		for _, e := range g.Edges(from) {
+			to, tt := int(e), g.Type[e]
 			switch {
-			case fw && tw:
-				if n.ID < e {
-					out = append(out, [2]int{n.ID, e})
+			case ft.IsWire() && tt.IsWire():
+				if from < to {
+					out = append(out, [2]int{from, to})
 				}
-			case n.Type == rrgraph.OPin && tw:
-				out = append(out, [2]int{n.ID, e})
-			case fw && to.Type == rrgraph.IPin:
-				out = append(out, [2]int{n.ID, e})
+			case ft == rrgraph.OPin && tt.IsWire():
+				out = append(out, [2]int{from, to})
+			case ft.IsWire() && tt == rrgraph.IPin:
+				out = append(out, [2]int{from, to})
 			}
 		}
 	}
@@ -130,7 +128,7 @@ func TestConfigEdgeRejectsHardWiredEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := g.SourceAt(1, 1)
-	op := g.Nodes[src].Edges[0]
+	op := int(g.Edges(src)[0])
 	if _, ok := g.ConfigEdge(src, op); ok {
 		t.Errorf("Source->OPin %d->%d has an ordinal", src, op)
 	}
@@ -139,18 +137,18 @@ func TestConfigEdgeRejectsHardWiredEdges(t *testing.T) {
 		t.Errorf("IPin->Sink has an ordinal")
 	}
 	checked := 0
-	for _, n := range g.Nodes {
-		if n.Type != rrgraph.ChanX && n.Type != rrgraph.ChanY {
+	for from, ft := range g.Type {
+		if !ft.IsWire() {
 			continue
 		}
-		for _, e := range n.Edges {
-			if k := g.Nodes[e].Type; e > n.ID || (k != rrgraph.ChanX && k != rrgraph.ChanY) {
+		for _, e := range g.Edges(from) {
+			if to := int(e); to > from || !g.Type[to].IsWire() {
 				continue
 			}
-			down, ok1 := g.ConfigEdge(n.ID, e)
-			up, ok2 := g.ConfigEdge(e, n.ID)
+			down, ok1 := g.ConfigEdge(from, int(e))
+			up, ok2 := g.ConfigEdge(int(e), from)
 			if !ok1 || !ok2 || down != up {
-				t.Fatalf("switch %d<->%d: ordinals %d,%v and %d,%v", n.ID, e, down, ok1, up, ok2)
+				t.Fatalf("switch %d<->%d: ordinals %d,%v and %d,%v", from, e, down, ok1, up, ok2)
 			}
 			checked++
 		}

@@ -146,10 +146,6 @@ func bitAt(lut []bool, m int) bool { return m < len(lut) && lut[m] }
 func expectedRouting(a *Artifacts, rep *reporter) []uint64 {
 	g := a.Routing.Graph
 	want := make([]uint64, (g.NumConfigEdges()+63)/64)
-	isWire := func(id int) bool {
-		t := g.Nodes[id].Type
-		return t == rrgraph.ChanX || t == rrgraph.ChanY
-	}
 	for _, nr := range a.Routing.Routes {
 		if nr == nil {
 			continue
@@ -157,7 +153,7 @@ func expectedRouting(a *Artifacts, rep *reporter) []uint64 {
 		for _, path := range nr.Paths {
 			for i := 0; i+1 < len(path); i++ {
 				from, to := path[i], path[i+1]
-				if !isWire(from) && !isWire(to) {
+				if !g.Type[from].IsWire() && !g.Type[to].IsWire() {
 					continue
 				}
 				ord, ok := g.ConfigEdge(from, to)
@@ -189,9 +185,9 @@ func runBitsSwitchRoute(a *Artifacts, rep *reporter) {
 			from, to := g.ConfigEdgeAt(i*64 + bit)
 			kind := "wire switch"
 			switch {
-			case g.Nodes[from].Type == rrgraph.OPin:
+			case g.Type[from] == rrgraph.OPin:
 				kind = "output-pin connection"
-			case g.Nodes[to].Type == rrgraph.IPin:
+			case g.Type[to] == rrgraph.IPin:
 				kind = "input-pin connection"
 			}
 			if want[i]&(1<<uint(bit)) != 0 {
@@ -205,10 +201,10 @@ func runBitsSwitchRoute(a *Artifacts, rep *reporter) {
 
 func edgeName(g *rrgraph.Graph, key [2]int) string {
 	name := func(id int) string {
-		if id < 0 || id >= len(g.Nodes) {
+		if id < 0 || id >= g.NumNodes() {
 			return fmt.Sprintf("#%d", id)
 		}
-		return rrNodeName(g.Nodes[id])
+		return rrNodeName(g.Node(id))
 	}
 	return name(key[0]) + "<->" + name(key[1])
 }

@@ -248,14 +248,13 @@ func TestRouteOveruse(t *testing.T) {
 	// Squeeze a used wire's capacity to zero: whatever single net legally
 	// occupies it is now an overuse.
 	for _, nr := range r.Routes {
-		for id := range nr.Nodes() {
-			ty := r.Graph.Nodes[id].Type
-			if ty == rrgraph.ChanX || ty == rrgraph.ChanY {
-				saved := r.Graph.Nodes[id].Capacity
-				r.Graph.Nodes[id].Capacity = 0
+		for _, id := range nr.NodeList() {
+			if r.Graph.Type[id].IsWire() {
+				saved := r.Graph.Capacity[id]
+				r.Graph.Capacity[id] = 0
 				rep := RunStage(StageRoute, &Artifacts{Routing: r, Problem: p, Placement: pl})
 				wantRule(t, rep, "route/overuse")
-				r.Graph.Nodes[id].Capacity = saved
+				r.Graph.Capacity[id] = saved
 				return
 			}
 		}

@@ -61,7 +61,7 @@ func runDefectiveSite(a *Artifacts, rep *reporter) {
 func runDeadResource(a *Artifacts, rep *reporter) {
 	r, p := a.Routing, a.Problem
 	g, ov := r.Graph, r.Defects
-	valid := func(id int) bool { return id >= 0 && id < len(g.Nodes) }
+	valid := func(id int) bool { return id >= 0 && id < g.NumNodes() }
 	for ni, nr := range r.Routes {
 		if nr == nil {
 			continue
@@ -72,12 +72,15 @@ func runDeadResource(a *Artifacts, rep *reporter) {
 		}
 		for _, id := range nr.NodeList() {
 			if valid(id) && ov.Dead(id) {
-				rep.add(signal, "route uses dead resource %s", rrNodeName(g.Nodes[id]))
+				rep.add(signal, "route uses dead resource %s", rrNodeName(g.Node(id)))
 			}
 		}
 		for _, path := range nr.Paths {
 			for i := 0; i+1 < len(path); i++ {
-				if valid(path[i]) && valid(path[i+1]) && ov.Cut(path[i], path[i+1]) {
+				if !valid(path[i]) || !valid(path[i+1]) {
+					continue
+				}
+				if k, ok := g.EdgeIndex(path[i], path[i+1]); ok && ov.Cut(k) {
 					rep.add(signal, "route uses dead switch %s", edgeName(g, [2]int{path[i], path[i+1]}))
 				}
 			}

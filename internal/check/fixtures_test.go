@@ -111,18 +111,18 @@ func firstBlock(t *testing.T, p *place.Problem, clb bool) *place.Block {
 	return nil
 }
 
-// usedWire returns the first channel wire on a route.
-func usedWire(t *testing.T, a *Artifacts) *rrgraph.Node {
+// usedWire returns the node ID of the first channel wire on a route.
+func usedWire(t *testing.T, a *Artifacts) int {
 	t.Helper()
 	for _, nr := range a.Routing.Routes {
 		for _, id := range nr.NodeList() {
-			if n := a.Routing.Graph.Nodes[id]; n.Type == rrgraph.ChanX || n.Type == rrgraph.ChanY {
-				return n
+			if a.Routing.Graph.Type[id].IsWire() {
+				return id
 			}
 		}
 	}
 	t.Fatal("routing uses no wire")
-	return nil
+	return -1
 }
 
 // recode re-encodes a mutated clone of the design's bitstream.
@@ -134,12 +134,12 @@ func recode(t *testing.T, a *Artifacts, mutate func(bs *bitstream.Bitstream)) {
 
 // dropEdge disables the first enabled configurable edge whose endpoints
 // satisfy kind, and reports whether there was one.
-func dropEdge(bs *bitstream.Bitstream, kind func(from, to *rrgraph.Node) bool) bool {
+func dropEdge(bs *bitstream.Bitstream, kind func(from, to rrgraph.Node) bool) bool {
 	g := bs.Graph
 	for i, w := range bs.Routing {
 		for ; w != 0; w &= w - 1 {
 			bit := bits.TrailingZeros64(w)
-			if from, to := g.ConfigEdgeAt(i*64 + bit); kind(g.Nodes[from], g.Nodes[to]) {
+			if from, to := g.ConfigEdgeAt(i*64 + bit); kind(g.Node(from), g.Node(to)) {
 				bs.Routing[i] &^= 1 << uint(bit)
 				return true
 			}
@@ -267,10 +267,10 @@ func ruleFixtures() []fixture {
 		}},
 		{"route/connectivity", "missing-location", routeArts, dropLocation},
 		{"route/overuse", "zero-capacity-wire", routeArts, func(t *testing.T, a *Artifacts) {
-			usedWire(t, a).Capacity = 0
+			a.Routing.Graph.Capacity[usedWire(t, a)] = 0
 		}},
 		{"route/dead-resource", "dead-wire", routeArts, func(t *testing.T, a *Artifacts) {
-			n := usedWire(t, a)
+			n := a.Routing.Graph.Node(usedWire(t, a))
 			dm := &fault.DefectMap{DeadWires: []fault.WireRef{
 				{Vertical: n.Type == rrgraph.ChanY, X: n.X, Y: n.Y, Track: n.Track}}}
 			a.Defects, a.Routing.Defects = dm, dm.Overlay(a.Routing.Graph)
@@ -290,7 +290,7 @@ func ruleFixtures() []fixture {
 		{"bits/lut-mask", "missing-location", bitsArts, dropLocation},
 		{"bits/switch-route", "dropped-switch", bitsArts, func(t *testing.T, a *Artifacts) {
 			recode(t, a, func(bs *bitstream.Bitstream) {
-				if !dropEdge(bs, func(from, _ *rrgraph.Node) bool { return from.Type == rrgraph.OPin }) {
+				if !dropEdge(bs, func(from, _ rrgraph.Node) bool { return from.Type == rrgraph.OPin }) {
 					t.Fatal("no output-pin connection enabled")
 				}
 			})

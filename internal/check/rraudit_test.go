@@ -1,6 +1,7 @@
 package check
 
 import (
+	"slices"
 	"testing"
 
 	"fpgaflow/internal/arch"
@@ -15,81 +16,80 @@ type rrGraphCorruption struct {
 	rule    string
 }
 
+// setEdges replaces node from's out-edges with edges, rebuilding the
+// graph's CSR arrays around them.
+func setEdges(g *rrgraph.Graph, from int, edges []int32) {
+	lo, hi := g.EdgeStart[from], g.EdgeStart[from+1]
+	to := append(append(slices.Clone(g.EdgeTo[:lo]), edges...), g.EdgeTo[hi:]...)
+	for i := from + 1; i < len(g.EdgeStart); i++ {
+		g.EdgeStart[i] += int32(len(edges)) - (hi - lo)
+	}
+	g.EdgeTo = to
+}
+
+// addEdge appends the edge from -> to to from's out-edges.
+func addEdge(g *rrgraph.Graph, from, to int) {
+	setEdges(g, from, append(slices.Clone(g.Edges(from)), int32(to)))
+}
+
+// firstOf returns the lowest node ID of type t.
+func firstOf(g *rrgraph.Graph, t rrgraph.NodeType) int {
+	id := slices.Index(g.Type, t)
+	if id < 0 {
+		panic("no " + t.String() + " node")
+	}
+	return id
+}
+
 // rrGraphCorruptions are the RR-graph audit fixtures; the rule-coverage
 // walk (TestEveryRuleHasFiringFixture) reuses them.
 var rrGraphCorruptions = []rrGraphCorruption{
 	{
-		name: "dangling-edge",
-		corrupt: func(g *rrgraph.Graph) {
-			g.Nodes[0].Edges = append(g.Nodes[0].Edges, len(g.Nodes)+7)
-		},
-		rule: "route/rr-dangling",
+		name:    "dangling-edge",
+		corrupt: func(g *rrgraph.Graph) { addEdge(g, 0, g.NumNodes()+7) },
+		rule:    "route/rr-dangling",
 	},
 	{
-		name: "negative-edge",
-		corrupt: func(g *rrgraph.Graph) {
-			g.Nodes[0].Edges = append(g.Nodes[0].Edges, -1)
-		},
-		rule: "route/rr-dangling",
+		name:    "negative-edge",
+		corrupt: func(g *rrgraph.Graph) { addEdge(g, 0, -1) },
+		rule:    "route/rr-dangling",
 	},
 	{
-		name: "self-loop",
-		corrupt: func(g *rrgraph.Graph) {
-			n := g.Nodes[3]
-			n.Edges = append(n.Edges, n.ID)
-		},
-		rule: "route/rr-self-loop",
+		name:    "malformed-edge-offsets",
+		corrupt: func(g *rrgraph.Graph) { g.EdgeStart[1] = g.EdgeStart[2] + 1 },
+		rule:    "route/rr-dangling",
 	},
 	{
-		name: "zero-capacity",
-		corrupt: func(g *rrgraph.Graph) {
-			g.Nodes[5].Capacity = 0
-		},
-		rule: "route/rr-capacity",
+		name:    "self-loop",
+		corrupt: func(g *rrgraph.Graph) { addEdge(g, 3, 3) },
+		rule:    "route/rr-self-loop",
 	},
 	{
-		name: "wire-without-span",
-		corrupt: func(g *rrgraph.Graph) {
-			for _, n := range g.Nodes {
-				if n.Type == rrgraph.ChanX {
-					n.Span = 0
-					return
-				}
-			}
-			panic("no ChanX node")
-		},
-		rule: "route/rr-capacity",
+		name:    "zero-capacity",
+		corrupt: func(g *rrgraph.Graph) { g.Capacity[5] = 0 },
+		rule:    "route/rr-capacity",
 	},
 	{
-		name: "track-off-channel",
-		corrupt: func(g *rrgraph.Graph) {
-			for _, n := range g.Nodes {
-				if n.Type == rrgraph.ChanY {
-					n.Track = g.W + 3
-					return
-				}
-			}
-			panic("no ChanY node")
-		},
-		rule: "route/rr-capacity",
+		name:    "wire-without-span",
+		corrupt: func(g *rrgraph.Graph) { g.Span[firstOf(g, rrgraph.ChanX)] = 0 },
+		rule:    "route/rr-capacity",
+	},
+	{
+		name:    "track-off-channel",
+		corrupt: func(g *rrgraph.Graph) { g.Track[firstOf(g, rrgraph.ChanY)] = int32(g.W + 3) },
+		rule:    "route/rr-capacity",
 	},
 	{
 		name: "isolated-opin",
 		corrupt: func(g *rrgraph.Graph) {
-			for _, n := range g.Nodes {
-				if n.Type == rrgraph.OPin {
-					kept := n.Edges[:0]
-					for _, e := range n.Edges {
-						t := g.Nodes[e].Type
-						if t != rrgraph.ChanX && t != rrgraph.ChanY {
-							kept = append(kept, e)
-						}
-					}
-					n.Edges = kept
-					return
+			op := firstOf(g, rrgraph.OPin)
+			var kept []int32
+			for _, e := range g.Edges(op) {
+				if !g.Type[e].IsWire() {
+					kept = append(kept, e)
 				}
 			}
-			panic("no OPin node")
+			setEdges(g, op, kept)
 		},
 		rule: "route/rr-isolated-pin",
 	},

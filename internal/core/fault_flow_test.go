@@ -87,7 +87,7 @@ func TestFlowRoutesAroundDeadSwitches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Routed.Graph.NumEdges() != fresh.NumEdges() || !reflect.DeepEqual(res.Routed.Graph.Nodes, fresh.Nodes) {
+	if !reflect.DeepEqual(res.Routed.Graph, fresh) {
 		t.Error("defect-aware flow modified the shared RR graph")
 	}
 }
@@ -137,7 +137,7 @@ func TestFlowAvoidsDefectiveSites(t *testing.T) {
 				if nr == nil {
 					continue
 				}
-				for id := range nr.Nodes() {
+				for _, id := range nr.NodeList() {
 					if res.Routed.Defects.Dead(id) {
 						t.Errorf("route uses dead RR node %d", id)
 					}

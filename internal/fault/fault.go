@@ -127,13 +127,13 @@ func Generate(a *arch.Arch, seed int64, rates Rates) (*DefectMap, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, n := range g.Nodes {
-		if n.Type != rrgraph.ChanX && n.Type != rrgraph.ChanY {
+	for id, t := range g.Type {
+		if !t.IsWire() {
 			continue
 		}
 		if hit(rates.DeadWire) {
 			dm.DeadWires = append(dm.DeadWires, WireRef{
-				Vertical: n.Type == rrgraph.ChanY, X: n.X, Y: n.Y, Track: n.Track,
+				Vertical: t == rrgraph.ChanY, X: int(g.X[id]), Y: int(g.Y[id]), Track: int(g.Track[id]),
 			})
 		}
 	}
@@ -210,20 +210,30 @@ func (dm *DefectMap) Summary() string {
 }
 
 // Overlay is a defect map resolved against one routing-resource graph:
-// the nodes it kills and the switch edges it removes. The graph itself is
-// never modified, so one graph per architecture serves defective and
-// pristine routings alike; a nil *Overlay is a pristine fabric. Dead
-// nodes keep their IDs, so the bitstream's bit enumeration is unchanged.
+// the nodes it kills and the switch edges it removes, as two bitsets. The
+// graph itself is never modified, so one graph per architecture serves
+// defective and pristine routings alike; a nil *Overlay is a pristine
+// fabric. Dead nodes keep their IDs, so the bitstream's bit enumeration
+// is unchanged.
 type Overlay struct {
-	dead []bool
-	// cutFrom marks nodes with at least one removed out-edge, so only
-	// those pay the cut-set lookup.
-	cutFrom []bool
-	cut     map[[2]int]bool
+	// dead has bit n set when node n is dead; cut has bit k set when the
+	// edge at index k of the graph's EdgeTo is a removed switch.
+	dead, cut []uint64
 	// DeadNodes and EdgesRemoved count the distinct nodes and directed
 	// edges masked; out-of-range references are skipped, so they can be
 	// lower than the map's totals.
 	DeadNodes, EdgesRemoved int
+}
+
+func bit(set []uint64, i int) bool { return set[uint(i)/64]&(1<<(uint(i)%64)) != 0 }
+
+// setBit sets bit i and reports whether it was clear.
+func setBit(set []uint64, i int) bool {
+	if bit(set, i) {
+		return false
+	}
+	set[uint(i)/64] |= 1 << (uint(i) % 64)
+	return true
 }
 
 // Overlay resolves the map on g: dead wires become dead nodes, and each
@@ -233,11 +243,9 @@ func (dm *DefectMap) Overlay(g *rrgraph.Graph) *Overlay {
 	if dm == nil {
 		return nil
 	}
-	o := &Overlay{dead: make([]bool, len(g.Nodes)), cutFrom: make([]bool, len(g.Nodes)),
-		cut: make(map[[2]int]bool)}
+	o := &Overlay{dead: make([]uint64, (g.NumNodes()+63)/64), cut: make([]uint64, (g.NumEdges()+63)/64)}
 	for _, w := range dm.DeadWires {
-		if id, ok := g.WireID(w.Vertical, w.X, w.Y, w.Track); ok && !o.dead[id] {
-			o.dead[id] = true
+		if id, ok := g.WireID(w.Vertical, w.X, w.Y, w.Track); ok && setBit(o.dead, id) {
 			o.DeadNodes++
 		}
 	}
@@ -245,9 +253,10 @@ func (dm *DefectMap) Overlay(g *rrgraph.Graph) *Overlay {
 		ids := g.SwitchPointWires(sw.X, sw.Y, sw.Track)
 		for _, from := range ids {
 			for _, to := range ids {
-				k := [2]int{from, to}
-				if from != to && !o.cut[k] && g.HasEdge(from, to) {
-					o.cut[k], o.cutFrom[from] = true, true
+				if from == to {
+					continue
+				}
+				if k, ok := g.EdgeIndex(from, to); ok && setBit(o.cut, k) {
 					o.EdgesRemoved++
 				}
 			}
@@ -257,18 +266,17 @@ func (dm *DefectMap) Overlay(g *rrgraph.Graph) *Overlay {
 }
 
 // Dead reports whether node id is masked as defective.
-func (o *Overlay) Dead(id int) bool { return o != nil && o.dead[id] }
+func (o *Overlay) Dead(id int) bool { return o != nil && bit(o.dead, id) }
 
-// Cut reports whether the directed edge from -> to is a removed switch.
-func (o *Overlay) Cut(from, to int) bool {
-	return o != nil && o.cutFrom[from] && o.cut[[2]int{from, to}]
-}
+// Cut reports whether the edge at index k of the graph's EdgeTo is a
+// removed switch.
+func (o *Overlay) Cut(k int) bool { return o != nil && bit(o.cut, k) }
 
-// Blocked reports whether a path may not step from -> to: the target is
-// dead or the switch between them is removed. A nil overlay costs one
-// nil check.
-func (o *Overlay) Blocked(from, to int) bool {
-	return o != nil && (o.dead[to] || o.Cut(from, to))
+// Blocked reports whether a path may not take the edge at index k of the
+// graph's EdgeTo, which leads to node to: the target is dead or the switch
+// is removed. A nil overlay costs one nil check.
+func (o *Overlay) Blocked(k, to int) bool {
+	return o != nil && (bit(o.dead, to) || bit(o.cut, k))
 }
 
 // BadSiteSet returns the placement exclusion set: every defective CLB and

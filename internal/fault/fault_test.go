@@ -72,7 +72,7 @@ func TestEveryDefectClassApplies(t *testing.T) {
 				t.Errorf("overlay kills %d nodes for %d dead wires", ov.DeadNodes, len(dm.DeadWires))
 			}
 			dead := 0
-			for id := range g.Nodes {
+			for id := range g.Type {
 				if ov.Dead(id) {
 					dead++
 				}
@@ -91,11 +91,14 @@ func TestEveryDefectClassApplies(t *testing.T) {
 				t.Errorf("%d dead switches removed no edges", len(dm.DeadSwitches))
 			}
 			cut := 0
-			for _, n := range g.Nodes {
-				for _, e := range n.Edges {
-					if ov.Cut(n.ID, e) {
-						if !ov.Blocked(n.ID, e) {
-							t.Errorf("removed edge %d->%d not blocked", n.ID, e)
+			for from := range g.Type {
+				for k := int(g.EdgeStart[from]); k < int(g.EdgeStart[from+1]); k++ {
+					if to := int(g.EdgeTo[k]); ov.Cut(k) {
+						if !g.Type[from].IsWire() || !g.Type[to].IsWire() {
+							t.Errorf("removed edge %d->%d is no wire-wire switch", from, to)
+						}
+						if !ov.Blocked(k, to) {
+							t.Errorf("removed edge %d->%d not blocked", from, to)
 						}
 						cut++
 					}
@@ -192,7 +195,7 @@ func TestApplyIsIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(g.Nodes, fresh.Nodes) {
+	if !reflect.DeepEqual(g, fresh) {
 		t.Error("resolving an overlay modified the graph")
 	}
 }
@@ -207,7 +210,7 @@ func TestApplyNilMapIsNoop(t *testing.T) {
 	if ov != nil {
 		t.Errorf("nil map resolved to an overlay: %+v", ov)
 	}
-	if ov.Dead(0) || ov.Cut(0, 1) || ov.Blocked(0, 1) {
+	if ov.Dead(0) || ov.Cut(0) || ov.Blocked(0, 1) {
 		t.Error("nil overlay masks resources")
 	}
 	if dm.Count() != 0 || dm.BadSiteSet() != nil || dm.StuckBitsAt(1, 1) != nil {

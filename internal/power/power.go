@@ -87,17 +87,16 @@ func Estimate(pk *pack.Packing, p *place.Problem, pl *place.Placement, r *route.
 		for _, path := range nr.Paths {
 			var prev rrgraph.NodeType
 			for idx, id := range path {
-				n := g.Nodes[id]
-				isWire := n.Type == rrgraph.ChanX || n.Type == rrgraph.ChanY
-				if idx > 0 && isWire && (prev == rrgraph.ChanX || prev == rrgraph.ChanY) {
+				t := g.Type[id]
+				if idx > 0 && t.IsWire() && prev.IsWire() {
 					cTotal += swCd // junction switch loads the net once per hop
 				}
-				prev = n.Type
+				prev = t
 				if seen[id] {
 					continue
 				}
 				seen[id] = true
-				cTotal += n.C
+				cTotal += g.C[id]
 			}
 		}
 		sigName := p.Nets[ni].Signal

@@ -42,29 +42,29 @@ func TestLookaheadAdmissible(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := func(id int) float64 {
-		n := g.Nodes[id]
-		if n.Type == rrgraph.Sink {
+		if g.Type[id] == rrgraph.Sink {
 			return 0.1
 		}
 		return 1.0
 	}
 	// reverse adjacency
-	radj := make([][]int32, len(g.Nodes))
-	for _, n := range g.Nodes {
-		for _, e := range n.Edges {
-			radj[e] = append(radj[e], int32(n.ID))
+	radj := make([][]int32, g.NumNodes())
+	for from := range g.Type {
+		for _, e := range g.Edges(from) {
+			radj[e] = append(radj[e], int32(from))
 		}
 	}
 	hr := newHeur(g, false, 0, true)
 	bad := 0
-	for _, tn := range g.Nodes {
-		if tn.Type != rrgraph.Sink {
+	for tid, typ := range g.Type {
+		if typ != rrgraph.Sink {
 			continue
 		}
+		tn := g.Node(tid)
 		// reverse dijkstra: dist[n] = min cost of nodes AFTER n on a path
 		// n -> ... -> sink, i.e. sum of base costs of successors incl sink.
-		dist := make([]float64, len(g.Nodes))
-		seen := make([]bool, len(g.Nodes))
+		dist := make([]float64, g.NumNodes())
+		seen := make([]bool, g.NumNodes())
 		for i := range dist {
 			dist[i] = -1
 		}
@@ -85,7 +85,8 @@ func TestLookaheadAdmissible(t *testing.T) {
 				}
 			}
 		}
-		for _, n := range g.Nodes {
+		for id := range g.Type {
+			n := g.Node(id)
 			if dist[n.ID] < 0 || n.ID == tn.ID {
 				continue
 			}

@@ -260,7 +260,7 @@ func TestDefectMaskReappliedAtEscalatedWidthFromCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(r1.Graph.Nodes, fresh.Nodes) {
+	if !reflect.DeepEqual(r1.Graph, fresh) {
 		t.Error("the masked search modified the shared graph")
 	}
 	// Masking wires can only cost channel width, never gain it.
@@ -345,7 +345,7 @@ func TestDefectiveRouteRejected(t *testing.T) {
 	if err != nil || !r.Success {
 		t.Fatalf("route failed: %v", err)
 	}
-	isWire := func(id int) bool { return g.Nodes[id].Type == rrgraph.ChanX || g.Nodes[id].Type == rrgraph.ChanY }
+	isWire := func(id int) bool { return g.Type[id].IsWire() }
 	// The first wire and the first wire-wire switch any route uses.
 	wire, hop := -1, [2]int{-1, -1}
 	for _, nr := range r.Routes {
@@ -363,13 +363,13 @@ func TestDefectiveRouteRejected(t *testing.T) {
 	if wire < 0 || hop[0] < 0 {
 		t.Fatal("routing uses no wire-wire switch")
 	}
-	n := g.Nodes[wire]
+	n := g.Node(wire)
 	deadWire := &fault.DefectMap{DeadWires: []fault.WireRef{
 		{Vertical: n.Type == rrgraph.ChanY, X: n.X, Y: n.Y, Track: n.Track}}}
 	deadSwitch := &fault.DefectMap{}
 	for x := 0; x <= p.Arch.Cols && len(deadSwitch.DeadSwitches) == 0; x++ {
 		for y := 0; y <= p.Arch.Rows; y++ {
-			track := g.Nodes[hop[0]].Track
+			track := int(g.Track[hop[0]])
 			ids := g.SwitchPointWires(x, y, track)
 			if slices.Contains(ids, hop[0]) && slices.Contains(ids, hop[1]) {
 				deadSwitch.DeadSwitches = []fault.SwitchRef{{X: x, Y: y, Track: track}}

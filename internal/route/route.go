@@ -141,17 +141,6 @@ type NetRoute struct {
 	nodes []int
 }
 
-// Nodes returns the set of RR nodes the net occupies. Hot paths use
-// NodeList instead; the map form remains for callers that want set
-// membership.
-func (nr *NetRoute) Nodes() map[int]bool {
-	set := make(map[int]bool, len(nr.NodeList()))
-	for _, n := range nr.NodeList() {
-		set[n] = true
-	}
-	return set
-}
-
 // Result is a complete routing.
 type Result struct {
 	Graph *rrgraph.Graph
@@ -199,19 +188,10 @@ func Route(p *place.Problem, pl *place.Placement, g *rrgraph.Graph, opts Options
 		opts.Obs.Add("fault.rr_edges_removed", int64(ov.EdgesRemoved))
 	}
 
-	nNodes := len(g.Nodes)
+	nNodes := g.NumNodes()
 	usage := make([]int, nNodes) // nets per node
 	history := make([]float64, nNodes)
 	routes := make([]*NetRoute, len(p.Nets))
-
-	occupy := func(nr *NetRoute, delta int) {
-		if nr == nil {
-			return
-		}
-		for _, n := range nr.NodeList() {
-			usage[n] += delta
-		}
-	}
 	presFac := presFacInit
 
 	// Delay- and energy-driven base costs normalize each wire's R*C
@@ -220,12 +200,12 @@ func Route(p *place.Problem, pl *place.Placement, g *rrgraph.Graph, opts Options
 	var norm float64
 	switch opts.Base {
 	case BaseDelay:
-		for _, n := range g.Nodes {
-			norm = max(norm, n.R*n.C)
+		for id := range nNodes {
+			norm = max(norm, g.R[id]*g.C[id])
 		}
 	case BaseEnergy:
-		for _, n := range g.Nodes {
-			norm = max(norm, n.C)
+		for _, c := range g.C {
+			norm = max(norm, c)
 		}
 	}
 	// Per-net criticality for the timing-driven blend: seeded from the
@@ -259,28 +239,46 @@ func Route(p *place.Problem, pl *place.Placement, g *rrgraph.Graph, opts Options
 	// energy-driven bases (no RC floor in the tables) always search
 	// undirected.
 	hr := newHeur(g, opts.Base == BaseDelay, norm, !opts.NoLookahead && opts.Base != BaseEnergy)
-	// Per-node base cost and capacity, computed once per call so the
-	// search's cost evaluation reads two flat slices instead of branching
-	// on the node type and the base-cost model on every expansion.
+	// Per-node base cost, computed once per call so the search's cost
+	// evaluation reads a flat slice instead of branching on the node type
+	// and the base-cost model on every expansion.
+	capacity := g.Capacity
 	base := make([]float64, nNodes)
-	capacity := make([]int32, nNodes)
-	for id, n := range g.Nodes {
-		capacity[id] = int32(n.Capacity)
+	for id, t := range g.Type {
 		b := 1.0
-		if n.Type == rrgraph.Sink {
+		if t == rrgraph.Sink {
 			b = 0.1
 		} else if opts.Base == BaseDelay && norm > 0 {
-			b = 0.3 + 2*(n.R*n.C)/norm
+			b = 0.3 + 2*(g.R[id]*g.C[id])/norm
 		} else if opts.Base == BaseEnergy && norm > 0 {
-			b = 0.3 + 2*n.C/norm
+			b = 0.3 + 2*g.C[id]/norm
 		}
 		base[id] = b
 	}
+	// cong[id] is the congestion cost of node id to a net that does not
+	// already use it: congestion(base, history, presFac, usage, capacity).
+	// It is recomputed for every node at the start of each iteration
+	// (history and presFac change between iterations) and refreshed
+	// whenever occupy changes a node's usage, so the search reads one
+	// value per expansion instead of evaluating the formula.
+	cong := make([]float64, nNodes)
+	refresh := func(id int) {
+		cong[id] = congestion(base[id], history[id], presFac, usage[id], int(capacity[id]))
+	}
+	occupy := func(nr *NetRoute, delta int) {
+		if nr == nil {
+			return
+		}
+		for _, n := range nr.NodeList() {
+			usage[n] += delta
+			refresh(n)
+		}
+	}
 	// costFor is the node cost net ni searches with, searching on sc.
-	// usage and history are frozen while a batch is in flight, so
+	// usage, history and cong are frozen while a batch is in flight, so
 	// concurrent reads are safe; presFac changes only between iterations.
 	costFor := func(sc *scratch, ni int) netCost {
-		nc := netCost{usage: usage, history: history, base: base, capacity: capacity, sc: sc,
+		nc := netCost{usage: usage, history: history, base: base, cong: cong, capacity: capacity, sc: sc,
 			presFac: presFac, seed: uint32(ni+1) * 2654435761}
 		if crit != nil {
 			nc.crit = crit[ni]
@@ -372,6 +370,9 @@ func Route(p *place.Problem, pl *place.Placement, g *rrgraph.Graph, opts Options
 		}
 		res.Iterations = iter
 		iterTimer := iterHist.StartTimer()
+		for id := range cong {
+			refresh(id)
+		}
 
 		// Phase 1 — parallel search. Only dirty nets (unrouted, or routed
 		// through congestion) are rerouted; clean nets keep their trees.
@@ -477,11 +478,11 @@ func Route(p *place.Problem, pl *place.Placement, g *rrgraph.Graph, opts Options
 
 		over, overUnits := 0, 0
 		//fpga:hotloop
-		for id, n := range g.Nodes {
-			if usage[id] > n.Capacity {
+		for id, c := range capacity {
+			if excess := usage[id] - int(c); excess > 0 {
 				over++
-				overUnits += usage[id] - n.Capacity
-				history[id] += histFac * float64(usage[id]-n.Capacity)
+				overUnits += excess
+				history[id] += histFac * float64(excess)
 			}
 		}
 		res.Overused = over
@@ -562,13 +563,13 @@ func publishCongestion(g *rrgraph.Graph, usage []int, res *Result, opts *Options
 		return
 	}
 	rc := &events.RouteCongestion{Width: g.W, Iterations: res.Iterations, Success: res.Success}
-	for id, n := range g.Nodes {
-		if (n.Type != rrgraph.ChanX && n.Type != rrgraph.ChanY) || usage[id] == 0 {
+	for id, t := range g.Type {
+		if !t.IsWire() || usage[id] == 0 {
 			continue
 		}
 		rc.Segments = append(rc.Segments, events.Segment{
-			Vertical: n.Type == rrgraph.ChanY, X: n.X, Y: n.Y, Track: n.Track,
-			Usage: usage[id], Capacity: n.Capacity,
+			Vertical: t == rrgraph.ChanY, X: int(g.X[id]), Y: int(g.Y[id]), Track: int(g.Track[id]),
+			Usage: usage[id], Capacity: int(g.Capacity[id]),
 		})
 	}
 	opts.Obs.Publish(events.Event{Kind: events.KindRouteCongestion, RouteCongestion: rc})
@@ -609,6 +610,7 @@ type netCost struct {
 	usage    []int
 	history  []float64
 	base     []float64
+	cong     []float64 // see Route: congestion cost to a net not using the node
 	capacity []int32
 	sc       *scratch
 	presFac  float64
@@ -618,24 +620,29 @@ type netCost struct {
 }
 
 func (nc *netCost) at(id int) float64 {
-	u := nc.usage[id]
+	congest := nc.cong[id]
 	if nc.sc.isOwn(id) {
-		u--
+		// The net's own previous route: its usage does not count against it.
+		congest = congestion(nc.base[id], nc.history[id], nc.presFac, nc.usage[id]-1, int(nc.capacity[id]))
 	}
-	over := u + 1 - int(nc.capacity[id])
-	pres := 1.0
-	if over > 0 {
-		pres += nc.presFac * float64(over)
-	}
-	base := nc.base[id]
-	congest := (base + nc.history[id]) * pres
 	if c := nc.crit; c > 0 {
 		// Timing-driven blend: congestion cost fades with net criticality;
 		// the base (delay) term never does. congest >= base, so the blend
 		// stays >= base and the delay-driven A* floors remain admissible.
-		congest = (1-c)*congest + c*base
+		congest = (1-c)*congest + c*nc.base[id]
 	}
 	return congest + tieBreak(nc.seed, id)
+}
+
+// congestion is the PathFinder congestion cost of a node that u other
+// nets use, to one more net: (base + history) * (1 + presFac * overuse),
+// where overuse counts the users beyond capacity if the net took it.
+func congestion(base, history, presFac float64, u, capacity int) float64 {
+	pres := 1.0
+	if over := u + 1 - capacity; over > 0 {
+		pres += presFac * float64(over)
+	}
+	return (base + history) * pres
 }
 
 // tieBreak is the deterministic per-(net, node) cost perturbation in
@@ -657,9 +664,8 @@ func (r *Result) WirelengthUsed() int {
 			continue
 		}
 		for _, n := range nr.NodeList() {
-			t := r.Graph.Nodes[n].Type
-			if t == rrgraph.ChanX || t == rrgraph.ChanY {
-				total += r.Graph.Nodes[n].Span
+			if r.Graph.Type[n].IsWire() {
+				total += int(r.Graph.Span[n])
 			}
 		}
 	}

@@ -191,7 +191,7 @@ func TestRouteSingleOutputPinPerNet(t *testing.T) {
 		opins := map[int]bool{}
 		for _, path := range nr.Paths {
 			for _, n := range path {
-				if g.Nodes[n].Type == rrgraph.OPin {
+				if g.Type[n] == rrgraph.OPin {
 					opins[n] = true
 				}
 			}

@@ -1,6 +1,10 @@
 package rrgraph
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -20,7 +24,7 @@ func TestBuildSmallGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.Nodes) == 0 || g.NumEdges() == 0 {
+	if g.NumNodes() == 0 || g.NumEdges() == 0 {
 		t.Fatal("empty graph")
 	}
 	// Site classification: corners empty, borders IO, inside CLB.
@@ -46,24 +50,24 @@ func TestBlockNodeWiring(t *testing.T) {
 	if src < 0 || snk < 0 {
 		t.Fatal("missing source/sink at CLB")
 	}
-	if got := g.Nodes[src].Capacity; got != a.CLB.Outputs() {
+	if got := g.Node(int(src)).Capacity; got != a.CLB.Outputs() {
 		t.Errorf("source capacity = %d, want %d", got, a.CLB.Outputs())
 	}
-	if got := g.Nodes[snk].Capacity; got != a.CLB.I {
+	if got := g.Node(int(snk)).Capacity; got != a.CLB.I {
 		t.Errorf("sink capacity = %d, want %d", got, a.CLB.I)
 	}
 	if len(g.OPins(x, y)) != a.CLB.Outputs() || len(g.IPins(x, y)) != a.CLB.I {
 		t.Fatalf("pin counts: %d opins, %d ipins", len(g.OPins(x, y)), len(g.IPins(x, y)))
 	}
 	// Source feeds exactly its OPins.
-	if len(g.Nodes[src].Edges) != a.CLB.Outputs() {
-		t.Errorf("source fanout = %d", len(g.Nodes[src].Edges))
+	if len(g.Edges(src)) != a.CLB.Outputs() {
+		t.Errorf("source fanout = %d", len(g.Edges(src)))
 	}
 	// Every IPin feeds the sink.
 	for _, ip := range g.IPins(x, y) {
 		found := false
-		for _, e := range g.Nodes[ip].Edges {
-			if e == snk {
+		for _, e := range g.Edges(ip) {
+			if int(e) == snk {
 				found = true
 			}
 		}
@@ -79,10 +83,10 @@ func TestOPinsReachTracks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, op := range g.OPins(2, 2) {
-		n := g.Nodes[op]
+		n := g.Node(int(op))
 		wires := 0
-		for _, e := range n.Edges {
-			et := g.Nodes[e].Type
+		for _, e := range g.Edges(n.ID) {
+			et := g.Node(int(e)).Type
 			if et == ChanX || et == ChanY {
 				wires++
 			}
@@ -101,13 +105,14 @@ func TestWiresReachIPins(t *testing.T) {
 	}
 	// Each IPin must be reachable from at least one wire.
 	incoming := make(map[int]int)
-	for _, n := range g.Nodes {
+	for id := range g.Type {
+		n := g.Node(id)
 		if n.Type != ChanX && n.Type != ChanY {
 			continue
 		}
-		for _, e := range n.Edges {
-			if g.Nodes[e].Type == IPin {
-				incoming[e]++
+		for _, e := range g.Edges(n.ID) {
+			if g.Node(int(e)).Type == IPin {
+				incoming[int(e)]++
 			}
 		}
 	}
@@ -126,19 +131,20 @@ func TestDisjointSwitchBox(t *testing.T) {
 	// Wire-to-wire edges must stay on the same track (disjoint pattern) and
 	// be symmetric (pass transistors are bidirectional).
 	edgeSet := make(map[[2]int]bool)
-	for _, n := range g.Nodes {
+	for id := range g.Type {
+		n := g.Node(id)
 		if n.Type != ChanX && n.Type != ChanY {
 			continue
 		}
-		for _, e := range n.Edges {
-			to := g.Nodes[e]
+		for _, e := range g.Edges(n.ID) {
+			to := g.Node(int(e))
 			if to.Type != ChanX && to.Type != ChanY {
 				continue
 			}
 			if to.Track != n.Track {
 				t.Fatalf("edge %d->%d crosses tracks %d->%d", n.ID, to.ID, n.Track, to.Track)
 			}
-			edgeSet[[2]int{n.ID, e}] = true
+			edgeSet[[2]int{n.ID, int(e)}] = true
 		}
 	}
 	for e := range edgeSet {
@@ -161,16 +167,16 @@ func TestFullConnectivitySourceToAnySink(t *testing.T) {
 	if src < 0 {
 		t.Fatal("no IO source at (0,1)")
 	}
-	reach := make([]bool, len(g.Nodes))
+	reach := make([]bool, g.NumNodes())
 	reach[src] = true
 	queue := []int{src}
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, e := range g.Nodes[u].Edges {
+		for _, e := range g.Edges(u) {
 			if !reach[e] {
 				reach[e] = true
-				queue = append(queue, e)
+				queue = append(queue, int(e))
 			}
 		}
 	}
@@ -197,8 +203,8 @@ func TestFcFractional(t *testing.T) {
 	}
 	for _, op := range g.OPins(2, 2) {
 		wires := 0
-		for _, e := range g.Nodes[op].Edges {
-			if t := g.Nodes[e].Type; t == ChanX || t == ChanY {
+		for _, e := range g.Edges(op) {
+			if t := g.Node(int(e)).Type; t == ChanX || t == ChanY {
 				wires++
 			}
 		}
@@ -217,7 +223,8 @@ func TestSegmentLength2(t *testing.T) {
 	}
 	spans := map[int]int{}
 	long := 0
-	for _, n := range g.Nodes {
+	for id := range g.Type {
+		n := g.Node(id)
 		if n.Type == ChanX || n.Type == ChanY {
 			spans[n.Span]++
 			if n.Span == 2 {
@@ -233,7 +240,8 @@ func TestSegmentLength2(t *testing.T) {
 	}
 	// Longer wires have higher R and C than length-1.
 	var r1, r2 float64
-	for _, n := range g.Nodes {
+	for id := range g.Type {
+		n := g.Node(id)
 		if n.Type == ChanX && n.Span == 1 {
 			r1 = n.R
 		}
@@ -252,7 +260,8 @@ func TestWireElectricalValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range g.Nodes {
+	for id := range g.Type {
+		n := g.Node(id)
 		if n.Type == ChanX || n.Type == ChanY {
 			if n.R <= 0 || n.C <= 0 {
 				t.Fatalf("wire %d has R=%g C=%g", n.ID, n.R, n.C)
@@ -268,8 +277,8 @@ func TestIOSiteHasSingleChannel(t *testing.T) {
 	}
 	// An IO pad on the left border can only reach the chany at x=0.
 	for _, op := range g.OPins(0, 2) {
-		for _, e := range g.Nodes[op].Edges {
-			n := g.Nodes[e]
+		for _, e := range g.Edges(op) {
+			n := g.Node(int(e))
 			if n.Type != ChanY || n.X != 0 {
 				t.Errorf("left IO opin reaches %s at (%d,%d)", n.Type, n.X, n.Y)
 			}
@@ -293,13 +302,14 @@ func TestGraphInvariantsProperty(t *testing.T) {
 			t.Logf("build: %v", err)
 			return false
 		}
-		for _, n := range g.Nodes {
+		for id := range g.Type {
+			n := g.Node(id)
 			if n.Capacity < 1 {
 				t.Logf("node %d capacity %d", n.ID, n.Capacity)
 				return false
 			}
-			for _, e := range n.Edges {
-				if e < 0 || e >= len(g.Nodes) {
+			for _, e := range g.Edges(n.ID) {
+				if e < 0 || int(e) >= g.NumNodes() {
 					t.Logf("node %d edge %d out of range", n.ID, e)
 					return false
 				}
@@ -315,7 +325,7 @@ func TestGraphInvariantsProperty(t *testing.T) {
 					return false
 				}
 			case Sink:
-				if len(n.Edges) != 0 {
+				if len(g.Edges(n.ID)) != 0 {
 					t.Logf("sink %d has out-edges", n.ID)
 					return false
 				}
@@ -324,16 +334,16 @@ func TestGraphInvariantsProperty(t *testing.T) {
 		// Every CLB sink reachable from every CLB source (full connectivity
 		// under any Fc >= 0.25 with the disjoint box at these sizes).
 		src := g.SourceAt(1, 1)
-		reach := make([]bool, len(g.Nodes))
+		reach := make([]bool, g.NumNodes())
 		reach[src] = true
 		queue := []int{src}
 		for len(queue) > 0 {
 			u := queue[0]
 			queue = queue[1:]
-			for _, e := range g.Nodes[u].Edges {
+			for _, e := range g.Edges(u) {
 				if !reach[e] {
 					reach[e] = true
-					queue = append(queue, e)
+					queue = append(queue, int(e))
 				}
 			}
 		}
@@ -341,5 +351,67 @@ func TestGraphInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(12))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// graphDigests pin the complete structure of graphs built for a spread of
+// architectures: every node attribute, and every node's out-edges in
+// order. The configurable-edge numbering (the bitstream format) and the
+// router's tie order both follow edge order, so a builder change must
+// reproduce these bytes exactly.
+var graphDigests = []struct {
+	name         string
+	edit         func(a *arch.Arch)
+	nodes, edges int
+	digest       string
+}{
+	{"paper-8x8-W16", func(a *arch.Arch) { a.Rows, a.Cols = 8, 8 }, 3712, 32896,
+		"416aced25cd619774d4f083ccc87e66ec6ec2a2a6237ac576a77e567ad61e8e1"},
+	{"W1", func(a *arch.Arch) { a.Routing.ChannelWidth = 1 }, 537, 1060,
+		"7bd51cfd05c038bd6e8a855620dcfc9e609090d8b6f0682fe96056b23658b43a"},
+	{"seg2", func(a *arch.Arch) { a.Routing.SegmentLength = 2 }, 968, 9276,
+		"c44d9a6a1f32dec70fb1d338420c2889b530f9481fe34cf1fe075bcaba205008"},
+	{"seg4-W6", func(a *arch.Arch) { a.Routing.SegmentLength, a.Routing.ChannelWidth = 4, 6 }, 608, 3468,
+		"66a7fe90159d7e9cc479d842632e190e75f6b5cb7c3b3941eab6b3b4562ddb71"},
+	{"tristate-seg3-fc", func(a *arch.Arch) {
+		a.Routing.Switch = arch.SwitchTriState
+		a.Routing.SegmentLength = 3
+		a.Routing.FcIn, a.Routing.FcOut = 0.5, 0.25
+	}, 865, 4970, "d8a93bd15b123d778c91dc0a575e57ffe25596a3b94a289ae9197efb3c0bc86a"},
+	{"N2-I8-IO1", func(a *arch.Arch) { a.CLB.N, a.CLB.I, a.IORate = 2, 8, 1 }, 1096, 7788,
+		"5fdc46402aa01ac3303cf2b6bc3b8e374ab18b01c25394b242e4d8783f91b695"},
+	{"1x1-W3", func(a *arch.Arch) { a.Rows, a.Cols, a.Routing.ChannelWidth = 1, 1, 3 }, 55, 156,
+		"0abf2c96455a5796afd49a1bda31f2f491584bbd664abd628b3e7f8bec6449d6"},
+	{"seg5-3x7", func(a *arch.Arch) { a.Rows, a.Cols, a.Routing.SegmentLength = 3, 7, 5 }, 835, 8967,
+		"78daa2976221472551b30a3c17a7968494359f3abc0f43ade2fddcb63bcbe3f4"},
+}
+
+func TestGraphDigests(t *testing.T) {
+	for _, c := range graphDigests {
+		t.Run(c.name, func(t *testing.T) {
+			a := arch.Paper()
+			a.Rows, a.Cols = 4, 5
+			c.edit(a)
+			g, err := Build(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			for id := 0; id < g.NumNodes(); id++ {
+				n := g.Node(id)
+				fmt.Fprintf(h, "%d %d %d %d %d %d %d %x %x:", n.Type, n.X, n.Y, n.Span, n.Track, n.Pin, n.Capacity,
+					math.Float64bits(n.R), math.Float64bits(n.C))
+				for _, e := range g.Edges(id) {
+					fmt.Fprintf(h, " %d", e)
+				}
+				fmt.Fprintln(h)
+			}
+			if g.NumNodes() != c.nodes || g.NumEdges() != c.edges {
+				t.Errorf("%d nodes, %d edges; pinned %d and %d", g.NumNodes(), g.NumEdges(), c.nodes, c.edges)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != c.digest {
+				t.Errorf("graph sha256 %s, pinned %s", got, c.digest)
+			}
+		})
 	}
 }

@@ -86,18 +86,14 @@ func ConnectionDelays(r *route.Result) [][]float64 {
 			delay := 0.0
 			var prevType rrgraph.NodeType
 			for idx, id := range path {
-				n := g.Nodes[id]
-				isWire := n.Type == rrgraph.ChanX || n.Type == rrgraph.ChanY
-				if idx > 0 {
-					wasWire := prevType == rrgraph.ChanX || prevType == rrgraph.ChanY
-					if isWire && wasWire {
-						rUp += swRon
-						delay += rUp * swCd // switch diffusion on the junction
-					}
+				t := g.Type[id]
+				if idx > 0 && t.IsWire() && prevType.IsWire() {
+					rUp += swRon
+					delay += rUp * swCd // switch diffusion on the junction
 				}
-				rUp += n.R
-				delay += rUp * n.C
-				prevType = n.Type
+				rUp += g.R[id]
+				delay += rUp * g.C[id]
+				prevType = t
 			}
 			out[ni][si] = delay
 		}

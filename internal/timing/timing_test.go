@@ -144,19 +144,19 @@ func TestLongerWirePathHasMoreDelay(t *testing.T) {
 	}
 	// Find a chain of three wires connected via switch boxes.
 	var w0, w1, w2 int = -1, -1, -1
-	for _, n := range g.Nodes {
-		if n.Type != rrgraph.ChanX {
+	for id, typ := range g.Type {
+		if typ != rrgraph.ChanX {
 			continue
 		}
-		for _, e := range n.Edges {
-			if g.Nodes[e].Type != rrgraph.ChanX && g.Nodes[e].Type != rrgraph.ChanY {
+		for _, e := range g.Edges(id) {
+			if !g.Type[e].IsWire() {
 				continue
 			}
-			for _, e2 := range g.Nodes[e].Edges {
-				if e2 == n.ID || (g.Nodes[e2].Type != rrgraph.ChanX && g.Nodes[e2].Type != rrgraph.ChanY) {
+			for _, e2 := range g.Edges(int(e)) {
+				if int(e2) == id || !g.Type[e2].IsWire() {
 					continue
 				}
-				w0, w1, w2 = n.ID, e, e2
+				w0, w1, w2 = id, int(e), int(e2)
 				break
 			}
 			if w0 >= 0 {
