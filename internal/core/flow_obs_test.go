@@ -196,8 +196,8 @@ func TestOneRRGraphPerWidth(t *testing.T) {
 		if c["rrgraph.cache_misses"] != int64(len(widths)) {
 			t.Errorf("rrgraph.cache_misses = %d for %d distinct widths routed", c["rrgraph.cache_misses"], len(widths))
 		}
-		if c["rrgraph.cache_hits"] != 0 {
-			t.Errorf("rrgraph.cache_hits = %d, want 0", c["rrgraph.cache_hits"])
+		if hits, ok := c["rrgraph.cache_hits"]; !ok || hits != 0 {
+			t.Errorf("rrgraph.cache_hits = %d (present %v), want 0 and present", hits, ok)
 		}
 		for w, n := range widths {
 			if n != 1 {

@@ -13,9 +13,8 @@ import (
 // routing parameters including channel width, and the technology constants
 // that set node R/C values). A graph is immutable, so Get hands every
 // caller the same instance: the hardened runner keeps one cache per run,
-// and a width routed again by a later attempt (re-seeded retry, or the
-// escalation re-trying the width that failed) reuses its graph instead of
-// rebuilding it. All methods are safe for concurrent use.
+// and a width routed again by a later attempt (a re-seeded retry) reuses
+// its graph instead of rebuilding it. All methods are safe for concurrent use.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
@@ -38,32 +37,42 @@ func NewCache() *Cache {
 }
 
 // Get returns the shared graph for the architecture, building and caching
-// it on first use; callers must not modify it. The hit/miss is counted
-// on tr as rrgraph.cache_hits / rrgraph.cache_misses (tr may be nil).
-// Safe on a nil cache: falls back to a plain Build (counted as a miss).
+// it on first use; callers must not modify it. Every call counts on tr
+// (which may be nil) both rrgraph.cache_hits and rrgraph.cache_misses, one
+// of them by 1 and the other by 0, so a compile's metrics carry both
+// counters whenever it asked the cache for a graph. Safe on a nil cache:
+// falls back to a plain Build (counted as a miss).
 func (c *Cache) Get(a *arch.Arch, tr *obs.Trace) (*Graph, error) {
+	g, hit, err := c.get(a)
+	h := int64(0)
+	if hit {
+		h = 1
+	}
+	tr.Add("rrgraph.cache_hits", h)
+	tr.Add("rrgraph.cache_misses", 1-h)
+	return g, err
+}
+
+func (c *Cache) get(a *arch.Arch) (g *Graph, hit bool, err error) {
 	if c == nil {
-		tr.Add("rrgraph.cache_misses", 1)
-		return Build(a)
+		g, err = Build(a)
+		return g, false, err
 	}
 	key := arch.Format(a)
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.tick++
 		e.used = c.tick
-		g := e.g
 		c.mu.Unlock()
-		tr.Add("rrgraph.cache_hits", 1)
-		return g, nil
+		return e.g, true, nil
 	}
 	c.mu.Unlock()
 
 	// Build outside the lock: graph construction is the expensive part and
 	// concurrent callers may want different architectures.
-	g, err := Build(a)
+	g, err = Build(a)
 	if err != nil {
-		tr.Add("rrgraph.cache_misses", 1)
-		return nil, err
+		return nil, false, err
 	}
 	c.mu.Lock()
 	if _, ok := c.entries[key]; !ok {
@@ -72,8 +81,7 @@ func (c *Cache) Get(a *arch.Arch, tr *obs.Trace) (*Graph, error) {
 		c.entries[key] = &cacheEntry{g: g, used: c.tick}
 	}
 	c.mu.Unlock()
-	tr.Add("rrgraph.cache_misses", 1)
-	return g, nil
+	return g, false, nil
 }
 
 // evictLocked removes the least recently used entry once the cache is at

@@ -21,6 +21,11 @@ func TestCacheHitsAndIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A miss registers the hit counter too, at 0: a metrics reader can
+	// tell "no hits" from "no cache lookups".
+	if hits, ok := tr.Counters()["rrgraph.cache_hits"]; !ok || hits != 0 {
+		t.Fatalf("after one miss rrgraph.cache_hits = %d (present %v), want 0 and present", hits, ok)
+	}
 	g2, err := cache.Get(testArch(4), tr)
 	if err != nil {
 		t.Fatal(err)
