@@ -274,6 +274,7 @@ func BenchmarkAnneal(b *testing.B) {
 // the rand64 fabric — the cost the RR-graph cache exists to avoid.
 func BenchmarkRRGraphBuild(b *testing.B) {
 	p, _ := placedRand64(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g, err := rrgraph.Build(p.Arch)
 		if err != nil {
