@@ -60,7 +60,7 @@ const escalatedDigest = "3b77cba200ac611c08cdaf4566f853c143921d77f9add6aeaa6a9ef
 // width it routes): the search's pop sequence is locked, not just the
 // bitstream it leads to.
 const (
-	escalatedHeapPops   = 3117898
+	escalatedHeapPops   = 919717
 	escalatedIterations = 94
 )
 

@@ -244,6 +244,9 @@ func newHeur(g *rrgraph.Graph, delayDriven bool, delayNorm float64, enabled bool
 // counts add. A node that is not the target still needs an IPin and the
 // sink itself (connection boxes only reach sinks through input pins),
 // which is the pinTail term.
+//
+// search drops dead ends before bounding them (see search), so bound sees
+// an IPin only on the target's tile and a Sink only as the target itself.
 func (h *heur) bound(id, target, tx, ty int) float64 {
 	if id == target {
 		return 0
@@ -266,11 +269,10 @@ func (h *heur) bound(id, target, tx, ty int) float64 {
 		dy = axisDist(y, y+int(h.span[id])-1, ty)
 		dx = minInt(absInt(x-tx), absInt(x+1-tx))
 	case rrgraph.IPin:
-		// An input pin's only successor is its own sink.
+		// An input pin's only successor is its own sink, and search bounds
+		// only the pins on the target's tile, whose sink is the target.
 		return h.sinkCost
-	case rrgraph.Sink:
-		return 0
-	default: // OPin, Source
+	default: // OPin, Source; search bounds no Sink but the target
 		if t == rrgraph.Source {
 			// A source still has to traverse an output pin.
 			srcTail = h.opinCost
@@ -334,6 +336,14 @@ func minInt(a, b int) int {
 // node whenever a cheaper g is found, so this holds even for bounds that
 // are admissible but not consistent.)
 //
+// Dead ends are never pushed, at either push site. The graph gives every
+// tile one sink, and an input pin's only out-edge goes to its own tile's
+// sink, so an input pin off the target's tile and any sink but the target
+// lie on no path to the target. Skipping them before their cost is
+// evaluated is the same as giving them an infinite bound, which is still
+// admissible, so the first pop of the target stays optimal. The test reads
+// only the node's type and tile, and applies in Dijkstra mode too.
+//
 // The tree seeds are expanded eagerly, in treeList order, instead of
 // going through the heap: every seed has cost 0, so this is exactly what
 // the pop loop would do — except that when two seeds reach a neighbor at
@@ -348,7 +358,9 @@ func (sc *scratch) search(g *rrgraph.Graph, ov *fault.Overlay, target, source in
 	q := &sc.q
 	astar := h.enabled
 	edgeStart, edgeTo := g.EdgeStart, g.EdgeTo
-	tx, ty := int(g.X[target]), int(g.Y[target])
+	typ, xs, ys := g.Type, g.X, g.Y
+	tx32, ty32 := xs[target], ys[target]
+	tx, ty := int(tx32), int(ty32)
 	for _, n := range sc.treeList {
 		if sourceLocked && n == source {
 			continue
@@ -366,6 +378,9 @@ func (sc *scratch) search(g *rrgraph.Graph, ov *fault.Overlay, target, source in
 		}
 		for k := edgeStart[n]; k < edgeStart[n+1]; k++ {
 			e := int(edgeTo[k])
+			if typ[e] == rrgraph.IPin && (xs[e] != tx32 || ys[e] != ty32) || typ[e] == rrgraph.Sink && e != target {
+				continue // dead end: it cannot reach the target
+			}
 			if ov.Blocked(int(k), e) || sc.seen(e) {
 				continue
 			}
@@ -393,6 +408,9 @@ func (sc *scratch) search(g *rrgraph.Graph, ov *fault.Overlay, target, source in
 		}
 		for k := edgeStart[id]; k < edgeStart[id+1]; k++ {
 			e := int(edgeTo[k])
+			if typ[e] == rrgraph.IPin && (xs[e] != tx32 || ys[e] != ty32) || typ[e] == rrgraph.Sink && e != target {
+				continue // dead end: it cannot reach the target
+			}
 			if ov.Blocked(int(k), e) {
 				continue // defective resource: route around it
 			}

@@ -386,16 +386,24 @@ var graphDigests = []struct {
 		"78daa2976221472551b30a3c17a7968494359f3abc0f43ade2fddcb63bcbe3f4"},
 }
 
+// digestGraph builds the graph of one graphDigests architecture: the
+// paper architecture on a 4x5 grid, then the row's edit.
+func digestGraph(t *testing.T, edit func(a *arch.Arch)) *Graph {
+	t.Helper()
+	a := arch.Paper()
+	a.Rows, a.Cols = 4, 5
+	edit(a)
+	g, err := Build(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestGraphDigests(t *testing.T) {
 	for _, c := range graphDigests {
 		t.Run(c.name, func(t *testing.T) {
-			a := arch.Paper()
-			a.Rows, a.Cols = 4, 5
-			c.edit(a)
-			g, err := Build(a)
-			if err != nil {
-				t.Fatal(err)
-			}
+			g := digestGraph(t, c.edit)
 			h := sha256.New()
 			for id := 0; id < g.NumNodes(); id++ {
 				n := g.Node(id)
@@ -411,6 +419,47 @@ func TestGraphDigests(t *testing.T) {
 			}
 			if got := hex.EncodeToString(h.Sum(nil)); got != c.digest {
 				t.Errorf("graph sha256 %s, pinned %s", got, c.digest)
+			}
+		})
+	}
+}
+
+// TestOneSinkPerTile checks the graph shape the router's dead-end prune
+// rests on, over the architectures of TestGraphDigests: every CLB and IO
+// tile has exactly one sink, every input pin's one out-edge goes to its
+// own tile's sink, and sinks have no out-edges. The router skips an input
+// pin off the target's tile and every sink but the target, so a builder
+// that gave a block several sink classes must fail here first.
+func TestOneSinkPerTile(t *testing.T) {
+	for _, c := range graphDigests {
+		t.Run(c.name, func(t *testing.T) {
+			g := digestGraph(t, c.edit)
+			sinks := make(map[[2]int32]int)
+			for id, typ := range g.Type {
+				x, y := g.X[id], g.Y[id]
+				switch typ {
+				case IPin:
+					out := g.Edges(id)
+					if want := g.SinkAt(int(x), int(y)); len(out) != 1 || int(out[0]) != want {
+						t.Errorf("ipin %d at (%d,%d): out-edges %v, want only sink %d", id, x, y, out, want)
+					}
+				case Sink:
+					sinks[[2]int32{x, y}]++
+					if n := len(g.Edges(id)); n != 0 {
+						t.Errorf("sink %d at (%d,%d) has %d out-edges", id, x, y, n)
+					}
+				}
+			}
+			for x := 0; x < g.GridWidth(); x++ {
+				for y := 0; y < g.GridHeight(); y++ {
+					want := 0
+					if k := g.Kind(x, y); k == SiteCLB || k == SiteIO {
+						want = 1
+					}
+					if n := sinks[[2]int32{int32(x), int32(y)}]; n != want {
+						t.Errorf("tile (%d,%d) of site kind %d has %d sinks, want %d", x, y, g.Kind(x, y), n, want)
+					}
+				}
 			}
 		})
 	}
