@@ -3,9 +3,10 @@
 // observability layer enabled, emits a machine-readable report (one obs
 // summary per design), and compares the tier-1 QoR metrics — LUTs, CLBs,
 // minimum channel width, bitstream bits, routed wirelength, routed-net
-// count, PathFinder heap pops (routing-effort proxy) and FlowMap
-// augmenting paths (LUT-mapping effort) — against a
-// committed baseline, failing (exit 1) on drift beyond the tolerance.
+// count, PathFinder heap pops (routing-effort proxy), FlowMap augmenting
+// paths (LUT-mapping effort) and Quine–McCluskey combines (SIS effort) —
+// against a committed baseline, failing (exit 1) on drift beyond the
+// tolerance.
 //
 // Usage:
 //
@@ -47,12 +48,17 @@ type DesignReport struct {
 	// LUT-mapping effort. It does not depend on search order, so it is
 	// gated at the structural tolerance.
 	TechmapAugmentations int64 `json:"techmap_augmentations"`
+	// LogicQMCombines is SIS's Quine–McCluskey combine count, the exact
+	// minimization effort, gated at the structural tolerance.
+	LogicQMCombines int64 `json:"logic_qm_combines"`
 	// Timing/power QoR: post-route critical path (picoseconds) and energy
 	// per clock cycle (femtojoules), gated by -delay-tol and -energy-tol.
 	// Integer units keep the JSON byte-stable run to run.
-	CriticalPathPS int64   `json:"critical_path_ps"`
-	EnergyFJ       int64   `json:"energy_fj"`
-	WallMS         float64 `json:"wall_ms"`
+	CriticalPathPS int64 `json:"critical_path_ps"`
+	EnergyFJ       int64 `json:"energy_fj"`
+	// WallMS is the run's host-dependent wall time. It is reported but
+	// never gated, and -update leaves it out of the baseline.
+	WallMS float64 `json:"wall_ms,omitempty"`
 	// Metrics is the full obs summary for the run (informational; not
 	// compared by the gate).
 	Metrics *obs.Summary `json:"metrics,omitempty"`
@@ -88,6 +94,9 @@ func main() {
 		fatal(err)
 	}
 	if *update != "" {
+		for i := range rep.Designs {
+			rep.Designs[i].WallMS = 0
+		}
 		if err := writeJSON(*update, rep); err != nil {
 			fatal(err)
 		}
@@ -165,6 +174,7 @@ func run(seed int64, embedSummaries bool) (*Report, error) {
 			RoutedNets:           counters["flow.nets"],
 			RouteHeapPops:        counters["route.heap_pops"],
 			TechmapAugmentations: counters["techmap.augmentations"],
+			LogicQMCombines:      counters["logic.qm_combines"],
 			CriticalPathPS:       int64(math.Round(gauges["timing.critical_path_ns"] * 1e3)),
 			EnergyFJ:             int64(math.Round(gauges["power.energy_pj"] * 1e3)),
 			WallMS:               float64(time.Since(start).Microseconds()) / 1000,
@@ -210,6 +220,7 @@ func compare(base, cur *Report, bd bands) error {
 		check("routed_nets", b.RoutedNets, d.RoutedNets, bd.tol)
 		check("route_heap_pops", b.RouteHeapPops, d.RouteHeapPops, bd.pops)
 		check("techmap_augmentations", b.TechmapAugmentations, d.TechmapAugmentations, bd.tol)
+		check("logic_qm_combines", b.LogicQMCombines, d.LogicQMCombines, bd.tol)
 		check("critical_path_ps", b.CriticalPathPS, d.CriticalPathPS, bd.delay)
 		check("energy_fj", b.EnergyFJ, d.EnergyFJ, bd.energy)
 	}
@@ -238,12 +249,12 @@ func markdown(base, cur *Report, bd bands, baselinePath string) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "### benchgate: tier-1 QoR vs `%s` (tol %.0f%%, heap-pop tol %.0f%%, delay tol %.0f%%, energy tol %.0f%%)\n\n",
 		baselinePath, bd.tol*100, bd.pops*100, bd.delay*100, bd.energy*100)
-	sb.WriteString("| design | LUTs | CLBs | W | bits | wirelength | nets | heap pops | augmentations | crit ps | energy fJ | wall ms | status |\n")
-	sb.WriteString("|---|---|---|---|---|---|---|---|---|---|---|---|---|\n")
+	sb.WriteString("| design | LUTs | CLBs | W | bits | wirelength | nets | heap pops | augmentations | QM combines | crit ps | energy fJ | wall ms | status |\n")
+	sb.WriteString("|---|---|---|---|---|---|---|---|---|---|---|---|---|---|\n")
 	for _, d := range cur.Designs {
 		b, ok := baseBy[d.Name]
 		if !ok {
-			fmt.Fprintf(&sb, "| %s | – | – | – | – | – | – | – | – | – | – | %.1f | ❌ missing from baseline |\n",
+			fmt.Fprintf(&sb, "| %s | – | – | – | – | – | – | – | – | – | – | – | %.1f | ❌ missing from baseline |\n",
 				d.Name, d.WallMS)
 			continue
 		}
@@ -261,7 +272,7 @@ func markdown(base, cur *Report, bd bands, baselinePath string) string {
 			}
 			return s
 		}
-		row := fmt.Sprintf("| %s | %s | %s | %s | %s | %s | %s | %s | %s | %s | %s | %.1f |",
+		row := fmt.Sprintf("| %s | %s | %s | %s | %s | %s | %s | %s | %s | %s | %s | %s | %.1f |",
 			d.Name,
 			cell(b.LUTs, d.LUTs, bd.tol),
 			cell(b.CLBs, d.CLBs, bd.tol),
@@ -271,6 +282,7 @@ func markdown(base, cur *Report, bd bands, baselinePath string) string {
 			cell(b.RoutedNets, d.RoutedNets, bd.tol),
 			cell(b.RouteHeapPops, d.RouteHeapPops, bd.pops),
 			cell(b.TechmapAugmentations, d.TechmapAugmentations, bd.tol),
+			cell(b.LogicQMCombines, d.LogicQMCombines, bd.tol),
 			cell(b.CriticalPathPS, d.CriticalPathPS, bd.delay),
 			cell(b.EnergyFJ, d.EnergyFJ, bd.energy),
 			d.WallMS)
@@ -282,7 +294,7 @@ func markdown(base, cur *Report, bd bands, baselinePath string) string {
 		sb.WriteString(row + "\n")
 	}
 	for name := range baseBy {
-		fmt.Fprintf(&sb, "| %s | – | – | – | – | – | – | – | – | – | – | – | ❌ in baseline but not run |\n", name)
+		fmt.Fprintf(&sb, "| %s | – | – | – | – | – | – | – | – | – | – | – | – | ❌ in baseline but not run |\n", name)
 	}
 	sb.WriteString("\n")
 	return sb.String()

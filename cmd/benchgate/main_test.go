@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -68,5 +69,37 @@ func TestCompareGatesTechmapAugmentations(t *testing.T) {
 	}
 	if md := markdown(base, cur, bd, "bench_baseline.json"); !strings.Contains(md, "1000 → 1100 ⚠️") {
 		t.Fatalf("markdown does not flag the augmentation drift:\n%s", md)
+	}
+}
+
+func TestCompareGatesQMCombines(t *testing.T) {
+	bd := bands{tol: 0.05, pops: 0.20, delay: 0.05, energy: 0.05}
+	base, cur := gateReports()
+	base.Designs[0].LogicQMCombines = 4000
+	cur.Designs[0].LogicQMCombines = 4400
+	err := compare(base, cur, bd)
+	if err == nil || !strings.Contains(err.Error(), "logic_qm_combines") {
+		t.Fatalf("SIS effort drift not gated: %v", err)
+	}
+	if md := markdown(base, cur, bd, "bench_baseline.json"); !strings.Contains(md, "4000 → 4400 ⚠️") {
+		t.Fatalf("markdown does not flag the combine drift:\n%s", md)
+	}
+}
+
+// TestBaselineOmitsWallTime checks a baseline record with its wall time
+// zeroed (as -update writes it) carries no wall_ms field, while a report
+// of a timed run still does.
+func TestBaselineOmitsWallTime(t *testing.T) {
+	base, _ := gateReports()
+	b, err := json.Marshal(base.Designs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(b), "wall_ms") {
+		t.Fatalf("zero wall time written: %s", b)
+	}
+	base.Designs[0].WallMS = 12.5
+	if b, _ = json.Marshal(base.Designs[0]); !strings.Contains(string(b), `"wall_ms":12.5`) {
+		t.Fatalf("run wall time dropped: %s", b)
 	}
 }

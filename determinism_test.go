@@ -129,10 +129,10 @@ func TestPlaceWorkersDeterminismMinDelay(t *testing.T) {
 
 // sisEffort returns a run's deterministic SIS effort counters: logic
 // optimization's QM work and LUT mapping's cut tests and augmenting paths.
-func sisEffort(tr *obs.Trace) [4]int64 {
+func sisEffort(tr *obs.Trace) [5]int64 {
 	c := tr.Counters()
-	return [4]int64{c["logic.qm_minimizations"], c["logic.qm_combines"],
-		c["techmap.cut_tests"], c["techmap.augmentations"]}
+	return [5]int64{c["logic.qm_minimizations"], c["logic.qm_combines"],
+		c["techmap.cut_tests"], c["techmap.augmentations"], c["logic.qm_selected_primes"]}
 }
 
 // TestPlacementDeterminismAcrossWorkers sweeps the placement worker knob
@@ -144,7 +144,7 @@ func TestPlacementDeterminismAcrossWorkers(t *testing.T) {
 	for name, src := range goldenExamples(t) {
 		t.Run(name, func(t *testing.T) {
 			var refLoc, refBits []byte
-			var refEffort [4]int64
+			var refEffort [5]int64
 			for _, workers := range []int{1, 2, 4, 8} {
 				tr := obs.New(name)
 				res, err := Run(src, Options{Seed: 1, SkipVerify: true, RouteWorkers: 1, PlaceSeeds: 2, PlaceWorkers: workers, Obs: tr})
@@ -156,7 +156,7 @@ func TestPlacementDeterminismAcrossWorkers(t *testing.T) {
 					t.Fatal(err)
 				}
 				effort := sisEffort(tr)
-				if effort[0] == 0 || effort[2] == 0 || effort[3] == 0 {
+				if effort[0] == 0 || effort[2] == 0 || effort[3] == 0 || effort[4] == 0 {
 					t.Fatalf("place workers=%d: effort counters missing: %v", workers, effort)
 				}
 				if refLoc == nil {
@@ -164,7 +164,7 @@ func TestPlacementDeterminismAcrossWorkers(t *testing.T) {
 					continue
 				}
 				if effort != refEffort {
-					t.Errorf("place workers=%d: effort (minimizations, combines, cut tests, augmentations) %v, workers=1 run %v",
+					t.Errorf("place workers=%d: effort (minimizations, combines, cut tests, augmentations, selected primes) %v, workers=1 run %v",
 						workers, effort, refEffort)
 				}
 				if !bytes.Equal(loc, refLoc) {

@@ -217,7 +217,13 @@ func Extract(bs *Bitstream) (*netlist.Netlist, error) {
 			}
 			fanin = append(fanin, src)
 		}
-		cover := logic.MinimizeTruthTable(pd.cfg.LUT, k)
+		lut := make([]uint64, netlist.TableWords(k))
+		for r, on := range pd.cfg.LUT {
+			if on {
+				lut[r>>6] |= 1 << uint(r&63)
+			}
+		}
+		cover := logic.MinimizeTruthTable(lut, k)
 		// Unused LUT inputs have all-don't-care columns; their input-mux
 		// selects are meaningless configuration leftovers and may point
 		// anywhere (even at signals that depend on this BLE). Drop them so

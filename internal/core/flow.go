@@ -444,6 +444,7 @@ func (f *flow) sis(context.Context) (string, error) {
 	}
 	f.tr.Add("logic.qm_minimizations", effort.Minimizations)
 	f.tr.Add("logic.qm_combines", effort.Combines)
+	f.tr.Add("logic.qm_selected_primes", effort.Selected)
 	if err := logic.Decompose(nl); err != nil {
 		return "", err
 	}

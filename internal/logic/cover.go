@@ -8,6 +8,7 @@ package logic
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"fpgaflow/internal/netlist"
@@ -17,13 +18,12 @@ import (
 // cheap cube-merging pass instead.
 const qmLimit = 10
 
+// qmWords is the number of 64-row words in a qmLimit-input truth table.
+const qmWords = 1 << (qmLimit - 6)
+
 // implicant is a cube in (value, mask) form: mask bit 1 = don't care.
 type implicant struct {
 	value, mask uint32
-}
-
-func (im implicant) covers(minterm uint32) bool {
-	return (minterm &^ im.mask) == im.value
 }
 
 // Effort counts the exact-minimization work of one Optimize call: the
@@ -31,28 +31,46 @@ func (im implicant) covers(minterm uint32) bool {
 type Effort struct {
 	// Minimizations is the number of truth tables minimized exactly.
 	Minimizations int64
-	// Combines is the number of distance-1 merges made by the
-	// Quine–McCluskey combining step.
+	// Combines is the number of implicant–parent pairs, the distance-1
+	// merges of the Quine–McCluskey combining step: an implicant with p
+	// don't-care variables has p parents one variable narrower.
 	Combines int64
+	// Selected is the number of prime implicants chosen for covers.
+	Selected int64
 }
 
 // qmScratch holds the dense Quine–McCluskey engine's buffers and effort
 // counters. One lives for one Optimize (or MinimizeTruthTable) call and is
 // never shared, so concurrent flows never touch each other's state.
+//
+// Truth tables are netlist.TableWords(k) words, row r at bit r&63 of word
+// r>>6. A table of fewer than 64 rows uses the low bits of one word.
 type qmScratch struct {
-	// seen is a presence bitset over cubes, indexed by mask<<k | value
-	// (4^k bits). It holds a level and the level it combines into at once:
-	// their masks differ in popcount, so their indices never collide.
-	seen      []uint64
-	cur, next []implicant
-	primes    []implicant
-	minterms  []uint32
-	effort    Effort
+	cols   []uint64   // input i's column at cols[i*qmWords:], filled once
+	in     [][]uint64 // a cover's input columns
+	tt, gv []uint64   // a cover's table and a collapsed node's column
+	// impl holds one table per mask M, at impl[M*nw:]: bit v is set when
+	// the cube (v, M) is an implicant (v has no bit of M set). count[M]
+	// is its population; 0 marks an empty mask, whose words are stale.
+	impl  []uint64
+	count []int
+	// cov holds one table per prime, at cov[i*nw:]: the minterms it
+	// covers. work holds the three tables of the selection.
+	cov, work      []uint64
+	primes, chosen []implicant
+	effort         Effort
 }
 
-func (s *qmScratch) has(i uint32) bool { return s.seen[i>>6]&(1<<(i&63)) != 0 }
-func (s *qmScratch) set(i uint32)      { s.seen[i>>6] |= 1 << (i & 63) }
-func (s *qmScratch) clear(i uint32)    { s.seen[i>>6] &^= 1 << (i & 63) }
+// column returns input i's column as a table of nw words.
+func (s *qmScratch) column(i, nw int) []uint64 {
+	if s.cols == nil {
+		s.cols = make([]uint64, qmLimit*qmWords)
+		for j := range s.cols {
+			s.cols[j] = netlist.ColumnWord(j/qmWords, j%qmWords)
+		}
+	}
+	return s.cols[i*qmWords:][:nw]
+}
 
 // minimizeCover returns a minimal (exact primes, greedy selection) on-set
 // cover equivalent to the input cover over k variables. Functions wider
@@ -62,168 +80,226 @@ func (s *qmScratch) minimizeCover(c netlist.Cover, k int) netlist.Cover {
 	if k > qmLimit {
 		return reduceWide(c, k)
 	}
-	return s.minimize(truthTableOfCover(c, k), k)
+	return s.minimize(s.truthTableOfCover(c, k), k)
+}
+
+// truthTableOfCover evaluates the cover over k <= qmLimit inputs into a
+// table valid until the next call.
+func (s *qmScratch) truthTableOfCover(c netlist.Cover, k int) []uint64 {
+	nw := netlist.TableWords(k)
+	s.in = s.in[:0]
+	for i := 0; i < k; i++ {
+		s.in = append(s.in, s.column(i, nw))
+	}
+	s.tt = grow(s.tt, nw)
+	netlist.EvalCoverWords(c, s.in, s.tt)
+	return s.tt
 }
 
 // MinimizeTruthTable builds a minimal on-set cover for the function given as
-// a truth table over k variables (k <= qmLimit).
-func MinimizeTruthTable(tt []bool, k int) netlist.Cover {
+// a truth table over k variables (k <= qmLimit): netlist.TableWords(k)
+// words, row r at bit r&63 of word r>>6. Bits past row 2^k are ignored.
+func MinimizeTruthTable(tt []uint64, k int) netlist.Cover {
 	return new(qmScratch).minimize(tt, k)
 }
 
-func (s *qmScratch) minimize(tt []bool, k int) netlist.Cover {
+// grow returns buf resized to n words, reallocating only when it is too
+// small. The words' contents are unspecified.
+func grow(buf []uint64, n int) []uint64 {
+	if cap(buf) < n {
+		return make([]uint64, n)
+	}
+	return buf[:n]
+}
+
+// popcount returns the number of set bits in a table.
+func popcount(t []uint64) int {
+	n := 0
+	for _, x := range t {
+		n += bits.OnesCount64(x)
+	}
+	return n
+}
+
+// load copies the k-input function tt into impl's mask-0 table, clearing
+// the bits past row 2^k, and returns its minterm count.
+func (s *qmScratch) load(tt []uint64, k int) int {
+	nw := netlist.TableWords(k)
+	s.impl = grow(s.impl, nw<<uint(k))
+	copy(s.impl[:nw], tt)
+	if k < 6 {
+		s.impl[0] &= 1<<(1<<uint(k)) - 1
+	}
+	return popcount(s.impl[:nw])
+}
+
+func (s *qmScratch) minimize(tt []uint64, k int) netlist.Cover {
 	s.effort.Minimizations++
 	out := netlist.Cover{Value: netlist.LitOne}
-	minterms := s.minterms[:0]
-	for m, b := range tt {
-		if b {
-			minterms = append(minterms, uint32(m))
-		}
-	}
-	s.minterms = minterms
-	if len(minterms) == 0 {
+	switch n := s.load(tt, k); {
+	case n == 0:
 		return out // constant 0: empty on-set
-	}
-	if len(minterms) == 1<<uint(k) {
-		out.Cubes = []netlist.Cube{make(netlist.Cube, k)}
-		for i := range out.Cubes[0] {
-			out.Cubes[0][i] = netlist.LitDC
-		}
-		if k == 0 {
-			out.Cubes = []netlist.Cube{{}}
-		}
+	case n == 1<<uint(k):
+		out.Cubes = []netlist.Cube{implicantToCube(implicant{0, 1<<uint(k) - 1}, k)}
 		return out
 	}
-	primes := s.primeImplicants(minterms, k)
-	chosen := selectCover(primes, minterms)
-	for _, im := range chosen {
+	for _, im := range s.selectCover(s.primeImplicants(tt, k), k) {
 		out.Cubes = append(out.Cubes, implicantToCube(im, k))
 	}
 	sortCubes(out.Cubes)
 	return out
 }
 
-// primeImplicants runs the Quine–McCluskey combining step over distinct
-// minterms and returns every prime implicant (in no particular order; the
-// returned slice is reused by the next call). Each level's cubes sit in a
-// flat list and in the presence bitset, so a cube finds its distance-1
-// partner across each free variable with one lookup: a level costs
-// O(n·k) instead of a pairwise O(n²) scan.
-func (s *qmScratch) primeImplicants(minterms []uint32, k int) []implicant {
-	if words := (1<<uint(2*k) + 63) / 64; len(s.seen) < words {
-		s.seen = make([]uint64, words)
+// primeImplicants returns every prime implicant of the k-input function
+// tt, ordered by mask descending and then value ascending (the order
+// selectCover breaks ties in); the slice is reused by the next call.
+//
+// A cube (v, M) is an implicant when (v, M\b) and (v|b, M\b) both are,
+// so impl[M] = impl[M\b] & (impl[M\b] shifted down by row 2^b). An
+// implicant is prime when no wider implicant contains it: prime[M] is
+// impl[M] less each impl[M∪b] (b not in M) and its copy shifted up by
+// row 2^b.
+func (s *qmScratch) primeImplicants(tt []uint64, k int) []implicant {
+	nw, masks := netlist.TableWords(k), 1<<uint(k)
+	if len(s.count) < masks {
+		s.count = make([]int, masks)
 	}
-	full := uint32(1)<<uint(k) - 1
-	cur, next, primes := s.cur[:0], s.next[:0], s.primes[:0]
-	for _, m := range minterms {
-		cur = append(cur, implicant{m, 0})
-		s.set(m)
-	}
-	for len(cur) > 0 {
-		next = next[:0]
-		//fpga:hotloop
-		for _, im := range cur {
-			combined := false
-			for free := full &^ im.mask; free != 0; free &= free - 1 {
-				bit := free & -free
-				if !s.has(im.mask<<uint(k) | (im.value ^ bit)) {
-					continue
+	s.count[0] = s.load(tt, k)
+	//fpga:hotloop
+	for m := 1; m < masks; m++ {
+		// An implicant's parents are all implicants, so one empty parent
+		// empties the mask.
+		n, rest := 0, m
+		for rest != 0 && s.count[m&^(rest&-rest)] != 0 {
+			rest &= rest - 1
+		}
+		if rest == 0 {
+			b := bits.TrailingZeros(uint(m))
+			src, dst := s.impl[(m&^(1<<uint(b)))*nw:][:nw], s.impl[m*nw:][:nw]
+			if b < 6 {
+				sh, low := uint(1)<<uint(b), ^netlist.ColumnWord(b, 0)
+				for w, x := range src {
+					dst[w] = x & (x >> sh) & low
+					n += bits.OnesCount64(dst[w])
 				}
-				combined = true
-				if im.value&bit != 0 {
-					continue // the pair is merged from its lower cube
-				}
-				s.effort.Combines++
-				merged := implicant{im.value, im.mask | bit}
-				if idx := merged.mask<<uint(k) | merged.value; !s.has(idx) {
-					s.set(idx)
-					next = append(next, merged)
+			} else {
+				st := 1 << uint(b-6)
+				for w, x := range src {
+					dst[w] = 0
+					if w&st == 0 {
+						dst[w] = x & src[w|st]
+						n += bits.OnesCount64(dst[w])
+					}
 				}
 			}
-			if !combined {
-				primes = append(primes, im)
+		}
+		s.count[m] = n
+		s.effort.Combines += int64(bits.OnesCount(uint(m)) * n)
+	}
+	acc := grow(s.work, nw)
+	primes := s.primes[:0]
+	//fpga:hotloop
+	for m := masks - 1; m >= 0; m-- {
+		if s.count[m] == 0 {
+			continue
+		}
+		copy(acc, s.impl[m*nw:][:nw])
+		for free := (masks - 1) &^ m; free != 0; free &= free - 1 {
+			b := bits.TrailingZeros(uint(free))
+			if up := m | 1<<uint(b); s.count[up] != 0 {
+				wide := s.impl[up*nw:][:nw]
+				if b < 6 {
+					sh := uint(1) << uint(b)
+					for w, x := range wide {
+						acc[w] &^= x | x<<sh
+					}
+				} else {
+					st := 1 << uint(b-6)
+					for w := range acc {
+						acc[w] &^= wide[w&^st]
+					}
+				}
 			}
 		}
-		// Clear this level's bits by walking its cubes rather than
-		// re-zeroing all 4^k bits.
-		for _, im := range cur {
-			s.clear(im.mask<<uint(k) | im.value)
+		for w, x := range acc {
+			for ; x != 0; x &= x - 1 {
+				primes = append(primes, implicant{uint32(w<<6 | bits.TrailingZeros64(x)), uint32(m)})
+			}
 		}
-		cur, next = next, cur
 	}
-	s.cur, s.next, s.primes = cur, next, primes
+	s.work, s.primes = acc, primes
 	return primes
 }
 
-// selectCover picks essential primes then greedily covers the rest.
-func selectCover(primes []implicant, minterms []uint32) []implicant {
-	sort.Slice(primes, func(i, j int) bool {
-		if primes[i].mask != primes[j].mask {
-			return primes[i].mask > primes[j].mask // wider cubes first
-		}
-		return primes[i].value < primes[j].value
-	})
-	coveredBy := make(map[uint32][]int, len(minterms))
-	for _, m := range minterms {
-		for pi, p := range primes {
-			if p.covers(m) {
-				coveredBy[m] = append(coveredBy[m], pi)
-			}
-		}
-	}
-	selected := make(map[int]bool)
-	covered := make(map[uint32]bool, len(minterms))
-	// Essential primes.
-	for _, m := range minterms {
-		if len(coveredBy[m]) == 1 {
-			selected[coveredBy[m][0]] = true
-		}
-	}
-	for pi := range selected {
-		for _, m := range minterms {
-			if primes[pi].covers(m) {
-				covered[m] = true
-			}
-		}
-	}
-	// Greedy set cover for the remainder.
-	for len(covered) < len(minterms) {
-		best, bestGain := -1, 0
-		for pi, p := range primes {
-			if selected[pi] {
-				continue
-			}
-			gain := 0
-			for _, m := range minterms {
-				if !covered[m] && p.covers(m) {
-					gain++
+// selectCover picks the essential primes, then greedily the prime that
+// covers the most uncovered minterms, the first such in primes' order.
+// primes is primeImplicants' result, whose minterm count it reads; the
+// returned slice is reused by the next call.
+func (s *qmScratch) selectCover(primes []implicant, k int) []implicant {
+	nw := netlist.TableWords(k)
+	s.cov, s.work = grow(s.cov, len(primes)*nw), grow(s.work, 3*nw)
+	clear(s.work)
+	once, twice, covered := s.work[:nw], s.work[nw:2*nw], s.work[2*nw:]
+	for i, p := range primes {
+		c := s.cov[i*nw:][:nw]
+		clear(c)
+		c[p.value>>6] = 1 << (p.value & 63)
+		for m := p.mask; m != 0; m &= m - 1 { // copy each row v to v|b
+			if b := bits.TrailingZeros32(m); b < 6 {
+				for w, x := range c {
+					c[w] |= x << (1 << uint(b))
+				}
+			} else {
+				for w := range c {
+					c[w] |= c[w&^(1<<uint(b-6))]
 				}
 			}
+		}
+		for w, x := range c {
+			twice[w] |= once[w] & x
+			once[w] |= x
+		}
+	}
+	// Essential primes: those covering a minterm no other prime covers.
+	chosen := s.chosen[:0]
+	for i, p := range primes {
+		c := s.cov[i*nw:][:nw]
+		for w, x := range c {
+			if x&once[w]&^twice[w] != 0 {
+				chosen = append(chosen, p)
+				for w, x := range c {
+					covered[w] |= x
+				}
+				break
+			}
+		}
+	}
+	// Greedy set cover for the remainder. A chosen prime gains nothing,
+	// so it is never picked twice.
+	for left := s.count[0] - popcount(covered); left > 0; {
+		best, bestGain := -1, 0
+		//fpga:hotloop
+		for i := range primes {
+			gain := 0
+			for w, x := range s.cov[i*nw:][:nw] {
+				gain += bits.OnesCount64(x &^ covered[w])
+			}
 			if gain > bestGain {
-				best, bestGain = pi, gain
+				best, bestGain = i, gain
 			}
 		}
 		if best < 0 {
 			break // unreachable: primes cover all minterms by construction
 		}
-		selected[best] = true
-		for _, m := range minterms {
-			if primes[best].covers(m) {
-				covered[m] = true
-			}
+		chosen = append(chosen, primes[best])
+		for w, x := range s.cov[best*nw:][:nw] {
+			covered[w] |= x
 		}
+		left -= bestGain
 	}
-	out := make([]implicant, 0, len(selected))
-	for pi := range selected {
-		out = append(out, primes[pi])
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].value != out[j].value {
-			return out[i].value < out[j].value
-		}
-		return out[i].mask < out[j].mask
-	})
-	return out
+	s.chosen = chosen
+	s.effort.Selected += int64(len(chosen))
+	return chosen
 }
 
 func implicantToCube(im implicant, k int) netlist.Cube {
@@ -240,19 +316,6 @@ func implicantToCube(im implicant, k int) netlist.Cube {
 		}
 	}
 	return cube
-}
-
-func truthTableOfCover(c netlist.Cover, k int) []bool {
-	rows := 1 << uint(k)
-	tt := make([]bool, rows)
-	in := make([]bool, k)
-	for m := 0; m < rows; m++ {
-		for i := 0; i < k; i++ {
-			in[i] = m&(1<<uint(i)) != 0
-		}
-		tt[m] = netlist.EvalCover(c, in)
-	}
-	return tt
 }
 
 // reduceWide removes contained cubes and merges distance-1 cube pairs for

@@ -2,6 +2,7 @@ package logic
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -9,7 +10,9 @@ import (
 	"fpgaflow/internal/sim"
 )
 
-func ttOf(c netlist.Cover, k int) []bool { return truthTableOfCover(c, k) }
+func ttOf(c netlist.Cover, k int) []uint64 {
+	return slices.Clone(new(qmScratch).truthTableOfCover(c, k))
+}
 
 func minimizeCover(c netlist.Cover, k int) netlist.Cover { return new(qmScratch).minimizeCover(c, k) }
 

@@ -2,6 +2,7 @@ package logic
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"fpgaflow/internal/netlist"
@@ -57,46 +58,21 @@ func (s *qmScratch) simplifyNodes(nl *netlist.Netlist) error {
 	return nil
 }
 
-// pruneUnusedFanins removes fanin positions that are don't-care in every cube.
+// pruneUnusedFanins removes fanin positions that are don't-care in every
+// cube. The node must own its cubes; its fanin slice is copied.
 func pruneUnusedFanins(n *netlist.Node) {
-	if n.Kind != netlist.KindLogic || len(n.Fanin) == 0 {
-		return
-	}
-	used := make([]bool, len(n.Fanin))
-	for _, cube := range n.Cover.Cubes {
-		for i, lit := range cube {
-			if lit != netlist.LitDC {
-				used[i] = true
+	for i := len(n.Fanin) - 1; i >= 0; i-- {
+		used := false
+		for _, cube := range n.Cover.Cubes {
+			used = used || cube[i] != netlist.LitDC
+		}
+		if !used {
+			n.Fanin = slices.Delete(slices.Clone(n.Fanin), i, i+1)
+			for ci, cube := range n.Cover.Cubes {
+				n.Cover.Cubes[ci] = slices.Delete(cube, i, i+1)
 			}
 		}
 	}
-	keepAll := true
-	for _, u := range used {
-		if !u {
-			keepAll = false
-		}
-	}
-	if keepAll {
-		return
-	}
-	var newFanin []*netlist.Node
-	idx := make([]int, 0, len(n.Fanin))
-	for i, u := range used {
-		if u {
-			idx = append(idx, i)
-			newFanin = append(newFanin, n.Fanin[i])
-		}
-	}
-	newCubes := make([]netlist.Cube, len(n.Cover.Cubes))
-	for ci, cube := range n.Cover.Cubes {
-		nc := make(netlist.Cube, len(idx))
-		for j, i := range idx {
-			nc[j] = cube[i]
-		}
-		newCubes[ci] = nc
-	}
-	n.Fanin = newFanin
-	n.Cover.Cubes = newCubes
 }
 
 // PropagateConstants replaces uses of constant nodes by specializing the
@@ -176,6 +152,9 @@ func RemoveBuffers(nl *netlist.Netlist) int {
 // collapsing of XOR/parity chains is exponential and must be refused).
 // Primary outputs and latch D-drivers keep their nodes.
 func (s *qmScratch) eliminate(nl *netlist.Netlist, maxSupport, maxFanout int) error {
+	if maxSupport > qmLimit {
+		return fmt.Errorf("logic: eliminate support %d exceeds the %d-input exact limit", maxSupport, qmLimit)
+	}
 	nl.BuildFanout()
 	for _, g := range nl.Nodes() {
 		if g.Kind != netlist.KindLogic || len(g.Fanin) == 0 {
@@ -195,17 +174,10 @@ func (s *qmScratch) eliminate(nl *netlist.Netlist, maxSupport, maxFanout int) er
 				collapsible = false
 				break
 			}
-			if supportAfterMerge(f, g) > maxSupport {
-				collapsible = false
-				break
-			}
-			m, err := s.mergedFunction(f, g)
-			if err != nil {
-				return err
-			}
+			m, ok := s.mergedFunction(f, g, maxSupport)
 			// Value check: refuse collapses that grow the literal count
 			// beyond the two nodes' combined cost.
-			if Literals(m.cover) > Literals(f.Cover)+Literals(g.Cover)+2 {
+			if !ok || Literals(m.cover) > Literals(f.Cover)+Literals(g.Cover)+2 {
 				collapsible = false
 				break
 			}
@@ -225,19 +197,6 @@ func (s *qmScratch) eliminate(nl *netlist.Netlist, maxSupport, maxFanout int) er
 	return nil
 }
 
-func supportAfterMerge(f, g *netlist.Node) int {
-	set := make(map[*netlist.Node]bool, len(f.Fanin)+len(g.Fanin))
-	for _, x := range f.Fanin {
-		if x != g {
-			set[x] = true
-		}
-	}
-	for _, x := range g.Fanin {
-		set[x] = true
-	}
-	return len(set)
-}
-
 // collapsed is a candidate merged node body.
 type collapsed struct {
 	fanin []*netlist.Node
@@ -245,49 +204,43 @@ type collapsed struct {
 }
 
 // mergedFunction computes the result of substituting g into f without
-// mutating either node.
-func (s *qmScratch) mergedFunction(f, g *netlist.Node) (collapsed, error) {
+// mutating either node, or reports false when the merged support exceeds
+// maxSupport. g is evaluated over the merged inputs' columns, and f over
+// those with g's column in its place.
+func (s *qmScratch) mergedFunction(f, g *netlist.Node, maxSupport int) (collapsed, bool) {
 	var fanin []*netlist.Node
-	pos := make(map[*netlist.Node]int)
 	for _, x := range f.Fanin {
-		if x == g {
-			continue
-		}
-		if _, seen := pos[x]; !seen {
-			pos[x] = len(fanin)
+		if x != g && !slices.Contains(fanin, x) {
 			fanin = append(fanin, x)
 		}
 	}
 	for _, x := range g.Fanin {
-		if _, seen := pos[x]; !seen {
-			pos[x] = len(fanin)
+		if !slices.Contains(fanin, x) {
 			fanin = append(fanin, x)
 		}
 	}
 	k := len(fanin)
-	if k > qmLimit {
-		return collapsed{}, fmt.Errorf("logic: collapse of %s into %s needs %d-input table", g.Name, f.Name, k)
+	if k > maxSupport {
+		return collapsed{}, false
 	}
-	rows := 1 << uint(k)
-	tt := make([]bool, rows)
-	fin := make([]bool, len(f.Fanin))
-	gin := make([]bool, len(g.Fanin))
-	for m := 0; m < rows; m++ {
-		val := func(x *netlist.Node) bool { return m&(1<<uint(pos[x])) != 0 }
-		for i, x := range g.Fanin {
-			gin[i] = val(x)
-		}
-		gv := netlist.EvalCover(g.Cover, gin)
-		for i, x := range f.Fanin {
-			if x == g {
-				fin[i] = gv
-			} else {
-				fin[i] = val(x)
-			}
-		}
-		tt[m] = netlist.EvalCover(f.Cover, fin)
+	nw := netlist.TableWords(k)
+	s.in = s.in[:0]
+	for _, x := range g.Fanin {
+		s.in = append(s.in, s.column(slices.Index(fanin, x), nw))
 	}
-	return collapsed{fanin: fanin, cover: s.minimize(tt, k)}, nil
+	s.gv = grow(s.gv, nw)
+	netlist.EvalCoverWords(g.Cover, s.in, s.gv)
+	s.in = s.in[:0]
+	for _, x := range f.Fanin {
+		if x == g {
+			s.in = append(s.in, s.gv)
+		} else {
+			s.in = append(s.in, s.column(slices.Index(fanin, x), nw))
+		}
+	}
+	s.tt = grow(s.tt, nw)
+	netlist.EvalCoverWords(f.Cover, s.in, s.tt)
+	return collapsed{fanin: fanin, cover: s.minimize(s.tt, k)}, true
 }
 
 // MergeDuplicates performs structural hashing: logic nodes with identical

@@ -2,6 +2,7 @@ package techmap
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"fpgaflow/internal/logic"
@@ -101,13 +102,6 @@ func buildMapped(nl *netlist.Netlist, cutOf func(*netlist.Node) ([]*netlist.Node
 	return &Result{Netlist: out, Depth: st.Depth, LUTs: st.Logic}, nil
 }
 
-// inputPattern[i] is input i's column of a truth table over the 64 rows
-// of one word: row r holds bit i of r.
-var inputPattern = [6]uint64{
-	0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
-	0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000,
-}
-
 // coneEval evaluates cone functions bit-parallel, reusing its buffers
 // from one cone to the next.
 type coneEval struct {
@@ -115,6 +109,7 @@ type coneEval struct {
 	val   []coneSlot // by node ID
 	words []uint64
 	fin   []int
+	in    [][]uint64
 }
 
 // coneSlot holds the offset of a node's rows in words, valid while stamp
@@ -133,28 +128,21 @@ func (e *coneEval) slot(n *netlist.Node) *coneSlot {
 }
 
 // truthTable returns the function of node t over the given cut inputs
-// (input i is bit i of the row index). Each cone node is evaluated once
-// over all 2^k rows, 64 rows per word.
-func (e *coneEval) truthTable(t *netlist.Node, inputs []*netlist.Node) ([]bool, error) {
+// (input i is bit i of the row index) as netlist.TableWords(k) words,
+// valid until the next call. Each cone node is evaluated once over all
+// 2^k rows, 64 rows per word.
+func (e *coneEval) truthTable(t *netlist.Node, inputs []*netlist.Node) ([]uint64, error) {
 	k := len(inputs)
 	if k > 16 {
 		return nil, fmt.Errorf("techmap: cut of %d inputs too wide", k)
 	}
-	rows := 1 << uint(k)
-	nw := (rows + 63) / 64
+	nw := netlist.TableWords(k)
 	e.stamp++
 	e.words, e.fin = e.words[:0], e.fin[:0]
 	for i, in := range inputs {
 		*e.slot(in) = coneSlot{e.stamp, len(e.words)}
 		for w := 0; w < nw; w++ {
-			var x uint64
-			switch {
-			case i < 6:
-				x = inputPattern[i]
-			case w>>uint(i-6)&1 != 0:
-				x = ^uint64(0)
-			}
-			e.words = append(e.words, x)
+			e.words = append(e.words, netlist.ColumnWord(i, w))
 		}
 	}
 	var eval func(n *netlist.Node) (int, error)
@@ -173,27 +161,13 @@ func (e *coneEval) truthTable(t *netlist.Node, inputs []*netlist.Node) ([]bool, 
 			}
 			e.fin = append(e.fin, off)
 		}
-		fin := e.fin[base:]
 		off := len(e.words)
-		for w := 0; w < nw; w++ {
-			var hit uint64
-			for _, cube := range n.Cover.Cubes {
-				m := ^uint64(0)
-				for i, lit := range cube {
-					switch lit {
-					case netlist.LitOne:
-						m &= e.words[fin[i]+w]
-					case netlist.LitZero:
-						m &^= e.words[fin[i]+w]
-					}
-				}
-				hit |= m
-			}
-			if !n.Cover.OnSet() {
-				hit = ^hit
-			}
-			e.words = append(e.words, hit)
+		e.words = slices.Grow(e.words, nw)[:off+nw]
+		e.in = e.in[:0]
+		for _, fo := range e.fin[base:] {
+			e.in = append(e.in, e.words[fo:fo+nw])
 		}
+		netlist.EvalCoverWords(n.Cover, e.in, e.words[off:])
 		e.fin = e.fin[:base]
 		*e.slot(n) = coneSlot{e.stamp, off}
 		return off, nil
@@ -202,9 +176,5 @@ func (e *coneEval) truthTable(t *netlist.Node, inputs []*netlist.Node) ([]bool, 
 	if err != nil {
 		return nil, err
 	}
-	tt := make([]bool, rows)
-	for r := range tt {
-		tt[r] = e.words[off+r>>6]>>uint(r&63)&1 != 0
-	}
-	return tt, nil
+	return e.words[off : off+nw], nil
 }
